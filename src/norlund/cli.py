@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -73,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="symmetric integral of an expression in t")
     pe.add_argument("--expr", required=True, help="integrand, e.g. '1/t^2'")
-    pe.add_argument("--a", type=float, required=True)
-    pe.add_argument("--b", type=float, required=True)
+    pe.add_argument("--a", type=_finite_float, required=True)
+    pe.add_argument("--b", type=_finite_float, required=True)
     pe.add_argument("--alpha", type=float, default=0.0, help="forward step (>= 0)")
     pe.add_argument("--beta", type=float, default=0.0, help="backward step (>= 0)")
     _add_mode_flags(pe)
@@ -91,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--kind", required=True, choices=_CHECK_KINDS)
     pc.add_argument("--f", required=True, help="first expression")
     pc.add_argument("--g", default=None, help="second expression where applicable")
-    pc.add_argument("--a", type=float, required=True)
-    pc.add_argument("--b", type=float, required=True)
+    pc.add_argument("--a", type=_finite_float, required=True)
+    pc.add_argument("--b", type=_finite_float, required=True)
     pc.add_argument("--alpha", type=float, default=0.0)
     pc.add_argument("--beta", type=float, default=0.0)
     pc.add_argument("--p", type=float, default=2.0, help="Holder/Minkowski exponent (> 1)")
@@ -105,6 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("--json", action="store_true")
     return parser
+
+
+def _finite_float(text: str) -> float:
+    """An interval endpoint: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _add_mode_flags(sub: argparse.ArgumentParser) -> None:

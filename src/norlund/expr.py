@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 from .errors import DomainFaultError, ExprSyntaxError, UnknownIdentifierError
 
@@ -72,7 +72,7 @@ class Call:
     args: Tuple["Expr", ...]
 
 
-Expr = Union[Num, Var, Const, Neg, Bin, Call]
+Expr = Num | Var | Const | Neg | Bin | Call
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _UNARY_FUNCTIONS = ("abs", "exp", "ln", "sqrt", "sin", "cos")
@@ -219,69 +219,213 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def _pow(node: Expr, base: float, exponent: float, t: float) -> float:
-    if base == 0.0 and exponent < 0.0:
-        raise DomainFaultError(node, t, "zero raised to a negative power")
-    try:
-        return math.pow(base, exponent)
-    except ValueError:
-        raise DomainFaultError(node, t, "negative base with non-integer exponent") from None
-    except OverflowError:
-        raise DomainFaultError(node, t, "power overflows") from None
+# ----------------------------------------------------------------------
+# Evaluation.  A tree compiles once into one closure per node (Feeley and
+# Lapalme, "Using closures for code generation", 1987); the closures do the
+# tree's floating-point operations in the tree's order and raise the same
+# faults.  Compilation yields an operand: the variable, a constant, or a
+# closure.  Constant and variable operands are read in place rather than
+# called, and a subtree free of t that evaluates without a fault is
+# replaced by its value.
+# ----------------------------------------------------------------------
+
+_VAR, _CONST, _FUNC = range(3)
 
 
-def _eval(e: Expr, t: float) -> float:
+def _identity(t: float) -> float:
+    return t
+
+
+def _closure(operand):
+    kind, x = operand
+    if kind == _VAR:
+        return _identity
+    if kind == _CONST:
+        return lambda t: x
+    return x
+
+
+def _add(left, right):
+    (lk, a), (rk, b) = left, right
+    if lk == _CONST and rk == _VAR:
+        return lambda t: a + t
+    if lk == _VAR and rk == _CONST:
+        return lambda t: t + b
+    f, g = _closure(left), _closure(right)
+    if lk == _CONST:
+        return lambda t: a + g(t)
+    if rk == _CONST:
+        return lambda t: f(t) + b
+    return lambda t: f(t) + g(t)
+
+
+def _subtract(left, right):
+    (lk, a), (rk, b) = left, right
+    if lk == _CONST and rk == _VAR:
+        return lambda t: a - t
+    if lk == _VAR and rk == _CONST:
+        return lambda t: t - b
+    f, g = _closure(left), _closure(right)
+    if lk == _CONST:
+        return lambda t: a - g(t)
+    if rk == _CONST:
+        return lambda t: f(t) - b
+    return lambda t: f(t) - g(t)
+
+
+def _multiply(left, right):
+    (lk, a), (rk, b) = left, right
+    if lk == _CONST and rk == _VAR:
+        return lambda t: a * t
+    if lk == _VAR and rk == _CONST:
+        return lambda t: t * b
+    f, g = _closure(left), _closure(right)
+    if lk == _CONST:
+        return lambda t: a * g(t)
+    if rk == _CONST:
+        return lambda t: f(t) * b
+    return lambda t: f(t) * g(t)
+
+
+def _divide(node, left, right):
+    f, g = _closure(left), _closure(right)
+    kind, b = right
+    if kind == _CONST and b != 0.0:
+        return lambda t: f(t) / b
+
+    def divide(t):
+        denominator = g(t)  # before the numerator, as the grammar's semantics order them
+        if denominator == 0.0:
+            raise DomainFaultError(node, t, "division by zero")
+        return f(t) / denominator
+
+    return divide
+
+
+def _power(node, base, exponent):
+    f, pow = _closure(base), math.pow
+    kind, c = exponent
+    if kind == _CONST and not c < 0.0:  # a zero base cannot meet a negative exponent
+
+        def power(t):
+            x = f(t)
+            try:
+                return pow(x, c)
+            except ValueError:
+                raise DomainFaultError(node, t, "negative base with non-integer exponent") from None
+            except OverflowError:
+                raise DomainFaultError(node, t, "power overflows") from None
+
+        return power
+
+    g = _closure(exponent)
+
+    def power(t):
+        x = f(t)
+        y = g(t)
+        if x == 0.0 and y < 0.0:
+            raise DomainFaultError(node, t, "zero raised to a negative power")
+        try:
+            return pow(x, y)
+        except ValueError:
+            raise DomainFaultError(node, t, "negative base with non-integer exponent") from None
+        except OverflowError:
+            raise DomainFaultError(node, t, "power overflows") from None
+
+    return power
+
+
+def _unary(node, name, operand):
+    f = _closure(operand)
+    if name in ("abs", "sin", "cos"):
+        fn = abs if name == "abs" else getattr(math, name)
+        return lambda t: fn(f(t))
+    if name == "ln":
+        log = math.log
+
+        def ln(t):
+            v = f(t)
+            if v <= 0.0:
+                raise DomainFaultError(node, t, "logarithm of a non-positive value")
+            return log(v)
+
+        return ln
+    if name == "sqrt":
+        sqrt = math.sqrt
+
+        def square_root(t):
+            v = f(t)
+            if v < 0.0:
+                raise DomainFaultError(node, t, "square root of a negative value")
+            return sqrt(v)
+
+        return square_root
+    exp = math.exp
+
+    def exponential(t):
+        v = f(t)
+        try:
+            return exp(v)
+        except OverflowError:
+            raise DomainFaultError(node, t, "exponential overflows") from None
+
+    return exponential
+
+
+_ARITHMETIC = {"+": _add, "-": _subtract, "*": _multiply}
+_isfinite = math.isfinite
+
+
+def _compile(e: Expr):
+    """The operand (kind, payload) that computes e."""
     match e:
         case Num(value=v):
-            return v
+            return _CONST, v
         case Var():
-            return t
+            return _VAR, None
         case Const(name=name):
-            return _CONSTANTS[name]
+            return _CONST, _CONSTANTS[name]
         case Neg(operand=x):
-            return -_eval(x, t)
-        case Bin(op="+", left=l, right=r):
-            return _eval(l, t) + _eval(r, t)
-        case Bin(op="-", left=l, right=r):
-            return _eval(l, t) - _eval(r, t)
-        case Bin(op="*", left=l, right=r):
-            return _eval(l, t) * _eval(r, t)
+            kind, v = operand = _compile(x)
+            if kind == _CONST:
+                return _CONST, -v
+            f = _closure(operand)
+            return _FUNC, lambda t: -f(t)
+        case Bin(op=op, left=l, right=r) if op in _ARITHMETIC:
+            operands = (_compile(l), _compile(r))
+            fn = _ARITHMETIC[op](*operands)
         case Bin(op="/", left=l, right=r):
-            denominator = _eval(r, t)
-            if denominator == 0.0:
-                raise DomainFaultError(e, t, "division by zero")
-            return _eval(l, t) / denominator
-        case Bin(op="^", left=l, right=r):
-            return _pow(e, _eval(l, t), _eval(r, t), t)
-        case Call(name="pow", args=(x, y)):
-            return _pow(e, _eval(x, t), _eval(y, t), t)
-        case Call(name=name, args=(x,)):
-            v = _eval(x, t)
-            if name == "abs":
-                return abs(v)
-            if name == "ln":
-                if v <= 0.0:
-                    raise DomainFaultError(e, t, "logarithm of a non-positive value")
-                return math.log(v)
-            if name == "sqrt":
-                if v < 0.0:
-                    raise DomainFaultError(e, t, "square root of a negative value")
-                return math.sqrt(v)
-            if name == "exp":
-                try:
-                    return math.exp(v)
-                except OverflowError:
-                    raise DomainFaultError(e, t, "exponential overflows") from None
-            if name == "sin":
-                return math.sin(v)
-            return math.cos(v)
-    raise TypeError(f"not an expression node: {e!r}")
+            operands = (_compile(l), _compile(r))
+            fn = _divide(e, *operands)
+        case Bin(op="^", left=l, right=r) | Call(name="pow", args=(l, r)):
+            operands = (_compile(l), _compile(r))
+            fn = _power(e, *operands)
+        case Call(name=name, args=(x,)) if name in _UNARY_FUNCTIONS:
+            operands = (_compile(x),)
+            fn = _unary(e, name, *operands)
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    if all(kind == _CONST for kind, _ in operands):
+        try:
+            return _CONST, fn(0.0)  # t is read only to report a fault
+        except (DomainFaultError, ValueError):
+            pass  # keep the closure, so the fault is raised at the point evaluated
+    return _FUNC, fn
 
 
 def evaluate(e: Expr, t: float) -> float:
-    """Evaluate with real semantics; domain faults raise, never return NaN."""
-    value = _eval(e, t)
-    if not math.isfinite(value):
+    """Evaluate with real semantics; domain faults raise, never return NaN.
+
+    The first call compiles the tree and keeps the result on its root, so
+    later calls on the same tree run the compiled closures only.
+    """
+    try:
+        run = e._compiled
+    except AttributeError:
+        run = _closure(_compile(e))
+        object.__setattr__(e, "_compiled", run)
+    value = run(t)
+    if not _isfinite(value):
         raise DomainFaultError(e, t, "non-finite result")
     return value
 

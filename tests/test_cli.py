@@ -143,6 +143,32 @@ def test_usage_error_exits_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--expr", "t", "--alpha", "1"],
+        ["check", "--kind", "cs", "--f", "1", "--g", "t", "--alpha", "1"],
+        ["check", "--kind", "ftc", "--f", "t", "--alpha", "1"],
+    ],
+)
+def test_non_finite_endpoint_is_a_usage_error(capsys, command, flag, value):
+    endpoints = {"--a": "0", "--b": "3", flag: value}
+    argv = command + [f"{key}={text}" for key, text in endpoints.items()]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"argument {flag}: must be a finite number, got '{value}'" in capsys.readouterr().err
+
+
+def test_non_finite_endpoint_exits_two_without_traceback():
+    proc = run_cli("eval", "--expr", "t", "--a", "0", "--b", "inf", "--alpha", "1")
+    assert proc.returncode == 2
+    assert "argument --b: must be a finite number" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_expression_is_an_error(capsys):
     code = main(["eval", "--expr", "2^-t", "--a", "0", "--b", "1", "--alpha", "1"])
     assert code == 2

@@ -1,7 +1,13 @@
+import gc
+import importlib
 import math
 import random
+import sys
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from norlund import DomainFaultError, ExprSyntaxError, UnknownIdentifierError
 from norlund.expr import Bin, Call, Const, Neg, Num, Var, evaluate, format, parse
@@ -107,6 +113,15 @@ def test_domain_fault_carries_point():
     assert err.value.t == 1.0
 
 
+def test_fault_names_the_node_of_the_tree_evaluated():
+    first, second = parse("1/(t-1)"), parse("1/(t-1)")
+    evaluate(first, 2.0)
+    with pytest.raises(DomainFaultError) as err:
+        evaluate(second, 1.0)
+    assert err.value.node is second
+    assert err.value.reason == "division by zero"
+
+
 # ----------------------------------------------------------------------
 # Formatting and the round trip
 # ----------------------------------------------------------------------
@@ -158,3 +173,158 @@ def test_evaluate_matches_python_semantics():
         t = rng.uniform(-10.0, 10.0)
         want = abs(t) ** 1.5 + math.sin(t) * math.cos(t) - t / (t * t + 1.0)
         assert evaluate(expr, t) == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+# ----------------------------------------------------------------------
+# Differential test: compiled evaluation against a tree walk
+# ----------------------------------------------------------------------
+
+
+def _reference_pow(node, base, exponent, t):
+    if base == 0.0 and exponent < 0.0:
+        raise DomainFaultError(node, t, "zero raised to a negative power")
+    try:
+        return math.pow(base, exponent)
+    except ValueError:
+        raise DomainFaultError(node, t, "negative base with non-integer exponent") from None
+    except OverflowError:
+        raise DomainFaultError(node, t, "power overflows") from None
+
+
+def _reference_walk(e, t):
+    """The grammar's tree semantics, one node at a time; the right operand
+    of '/' is evaluated before the left."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return t
+    if isinstance(e, Const):
+        return {"pi": math.pi, "e": math.e}[e.name]
+    if isinstance(e, Neg):
+        return -_reference_walk(e.operand, t)
+    if isinstance(e, Bin):
+        if e.op == "/":
+            denominator = _reference_walk(e.right, t)
+            if denominator == 0.0:
+                raise DomainFaultError(e, t, "division by zero")
+            return _reference_walk(e.left, t) / denominator
+        x, y = _reference_walk(e.left, t), _reference_walk(e.right, t)
+        if e.op == "+":
+            return x + y
+        if e.op == "-":
+            return x - y
+        if e.op == "*":
+            return x * y
+        return _reference_pow(e, x, y, t)
+    if e.name == "pow":
+        x, y = (_reference_walk(arg, t) for arg in e.args)
+        return _reference_pow(e, x, y, t)
+    v = _reference_walk(e.args[0], t)
+    if e.name == "ln":
+        if v <= 0.0:
+            raise DomainFaultError(e, t, "logarithm of a non-positive value")
+        return math.log(v)
+    if e.name == "sqrt":
+        if v < 0.0:
+            raise DomainFaultError(e, t, "square root of a negative value")
+        return math.sqrt(v)
+    if e.name == "exp":
+        try:
+            return math.exp(v)
+        except OverflowError:
+            raise DomainFaultError(e, t, "exponential overflows") from None
+    return {"abs": abs, "sin": math.sin, "cos": math.cos}[e.name](v)
+
+
+def _reference_evaluate(e, t):
+    value = _reference_walk(e, t)
+    if not math.isfinite(value):
+        raise DomainFaultError(e, t, "non-finite result")
+    return value
+
+
+def _assert_agrees(tree, t):
+    """evaluate and the tree walk return the same float, bit for bit, or
+    raise the same exception; a domain fault names the same node."""
+    try:
+        want = _reference_evaluate(tree, t)
+    except Exception as exc:  # the exception is the outcome compared
+        with pytest.raises(type(exc)) as err:
+            evaluate(tree, t)
+        assert type(err.value) is type(exc), (format(tree), t)
+        if isinstance(exc, DomainFaultError):
+            assert (err.value.reason, err.value.t) == (exc.reason, exc.t), (format(tree), t)
+            assert err.value.node is exc.node, (format(tree), t)
+        return
+    got = evaluate(tree, t)
+    assert type(got) is type(want), (format(tree), t)
+    assert float(got).hex() == float(want).hex(), (format(tree), t)
+
+
+# Every shape the compiler treats apart: each operator with a constant, the
+# variable or a subexpression on either side, constant subtrees that fold
+# and constant subtrees that fault, a constant negative exponent, and pairs
+# of operands that both fault, where the first fault evaluated is raised.
+_SHAPES = [
+    "t+2", "2+t", "t+t", "sin(t)+2", "2+sin(t)", "sin(t)+cos(t)",
+    "t-2", "2-t", "t-t", "sin(t)-2", "2-sin(t)", "sin(t)-cos(t)",
+    "t*2", "2*t", "t*t", "sin(t)*2", "2*sin(t)", "sin(t)*cos(t)",
+    "t/2", "2/t", "t/t", "sin(t)/2", "2/sin(t)", "sin(t)/cos(t)", "t/0", "t/(2-2)",
+    "t^2", "2^t", "t^t", "t^0.5", "t^(-2)", "t^(-0.5)", "pow(t,-1)", "pow(t,3)",
+    "pow(2,t)", "0^t", "(-2)^t", "10^t", "t^1000",
+    "-t", "-2", "-sin(t)", "2*pi*t", "e^t", "-3*abs(t-2)",
+    "abs(t)", "sin(t)", "cos(t)", "exp(t)", "ln(t)", "sqrt(t)", "exp(-t)", "ln(-t)",
+    "(-2)^0.5+t", "ln(0)*t", "1/0", "sqrt(2-3)", "exp(1000)+t", "99^99^99",
+    "sin(99^99*99^99)", "t+cos(99^99*99^99)", "99^99*99^99", "0*(99^99*99^99)+t",
+    "ln(t)+sqrt(t)", "ln(t)-sqrt(t)", "ln(t)*sqrt(t)", "ln(t)/sqrt(t)", "ln(t)^sqrt(t)",
+    "pow(ln(t),sqrt(t))", "ln(t)+cos(99^99*99^99)",
+    "1/(1+2*t^2)", "1.5*t/(1+t^2)", "exp(-0.02*abs(t-50))", "pow(2.2,sin(0.3*t))",
+]
+_FIXED_POINTS = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 1e-300, 1e300, -1e300,
+                 math.inf, -math.inf, math.nan, 0, 3, -2]
+
+
+def test_evaluate_agrees_with_tree_walk_on_every_shape():
+    for text in _SHAPES:
+        tree = parse(text)
+        for t in _FIXED_POINTS:
+            _assert_agrees(tree, t)
+
+
+_POINTS = st.one_of(
+    st.sampled_from(_FIXED_POINTS),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=-60, max_value=60).map(float),
+    st.floats(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=7), _POINTS, _POINTS)
+def test_evaluate_agrees_with_tree_walk(rng, depth, t, u):
+    tree = _random_tree(rng, depth)
+    _assert_agrees(tree, t)
+    _assert_agrees(tree, u)  # runs the closures compiled at t
+
+
+# ----------------------------------------------------------------------
+# Imports
+# ----------------------------------------------------------------------
+
+
+def test_reimport_releases_the_previous_import():
+    saved = {name: module for name, module in sys.modules.items()
+             if name == "norlund" or name.startswith("norlund.")}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        first = weakref.ref(importlib.import_module("norlund.expr").Num)
+        for name in [name for name in sys.modules if name.split(".")[0] == "norlund"]:
+            del sys.modules[name]
+        importlib.import_module("norlund.expr")
+        gc.collect()
+        assert first() is None
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "norlund"]:
+            del sys.modules[name]
+        sys.modules.update(saved)
