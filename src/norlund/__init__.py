@@ -49,7 +49,6 @@ from .operators import (
     EPS_GRID,
     GridAlignment,
     GridDirection,
-    GridSpec,
     RealFunction,
     StepPair,
     backward_difference,
@@ -68,7 +67,6 @@ __all__ = [
     "ExprSyntaxError",
     "GridAlignment",
     "GridDirection",
-    "GridSpec",
     "HypothesisFailedError",
     "InequalityReport",
     "IntegralMode",

@@ -76,16 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--expr", required=True, help="integrand, e.g. '1/t^2'")
     pe.add_argument("--a", type=_finite_float, required=True)
     pe.add_argument("--b", type=_finite_float, required=True)
-    pe.add_argument("--alpha", type=float, default=0.0, help="forward step (>= 0)")
-    pe.add_argument("--beta", type=float, default=0.0, help="backward step (>= 0)")
+    pe.add_argument("--alpha", type=_finite_float, default=0.0, help="forward step (>= 0)")
+    pe.add_argument("--beta", type=_finite_float, default=0.0, help="backward step (>= 0)")
     _add_mode_flags(pe)
     pe.add_argument("--json", action="store_true", help="emit a single-line JSON report")
 
     pd = sub.add_parser("diff", help="difference quotient of an expression in t")
     pd.add_argument("--expr", required=True)
-    pd.add_argument("--t", type=float, required=True)
-    pd.add_argument("--alpha", type=float, default=None)
-    pd.add_argument("--beta", type=float, default=None)
+    pd.add_argument("--t", type=_finite_float, required=True)
+    pd.add_argument("--alpha", type=_finite_float, default=None)
+    pd.add_argument("--beta", type=_finite_float, default=None)
     pd.add_argument("--json", action="store_true")
 
     pc = sub.add_parser("check", help="run an identity or inequality verifier")
@@ -94,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--g", default=None, help="second expression where applicable")
     pc.add_argument("--a", type=_finite_float, required=True)
     pc.add_argument("--b", type=_finite_float, required=True)
-    pc.add_argument("--alpha", type=float, default=0.0)
-    pc.add_argument("--beta", type=float, default=0.0)
-    pc.add_argument("--p", type=float, default=2.0, help="Holder/Minkowski exponent (> 1)")
+    pc.add_argument("--alpha", type=_finite_float, default=0.0)
+    pc.add_argument("--beta", type=_finite_float, default=0.0)
+    pc.add_argument("--p", type=_finite_float, default=2.0, help="Holder/Minkowski exponent (> 1)")
     _add_mode_flags(pc)
     pc.add_argument(
         "--check-tol",
-        type=float,
+        type=_nonnegative_float,
         default=1e-9,
         help="largest residual accepted by the ftc and ibp checks",
     )
@@ -109,13 +109,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _finite_float(text: str) -> float:
-    """An interval endpoint: a float that is neither infinite nor NaN."""
+    """A point, step or exponent: a float that is neither infinite nor NaN."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    """A tolerance: a finite float that is not negative."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
     return value
 
 

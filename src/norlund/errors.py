@@ -42,10 +42,10 @@ class NotAlignedError(NorlundError):
 
 
 class BadExponentError(NorlundError):
-    """A Holder-type exponent must satisfy p > 1."""
+    """A Holder-type exponent must satisfy 1 < p < inf."""
 
     def __init__(self, p: float):
-        super().__init__(f"exponent p must be greater than 1, got {p!r}")
+        super().__init__(f"exponent p must be finite and greater than 1, got {p!r}")
         self.p = p
 
 

@@ -21,13 +21,7 @@ from .errors import (
     NegativeWeightError,
 )
 from .integrals import IntegralMode, IntegralResult, symmetric_integral
-from .operators import (
-    GridDirection,
-    GridSpec,
-    RealFunction,
-    StepPair,
-    grid_align,
-)
+from .operators import GridDirection, RealFunction, StepPair, grid_count
 from .series import SeriesConfig
 
 __all__ = [
@@ -95,10 +89,6 @@ def _context(a, b, steps: StepPair, result: IntegralResult, **extra) -> dict:
     return ctx
 
 
-def _integrate(f, a, b, steps, mode, cfg) -> IntegralResult:
-    return symmetric_integral(f, a, b, steps, mode, cfg)
-
-
 def _nonneg(x: float) -> float:
     # Strict-mode differences can leave -1e-20 dust on a mathematically
     # nonnegative integral; clamp before fractional powers.
@@ -110,17 +100,6 @@ def _require_interval(a: float, b: float) -> None:
         raise ValueError(f"needs a < b, got a={a!r}, b={b!r}")
 
 
-def _grid_count(anchor: float, target: float, step: float, direction: GridDirection) -> int:
-    alignment = grid_align(anchor, target, step, direction)
-    if alignment is not None:
-        return alignment.k1
-    if direction is GridDirection.FORWARD:
-        span = target - anchor
-    else:
-        span = anchor - target
-    return max(0, int(math.floor(span / step)))
-
-
 def sampled_grid_points(a: float, b: float, steps: StepPair) -> List[float]:
     """The grid points in [a, b] read by the two sides of the integral.
 
@@ -129,24 +108,27 @@ def sampled_grid_points(a: float, b: float, steps: StepPair) -> List[float]:
     """
     points: List[float] = []
     if steps.alpha > 0.0:
-        grid = GridSpec(a, steps.alpha, GridDirection.FORWARD)
-        n = _grid_count(a, b, steps.alpha, GridDirection.FORWARD)
-        points.extend(grid.point(k) for k in range(n + 1))
+        n = grid_count(a, b, steps.alpha, GridDirection.FORWARD)
+        points.extend(a + k * steps.alpha for k in range(n + 1))
     if steps.beta > 0.0:
-        grid = GridSpec(b, steps.beta, GridDirection.BACKWARD)
-        n = _grid_count(b, a, steps.beta, GridDirection.BACKWARD)
-        points.extend(grid.point(k) for k in range(n + 1))
+        n = grid_count(b, a, steps.beta, GridDirection.BACKWARD)
+        points.extend(b - k * steps.beta for k in range(n + 1))
     return points
 
 
-def _holder_pieces(f, g, a, b, steps, p, mode, cfg):
-    if not p > 1.0:
+def _require_exponent(p: float) -> None:
+    # An infinite p would make q = p/(p - 1) NaN and |f|^p overflow.
+    if not 1.0 < p < math.inf:
         raise BadExponentError(p)
+
+
+def _holder_pieces(f, g, a, b, steps, p, mode, cfg):
+    _require_exponent(p)
     _require_interval(a, b)
     q = p / (p - 1.0)
-    product = _integrate(lambda t: abs(f(t) * g(t)), a, b, steps, mode, cfg)
-    f_power = _integrate(lambda t: abs(f(t)) ** p, a, b, steps, mode, cfg)
-    g_power = _integrate(lambda t: abs(g(t)) ** q, a, b, steps, mode, cfg)
+    product = symmetric_integral(lambda t: abs(f(t) * g(t)), a, b, steps, mode, cfg)
+    f_power = symmetric_integral(lambda t: abs(f(t)) ** p, a, b, steps, mode, cfg)
+    g_power = symmetric_integral(lambda t: abs(g(t)) ** q, a, b, steps, mode, cfg)
     return q, product, f_power, g_power
 
 
@@ -194,12 +176,11 @@ def minkowski_check(
     cfg: SeriesConfig | None = None,
 ) -> InequalityReport:
     """Check (int|f+g|^p)^(1/p) <= (int|f|^p)^(1/p) + (int|g|^p)^(1/p)."""
-    if not p > 1.0:
-        raise BadExponentError(p)
+    _require_exponent(p)
     _require_interval(a, b)
-    total = _integrate(lambda t: abs(f(t) + g(t)) ** p, a, b, steps, mode, cfg)
-    f_power = _integrate(lambda t: abs(f(t)) ** p, a, b, steps, mode, cfg)
-    g_power = _integrate(lambda t: abs(g(t)) ** p, a, b, steps, mode, cfg)
+    total = symmetric_integral(lambda t: abs(f(t) + g(t)) ** p, a, b, steps, mode, cfg)
+    f_power = symmetric_integral(lambda t: abs(f(t)) ** p, a, b, steps, mode, cfg)
+    g_power = symmetric_integral(lambda t: abs(g(t)) ** p, a, b, steps, mode, cfg)
     lhs = _nonneg(total.value) ** (1.0 / p)
     rhs = _nonneg(f_power.value) ** (1.0 / p) + _nonneg(g_power.value) ** (1.0 / p)
     return _report(lhs, rhs, _context(a, b, steps, total, p=p))
@@ -225,8 +206,8 @@ def comparison_check(
         g_value = float(g(t))
         if abs(f_value) > g_value:
             raise HypothesisFailedError(t, f_value, g_value)
-    f_integral = _integrate(f, a, b, steps, mode, cfg)
-    g_integral = _integrate(g, a, b, steps, mode, cfg)
+    f_integral = symmetric_integral(f, a, b, steps, mode, cfg)
+    g_integral = symmetric_integral(g, a, b, steps, mode, cfg)
     lhs = abs(f_integral.value)
     rhs = g_integral.value
     return _report(lhs, rhs, _context(a, b, steps, g_integral))
@@ -255,8 +236,8 @@ def mvt_constant(
         if g_value < -VIOL_SCALE * max(1.0, abs(g_value)):
             raise NegativeWeightError(t, g_value)
 
-    weighted = _integrate(lambda t: f(t) * g(t), a, b, steps, mode, cfg)
-    weight = _integrate(g, a, b, steps, mode, cfg)
+    weighted = symmetric_integral(lambda t: f(t) * g(t), a, b, steps, mode, cfg)
+    weight = symmetric_integral(g, a, b, steps, mode, cfg)
     f_values = [float(f(t)) for t in points]
     m = min(f_values)
     M = max(f_values)

@@ -29,6 +29,7 @@ from .operators import (
     StepPair,
     forward_difference,
     grid_align,
+    grid_count,
 )
 from .series import SeriesConfig, SeriesResult, Verdict, sum_series
 
@@ -117,28 +118,76 @@ def _check_converged(s: SeriesResult, x: float, side: str) -> None:
         )
 
 
-def _telescoped_forward(f: RealFunction, start: float, k1: int, alpha: float) -> float:
-    # Plain left-to-right accumulation; the trailing multiply keeps the
-    # result bit-identical to the direct finite sum alpha * sum f(a + k*alpha).
-    total = 0.0
-    for k in range(k1):
-        point = start + k * alpha
-        value = float(f(point))
-        if not math.isfinite(value):
-            raise NonFiniteValueError(point, value)
-        total += value
-    return alpha * total
+# Per direction: the step's name, the improper integral at one endpoint,
+# and the IntegralResult slot for its strict diagnostics.
+_SIDES = {
+    GridDirection.FORWARD: ("alpha", forward_integral_to_infinity, "forward_diag"),
+    GridDirection.BACKWARD: ("beta", backward_integral_from_minus_infinity, "backward_diag"),
+}
 
 
-def _telescoped_backward(f: RealFunction, start: float, k1: int, beta: float) -> float:
-    total = 0.0
-    for k in range(k1):
-        point = start - k * beta
-        value = float(f(point))
-        if not math.isfinite(value):
-            raise NonFiniteValueError(point, value)
-        total += value
-    return beta * total
+def _side(
+    f: RealFunction,
+    a: float,
+    b: float,
+    step: float,
+    direction: GridDirection,
+    mode: IntegralMode,
+    cfg: SeriesConfig | None,
+) -> IntegralResult:
+    """One side of the symmetric integral, walking its grid in direction.
+
+    The forward grid ascends from min(a, b), the backward grid descends
+    from max(a, b).  Strict is the difference of the improper integrals
+    at the two endpoints, taken towards the side's infinity.
+    """
+    step_name, improper, diag_slot = _SIDES[direction]
+    side = direction.value
+    _require_positive(step, step_name)
+    if a == b:
+        if mode is IntegralMode.STRICT:
+            s = improper(f, a, step, cfg)
+            _check_converged(s, a, side)
+            return IntegralResult(0.0, IntegralMode.STRICT, **{diag_slot: (s, s)})
+        return IntegralResult(
+            0.0, IntegralMode.TELESCOPED, alignment=GridAlignment(0, 0.0)
+        )
+
+    lo, hi = (a, b) if a < b else (b, a)
+    forward = direction is GridDirection.FORWARD
+    start, end = (lo, hi) if forward else (hi, lo)
+    alignment = grid_align(start, end, step, direction)
+    if mode is IntegralMode.AUTO:
+        mode = IntegralMode.TELESCOPED if alignment else IntegralMode.STRICT
+
+    if mode is IntegralMode.TELESCOPED:
+        if alignment is None:
+            raise NotAlignedError(
+                f"endpoints {a!r} and {b!r} are not aligned on the {side} "
+                f"grid with step {step!r}"
+            )
+        # start + k*(-step) is start - k*step bit for bit (IEEE negation is
+        # exact).  Plain left-to-right accumulation and one trailing multiply
+        # keep the result bit-identical to the direct finite sum.
+        signed = step if forward else -step
+        total = 0.0
+        for k in range(alignment.k1):
+            point = start + k * signed
+            value = float(f(point))
+            if not math.isfinite(value):
+                raise NonFiniteValueError(point, value)
+            total += value
+        value = step * total
+        if a > b:
+            value = -value
+        return IntegralResult(value, IntegralMode.TELESCOPED, alignment=alignment)
+
+    s_a = improper(f, a, step, cfg)
+    _check_converged(s_a, a, side)
+    s_b = improper(f, b, step, cfg)
+    _check_converged(s_b, b, side)
+    value = s_a.value - s_b.value if forward else s_b.value - s_a.value
+    return IntegralResult(value, IntegralMode.STRICT, **{diag_slot: (s_a, s_b)})
 
 
 def forward_integral(
@@ -155,39 +204,7 @@ def forward_integral(
     and b; Telescoped sums the k1 grid values from min(a, b), with the
     sign flipped when a > b.
     """
-    _require_positive(alpha, "alpha")
-    if a == b:
-        if mode is IntegralMode.STRICT:
-            s = forward_integral_to_infinity(f, a, alpha, cfg)
-            _check_converged(s, a, "forward")
-            return IntegralResult(0.0, IntegralMode.STRICT, forward_diag=(s, s))
-        return IntegralResult(
-            0.0, IntegralMode.TELESCOPED, alignment=GridAlignment(0, 0.0)
-        )
-
-    lo, hi = (a, b) if a < b else (b, a)
-    alignment = grid_align(lo, hi, alpha)
-    if mode is IntegralMode.AUTO:
-        mode = IntegralMode.TELESCOPED if alignment else IntegralMode.STRICT
-
-    if mode is IntegralMode.TELESCOPED:
-        if alignment is None:
-            raise NotAlignedError(
-                f"endpoints {a!r} and {b!r} are not aligned on the forward "
-                f"grid with step {alpha!r}"
-            )
-        value = _telescoped_forward(f, lo, alignment.k1, alpha)
-        if a > b:
-            value = -value
-        return IntegralResult(value, IntegralMode.TELESCOPED, alignment=alignment)
-
-    s_a = forward_integral_to_infinity(f, a, alpha, cfg)
-    _check_converged(s_a, a, "forward")
-    s_b = forward_integral_to_infinity(f, b, alpha, cfg)
-    _check_converged(s_b, b, "forward")
-    return IntegralResult(
-        s_a.value - s_b.value, IntegralMode.STRICT, forward_diag=(s_a, s_b)
-    )
+    return _side(f, a, b, alpha, GridDirection.FORWARD, mode, cfg)
 
 
 def backward_integral(
@@ -204,39 +221,7 @@ def backward_integral(
     up to a; Telescoped sums the k1 grid values walking down from
     max(a, b), with the sign flipped when a > b.
     """
-    _require_positive(beta, "beta")
-    if a == b:
-        if mode is IntegralMode.STRICT:
-            s = backward_integral_from_minus_infinity(f, a, beta, cfg)
-            _check_converged(s, a, "backward")
-            return IntegralResult(0.0, IntegralMode.STRICT, backward_diag=(s, s))
-        return IntegralResult(
-            0.0, IntegralMode.TELESCOPED, alignment=GridAlignment(0, 0.0)
-        )
-
-    lo, hi = (a, b) if a < b else (b, a)
-    alignment = grid_align(hi, lo, beta, GridDirection.BACKWARD)
-    if mode is IntegralMode.AUTO:
-        mode = IntegralMode.TELESCOPED if alignment else IntegralMode.STRICT
-
-    if mode is IntegralMode.TELESCOPED:
-        if alignment is None:
-            raise NotAlignedError(
-                f"endpoints {a!r} and {b!r} are not aligned on the backward "
-                f"grid with step {beta!r}"
-            )
-        value = _telescoped_backward(f, hi, alignment.k1, beta)
-        if a > b:
-            value = -value
-        return IntegralResult(value, IntegralMode.TELESCOPED, alignment=alignment)
-
-    s_a = backward_integral_from_minus_infinity(f, a, beta, cfg)
-    _check_converged(s_a, a, "backward")
-    s_b = backward_integral_from_minus_infinity(f, b, beta, cfg)
-    _check_converged(s_b, b, "backward")
-    return IntegralResult(
-        s_b.value - s_a.value, IntegralMode.STRICT, backward_diag=(s_a, s_b)
-    )
+    return _side(f, a, b, beta, GridDirection.BACKWARD, mode, cfg)
 
 
 def symmetric_integral(
@@ -312,19 +297,26 @@ def ftc_residuals(
     if b < a:
         raise ValueError(f"needs b >= a, got a={a!r}, b={b!r}")
 
-    accumulated = antiderivative(f, a, alpha, cfg)
-    alignment = grid_align(a, b, alpha)
-    if alignment is not None:
-        k1 = alignment.k1
-    else:
-        k1 = max(0, int(math.floor((b - a) / alpha)))
-
+    # The accumulated integral at a + k*alpha is alpha times the running
+    # sum of f over the k grid points before it, added left to right as
+    # the telescoped route adds them, so each value is bit-identical to
+    # antiderivative(f, a, alpha)(a + k*alpha) and f is read once per point.
     r1 = 0.0
-    for k in range(k1 + 1):
+    total = 0.0
+    lower = 0.0
+    for k in range(grid_count(a, b, alpha) + 1):
         x = a + k * alpha
-        deviation = abs(forward_difference(accumulated, x, alpha) - f(x))
+        value = float(f(x))
+        if not math.isfinite(value):
+            raise NonFiniteValueError(x, value)
+        total += value
+        upper = alpha * total
+        if not math.isfinite(upper):
+            raise NonFiniteValueError(x + alpha, upper)
+        deviation = abs((upper - lower) / alpha - value)
         if deviation > r1:
             r1 = deviation
+        lower = upper
 
     def delta_f(t: float) -> float:
         return forward_difference(f, t, alpha)

@@ -13,12 +13,12 @@ __all__ = [
     "EPS_GRID",
     "GridAlignment",
     "GridDirection",
-    "GridSpec",
     "RealFunction",
     "StepPair",
     "backward_difference",
     "forward_difference",
     "grid_align",
+    "grid_count",
     "symmetric_difference",
 ]
 
@@ -55,24 +55,6 @@ class StepPair:
 class GridDirection(Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform half-infinite grid {anchor + k*step} or {anchor - k*step}, k >= 0."""
-
-    anchor: float
-    step: float
-    direction: GridDirection = GridDirection.FORWARD
-
-    def __post_init__(self) -> None:
-        if not self.step > 0.0:
-            raise ZeroStepError(f"grid step must be positive, got {self.step!r}")
-
-    def point(self, k: int) -> float:
-        if self.direction is GridDirection.FORWARD:
-            return self.anchor + k * self.step
-        return self.anchor - k * self.step
 
 
 @dataclass(frozen=True)
@@ -142,3 +124,21 @@ def grid_align(
     if k1 < 0 or abs(residual) > EPS_GRID:
         return None
     return GridAlignment(int(k1), residual)
+
+
+def grid_count(
+    anchor: float,
+    target: float,
+    step: float,
+    direction: GridDirection = GridDirection.FORWARD,
+) -> int:
+    """Number of whole steps from anchor towards target, never below 0.
+
+    The alignment witness's k1 when target lies on the grid, otherwise
+    the floor of the span in step units.
+    """
+    alignment = grid_align(anchor, target, step, direction)
+    if alignment is not None:
+        return alignment.k1
+    span = target - anchor if direction is GridDirection.FORWARD else anchor - target
+    return max(0, math.floor(span / step))

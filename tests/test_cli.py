@@ -143,23 +143,44 @@ def test_usage_error_exits_two():
     assert err.value.code == 2
 
 
+NON_FINITE_COMMANDS = [
+    ["eval", "--expr", "t", "--alpha", "1", "--a", "0", "--b", "3"],
+    ["check", "--kind", "cs", "--f", "1", "--g", "t", "--alpha", "1", "--a", "0", "--b", "3"],
+    ["check", "--kind", "ftc", "--f", "t", "--alpha", "1", "--a", "0", "--b", "3"],
+    ["diff", "--expr", "t", "--t", "0", "--alpha", "1"],
+]
+NON_FINITE_FLAGS = {
+    0: ["--a", "--b", "--alpha", "--beta"],
+    1: ["--a", "--b", "--alpha", "--beta", "--p"],
+    2: ["--a", "--b", "--check-tol"],
+    3: ["--t", "--alpha", "--beta"],
+}
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-@pytest.mark.parametrize("flag", ["--a", "--b"])
 @pytest.mark.parametrize(
-    "command",
+    "command, flag",
     [
-        ["eval", "--expr", "t", "--alpha", "1"],
-        ["check", "--kind", "cs", "--f", "1", "--g", "t", "--alpha", "1"],
-        ["check", "--kind", "ftc", "--f", "t", "--alpha", "1"],
+        pytest.param(NON_FINITE_COMMANDS[i], flag, id=f"command{i}-{flag}")
+        for i, flags in NON_FINITE_FLAGS.items()
+        for flag in flags
     ],
 )
 def test_non_finite_endpoint_is_a_usage_error(capsys, command, flag, value):
-    endpoints = {"--a": "0", "--b": "3", flag: value}
-    argv = command + [f"{key}={text}" for key, text in endpoints.items()]
+    # the last occurrence of a flag is the one argparse keeps
+    argv = command + [f"{flag}={value}"]
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     assert f"argument {flag}: must be a finite number, got '{value}'" in capsys.readouterr().err
+
+
+def test_negative_check_tol_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--kind", "ftc", "--f", "t", "--a", "0", "--b", "2", "--alpha", "1",
+              "--check-tol=-1e-9"])
+    assert err.value.code == 2
+    assert "argument --check-tol: must not be negative, got '-1e-9'" in capsys.readouterr().err
 
 
 def test_non_finite_endpoint_exits_two_without_traceback():

@@ -59,6 +59,9 @@ def test_holder_bad_exponent():
         holder_check(ONE, ONE, 0.0, 2.0, StepPair(1.0, 1.0), p=1.0)
     with pytest.raises(BadExponentError):
         minkowski_check(ONE, ONE, 0.0, 2.0, StepPair(1.0, 1.0), p=0.5)
+    for check in (holder_check, minkowski_check):
+        with pytest.raises(BadExponentError):
+            check(ONE, ONE, 0.0, 2.0, StepPair(1.0, 1.0), p=math.inf)
 
 
 def test_checks_require_increasing_interval():

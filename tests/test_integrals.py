@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from norlund import (
     IntegralMode,
@@ -280,6 +282,64 @@ def test_ftc_residuals_unaligned_strict_integrable():
     # the sampled grid points stay telescoped
     r1, r2 = ftc_residuals(HALVING, 0.0, 2.5, 1.0)
     assert r1 <= 1e-9 and r2 <= 1e-9
+
+
+def _ftc_r1_reference(f, a, alpha, k1):
+    """r1 the slow way: each accumulated value alpha * (f(a) + ... +
+    f(a + (k-1)*alpha)) summed from scratch, left to right."""
+
+    def accumulated(k):
+        total = 0.0
+        for j in range(k):
+            total += f(a + j * alpha)
+        return alpha * total
+
+    return max(
+        abs((accumulated(k + 1) - accumulated(k)) / alpha - f(a + k * alpha))
+        for k in range(k1 + 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=0.1, max_value=4.0),
+    st.integers(min_value=0, max_value=40),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_ftc_r1_matches_quadratic_reference(a, alpha, k1, frac, c):
+    # 2^-t keeps the strict r2 integral at the off-grid b cheap
+    f = lambda t: (c + 0.3 * t * t) * 2.0**-t
+    b = a + (k1 + frac) * alpha
+    r1, _ = ftc_residuals(f, a, b, alpha)
+    assert r1.hex() == _ftc_r1_reference(f, a, alpha, k1).hex()
+
+
+def test_ftc_reads_f_once_per_grid_point_in_r1():
+    calls = [0]
+
+    def counted(t):
+        calls[0] += 1
+        return 0.3 * t * t + 1.0
+
+    k1 = 200
+    r1, _ = ftc_residuals(counted, 0.0, float(k1), 1.0)
+    assert r1.hex() == _ftc_r1_reference(lambda t: 0.3 * t * t + 1.0, 0.0, 1.0, k1).hex()
+    # r1 reads f at k1 + 1 points, r2 twice per grid point plus f(a), f(b)
+    assert calls[0] <= 3 * (k1 + 1) + 2
+
+
+def test_ftc_non_finite_values_raise_where_they_arise():
+    from norlund import NonFiniteValueError
+
+    with pytest.raises(NonFiniteValueError) as err:
+        ftc_residuals(lambda t: math.nan if t == 2.0 else 1.0, 0.0, 4.0, 1.0)
+    assert err.value.point == 2.0
+    # finite values whose running sum overflows at the point one step ahead
+    with pytest.raises(NonFiniteValueError) as err:
+        ftc_residuals(lambda t: 1e308, 0.0, 4.0, 1.0)
+    assert err.value.point == 2.0
 
 
 def test_integration_by_parts_hand_case():

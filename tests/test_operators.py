@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from norlund import (
     EPS_GRID,
     GridDirection,
-    GridSpec,
     NonFiniteValueError,
     StepPair,
     ZeroStepError,
@@ -17,6 +16,7 @@ from norlund import (
     grid_align,
     symmetric_difference,
 )
+from norlund.operators import grid_count
 
 
 def test_forward_difference_examples():
@@ -124,10 +124,19 @@ def test_grid_align_recovers_exact_step_counts(k, anchor, step):
     assert abs(hit.residual) <= EPS_GRID
 
 
-def test_grid_spec_points():
-    fwd = GridSpec(1.0, 2.0)
-    assert [fwd.point(k) for k in range(3)] == [1.0, 3.0, 5.0]
-    bwd = GridSpec(3.0, 2.0, GridDirection.BACKWARD)
-    assert [bwd.point(k) for k in range(3)] == [3.0, 1.0, -1.0]
+def test_grid_count_forward_and_backward():
+    fwd, bwd = GridDirection.FORWARD, GridDirection.BACKWARD
+    # aligned target: the witness's k1, even just below the grid point
+    assert grid_count(1.0, 7.0, 2.0, fwd) == 3
+    assert grid_count(0.0, 3.0 - 1e-12, 1.0, fwd) == 3
+    assert grid_count(7.0, 1.0, 2.0, bwd) == 3
+    assert grid_count(3.0 + 1e-12, 0.0, 1.0, bwd) == 3
+    # off-grid target: the floor of the span
+    assert grid_count(1.0, 8.0, 2.0, fwd) == 3
+    assert grid_count(8.0, 1.0, 2.0, bwd) == 3
+    # target behind the anchor: 0
+    assert grid_count(1.0, -3.5, 2.0, fwd) == 0
+    assert grid_count(1.0, 5.5, 2.0, bwd) == 0
+    assert grid_count(2.0, 2.0, 0.5) == 0
     with pytest.raises(ZeroStepError):
-        GridSpec(0.0, 0.0)
+        grid_count(0.0, 1.0, 0.0)
