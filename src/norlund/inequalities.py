@@ -19,6 +19,7 @@ from .errors import (
     BadExponentError,
     HypothesisFailedError,
     NegativeWeightError,
+    NonFiniteValueError,
 )
 from .integrals import IntegralMode, IntegralResult, symmetric_integral
 from .operators import GridDirection, RealFunction, StepPair, grid_count
@@ -34,13 +35,11 @@ __all__ = [
     "mvt_constant",
 ]
 
-# The inequalities are exact in real arithmetic, so the tolerated
-# violation is rounding slack only, scaled to the operand magnitudes.
-VIOL_SCALE = 1e-9
-
 
 def _viol_tol(lhs: float, rhs: float) -> float:
-    return VIOL_SCALE * max(1.0, abs(lhs), abs(rhs))
+    # The inequalities are exact in real arithmetic, so the tolerated
+    # violation is rounding slack only, scaled to the operand magnitudes.
+    return 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,6 @@ class InequalityReport:
     holds: bool
     context: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "holds": self.holds,
-            "context": dict(self.context),
-        }
-
 
 @dataclass(frozen=True)
 class MvtReport:
@@ -72,8 +62,11 @@ class MvtReport:
     M: float
     degenerate: bool  # integral of the weight vanished; K = 0 by convention
 
-    def to_dict(self) -> dict:
-        return {"K": self.K, "m": self.m, "M": self.M, "degenerate": self.degenerate}
+    @property
+    def holds(self) -> bool:
+        """K lies in [m, M] up to rounding slack, or the report is degenerate."""
+        slack = _viol_tol(self.m, self.M)
+        return self.degenerate or self.m - slack <= self.K <= self.M + slack
 
 
 def _report(lhs: float, rhs: float, context: dict) -> InequalityReport:
@@ -122,13 +115,25 @@ def _require_exponent(p: float) -> None:
         raise BadExponentError(p)
 
 
+def _abs_power(f: RealFunction, p: float) -> RealFunction:
+    """t -> |f(t)|^p, raising NonFiniteValueError at a t where it overflows."""
+
+    def power(t: float) -> float:
+        try:
+            return abs(f(t)) ** p
+        except OverflowError:
+            raise NonFiniteValueError(t, math.inf) from None
+
+    return power
+
+
 def _holder_pieces(f, g, a, b, steps, p, mode, cfg):
     _require_exponent(p)
     _require_interval(a, b)
     q = p / (p - 1.0)
     product = symmetric_integral(lambda t: abs(f(t) * g(t)), a, b, steps, mode, cfg)
-    f_power = symmetric_integral(lambda t: abs(f(t)) ** p, a, b, steps, mode, cfg)
-    g_power = symmetric_integral(lambda t: abs(g(t)) ** q, a, b, steps, mode, cfg)
+    f_power = symmetric_integral(_abs_power(f, p), a, b, steps, mode, cfg)
+    g_power = symmetric_integral(_abs_power(g, q), a, b, steps, mode, cfg)
     return q, product, f_power, g_power
 
 
@@ -178,9 +183,9 @@ def minkowski_check(
     """Check (int|f+g|^p)^(1/p) <= (int|f|^p)^(1/p) + (int|g|^p)^(1/p)."""
     _require_exponent(p)
     _require_interval(a, b)
-    total = symmetric_integral(lambda t: abs(f(t) + g(t)) ** p, a, b, steps, mode, cfg)
-    f_power = symmetric_integral(lambda t: abs(f(t)) ** p, a, b, steps, mode, cfg)
-    g_power = symmetric_integral(lambda t: abs(g(t)) ** p, a, b, steps, mode, cfg)
+    total = symmetric_integral(_abs_power(lambda t: f(t) + g(t), p), a, b, steps, mode, cfg)
+    f_power = symmetric_integral(_abs_power(f, p), a, b, steps, mode, cfg)
+    g_power = symmetric_integral(_abs_power(g, p), a, b, steps, mode, cfg)
     lhs = _nonneg(total.value) ** (1.0 / p)
     rhs = _nonneg(f_power.value) ** (1.0 / p) + _nonneg(g_power.value) ** (1.0 / p)
     return _report(lhs, rhs, _context(a, b, steps, total, p=p))
@@ -233,7 +238,7 @@ def mvt_constant(
     points = sampled_grid_points(a, b, steps)
     for t in points:
         g_value = float(g(t))
-        if g_value < -VIOL_SCALE * max(1.0, abs(g_value)):
+        if g_value < -_viol_tol(g_value, 0.0):
             raise NegativeWeightError(t, g_value)
 
     weighted = symmetric_integral(lambda t: f(t) * g(t), a, b, steps, mode, cfg)

@@ -67,24 +67,10 @@ class IntegralResult:
 
     value: float
     mode_used: IntegralMode
+    mixed_modes: bool = False
     forward_diag: Optional[Tuple[SeriesResult, SeriesResult]] = None
     backward_diag: Optional[Tuple[SeriesResult, SeriesResult]] = None
     alignment: Optional[GridAlignment] = None
-    mixed_modes: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "mode_used": self.mode_used.value,
-            "mixed_modes": self.mixed_modes,
-            "forward_diag": (
-                [s.to_dict() for s in self.forward_diag] if self.forward_diag else None
-            ),
-            "backward_diag": (
-                [s.to_dict() for s in self.backward_diag] if self.backward_diag else None
-            ),
-            "alignment": self.alignment.to_dict() if self.alignment else None,
-        }
 
 
 def _require_positive(step: float, name: str) -> None:

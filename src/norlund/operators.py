@@ -64,9 +64,6 @@ class GridAlignment:
     k1: int
     residual: float
 
-    def to_dict(self) -> dict:
-        return {"k1": self.k1, "residual": self.residual}
-
 
 def _eval_finite(f: RealFunction, t: float) -> float:
     y = float(f(t))

@@ -25,6 +25,13 @@ __all__ = ["SeriesConfig", "SeriesResult", "Verdict", "sum_series"]
 # integrand; require this many passes in a row before converging.
 _CONFIRMATIONS = 2
 
+# Terms summed before the divergence heuristic may fire.
+_WARMUP = 16
+
+# Sizes both the ratio-averaging window and the number of consecutive
+# non-improving divergence checks tolerated.
+_STALL_WINDOW = 32
+
 
 class Verdict(Enum):
     """Outcome of one series summation."""
@@ -39,28 +46,20 @@ class SeriesConfig:
     """Stopping controls for :func:`sum_series`.
 
     tol is the absolute remainder bound the tail estimate must reach for
-    convergence.  max_terms caps the number of evaluated terms.  warmup
-    is the number of terms summed before the divergence heuristic may
-    fire.  stall_window sizes both the ratio-averaging window and the
-    number of consecutive non-improving divergence checks tolerated.
+    convergence; it must be positive and finite.  max_terms caps the
+    number of evaluated terms.
     """
 
     tol: float = 1e-12
     max_terms: int = 1_000_000
-    warmup: int = 16
-    stall_window: int = 32
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.warmup < 1:
-            raise ValueError(f"warmup must be at least 1, got {self.warmup!r}")
-        if self.max_terms < self.warmup:
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.max_terms < _WARMUP:
             raise ValueError(
-                f"max_terms ({self.max_terms!r}) must be at least warmup ({self.warmup!r})"
+                f"max_terms ({self.max_terms!r}) must be at least warmup ({_WARMUP!r})"
             )
-        if self.stall_window < 1:
-            raise ValueError(f"stall_window must be at least 1, got {self.stall_window!r}")
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,6 @@ class SeriesResult:
     tail_estimate: float
     verdict: Verdict
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "terms_used": self.terms_used,
-            "tail_estimate": self.tail_estimate,
-            "verdict": self.verdict.value,
-        }
-
 
 def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) -> SeriesResult:
     """Sum the series term(0) + term(1) + ... under cfg's stopping rules.
@@ -88,9 +79,9 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     NonFiniteTermError (any exception the callable itself raises simply
     propagates).  The tail estimate treats the recent terms as geometric:
     with rho the geometric-mean ratio |a_k/a_{k-1}| over the last
-    stall_window steps, the remainder after a_k is taken to be
+    _STALL_WINDOW (32) steps, the remainder after a_k is taken to be
     |a_k| * rho / (1 - rho), infinite when rho >= 1.  Divergence is
-    declared once per-window term minima stop improving for stall_window
+    declared once per-window term minima stop improving for _STALL_WINDOW
     consecutive windows while staying above tol.
 
     Identical inputs produce bit-identical results: summation order is
@@ -100,8 +91,8 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
         cfg = SeriesConfig()
     tol = cfg.tol
     max_terms = cfg.max_terms
-    warmup = cfg.warmup
-    win = cfg.stall_window
+    warmup = _WARMUP
+    win = _STALL_WINDOW
 
     total = 0.0
     comp = 0.0

@@ -150,9 +150,9 @@ NON_FINITE_COMMANDS = [
     ["diff", "--expr", "t", "--t", "0", "--alpha", "1"],
 ]
 NON_FINITE_FLAGS = {
-    0: ["--a", "--b", "--alpha", "--beta"],
-    1: ["--a", "--b", "--alpha", "--beta", "--p"],
-    2: ["--a", "--b", "--check-tol"],
+    0: ["--a", "--b", "--alpha", "--beta", "--tol"],
+    1: ["--a", "--b", "--alpha", "--beta", "--p", "--tol"],
+    2: ["--a", "--b", "--check-tol", "--tol"],
     3: ["--t", "--alpha", "--beta"],
 }
 
@@ -181,6 +181,30 @@ def test_negative_check_tol_is_a_usage_error(capsys):
               "--check-tol=-1e-9"])
     assert err.value.code == 2
     assert "argument --check-tol: must not be negative, got '-1e-9'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", NON_FINITE_COMMANDS[:3], ids=["eval", "cs", "ftc"])
+def test_non_positive_tol_is_a_usage_error(capsys, command, value):
+    with pytest.raises(SystemExit) as err:
+        main(command + [f"--tol={value}"])
+    assert err.value.code == 2
+    assert f"argument --tol: must be positive, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, p, t",
+    [("minkowski", "2000", "1.0"), ("holder", "1e308", "2.0")],
+)
+def test_overflowing_power_is_an_error(capsys, kind, p, t):
+    code = main(["check", "--kind", kind, "--f", "t", "--g", "t", "--a", "0", "--b", "3",
+                 "--alpha", "1", "--p", p, "--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["diagnostics"] == [
+        f"NonFiniteValueError: function value at t={t} is non-finite (inf)"
+    ]
 
 
 def test_non_finite_endpoint_exits_two_without_traceback():
@@ -232,6 +256,34 @@ def test_golden_outputs(golden_name, expected_code, args):
     proc = run_cli(*args)
     assert proc.returncode == expected_code
     assert proc.stdout == (GOLDEN / golden_name).read_text()
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def strict_json(line):
+    """Parse one report line, refusing NaN and Infinity."""
+    return json.loads(line, parse_constant=_reject_constant)
+
+
+# One line per report shape no golden file covers: the exact --json line
+# and text output of the command, as written before any change to the
+# report encoding.
+REPORT_SHAPES = [
+    json.loads(line)
+    for line in (Path(__file__).parent / "report_shapes.jsonl").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("case", REPORT_SHAPES, ids=[case["id"] for case in REPORT_SHAPES])
+def test_report_shapes_are_byte_exact(capsys, case):
+    assert main(case["args"] + ["--json"]) == case["exit"]
+    out = capsys.readouterr().out
+    assert out == case["json"]
+    strict_json(out)
+    assert main(case["args"]) == case["exit"]
+    assert capsys.readouterr().out == case["text"]
 
 
 def test_json_schema_fields():

@@ -9,6 +9,7 @@ from norlund import (
     HypothesisFailedError,
     IntegralMode,
     NegativeWeightError,
+    NonFiniteValueError,
     SeriesConfig,
     StepPair,
     cauchy_schwarz_check,
@@ -62,6 +63,21 @@ def test_holder_bad_exponent():
     for check in (holder_check, minkowski_check):
         with pytest.raises(BadExponentError):
             check(ONE, ONE, 0.0, 2.0, StepPair(1.0, 1.0), p=math.inf)
+
+
+@pytest.mark.parametrize(
+    "check, p, a, b, t",
+    [
+        (holder_check, 1e308, 0.0, 2.0, 2.0),  # |f|^p on the backward grid
+        (holder_check, 1.0 + 2.0**-52, 0.0, 2.0, 2.0),  # |g|^q, q = 2^52 + 1
+        (minkowski_check, 2000.0, 0.0, 3.0, 1.0),  # |f + g|^p
+    ],
+)
+def test_overflowing_power_raises_non_finite_value(check, p, a, b, t):
+    with pytest.raises(NonFiniteValueError) as err:
+        check(IDENT, IDENT, a, b, StepPair(1.0, 1.0), p=p)
+    assert err.value.point == t
+    assert err.value.value == math.inf
 
 
 def test_checks_require_increasing_interval():
@@ -206,6 +222,26 @@ def test_mvt_negative_weight_rejected():
         mvt_constant(ONE, lambda t: -1.0, 0.0, 2.0, StepPair(1.0, 1.0))
     assert err.value.value == -1.0
 
+
+
+def test_mvt_weight_within_rounding_slack_is_accepted():
+    report = mvt_constant(ONE, lambda t: -5e-10, 0.0, 2.0, StepPair(1.0, 1.0))
+    assert report.degenerate and report.holds
+    with pytest.raises(NegativeWeightError):
+        mvt_constant(ONE, lambda t: -2e-9, 0.0, 2.0, StepPair(1.0, 1.0))
+
+
+def test_mvt_holds_is_the_bracket_verdict():
+    assert mvt_constant(INV_SQUARE, ONE, 1.0, 3.0, StepPair(2.0, 2.0)).holds
+    assert mvt_constant(INV_SQUARE, ZERO, 1.0, 3.0, StepPair(2.0, 2.0)).holds
+    # b = 1.5 is off the grid, so the strict integral of f*g also reads
+    # f(1.5 + k) = -1, which the sampled extrema m = M = 1 never see.
+    report = mvt_constant(
+        lambda t: math.cos(2.0 * math.pi * t), lambda t: math.exp(-t), 0.0, 1.5,
+        StepPair(1.0, 0.0), cfg=SeriesConfig(tol=1e-10),
+    )
+    assert report.m == report.M == 1.0 and report.K > 1.5
+    assert not report.holds
 
 def test_mvt_bracketing_on_family():
     rng = random.Random(60451)

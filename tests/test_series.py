@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norlund import NonFiniteTermError, SeriesConfig, Verdict, sum_series
+from norlund import NonFiniteTermError, SeriesConfig, Verdict, series, sum_series
 
 
 def test_zero_series_converges_within_warmup():
     r = sum_series(lambda k: 0.0)
     assert r.value == 0.0
     assert r.verdict is Verdict.CONVERGED
-    assert r.terms_used <= SeriesConfig().warmup
+    assert r.terms_used <= series._WARMUP
 
 
 def test_geometric_half_matches_closed_form():
@@ -56,14 +56,19 @@ def test_non_finite_term_raises_with_index():
     [
         {"tol": 0.0},
         {"tol": -1e-9},
-        {"warmup": 0},
-        {"max_terms": 4, "warmup": 8},
-        {"stall_window": 0},
+        {"tol": math.inf},
+        {"max_terms": 4},
+        {"tol": math.nan},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SeriesConfig(**kwargs)
+
+
+def test_max_terms_below_warmup_message():
+    with pytest.raises(ValueError, match=r"max_terms \(4\) must be at least warmup \(16\)"):
+        SeriesConfig(max_terms=4)
 
 
 def test_determinism_bit_identical():
