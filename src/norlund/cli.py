@@ -12,6 +12,7 @@ printed in shortest round-trip form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -93,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--json", action="store_true")
 
     pc = sub.add_parser("check", help="run an identity or inequality verifier")
-    pc.add_argument("--kind", required=True, choices=_CHECK_KINDS)
     pc.add_argument("--f", required=True, help="first expression")
     pc.add_argument("--g", default=None, help="second expression where applicable")
     pc.add_argument("--a", type=_finite_float, required=True)
@@ -101,6 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--alpha", type=_finite_float, default=0.0)
     pc.add_argument("--beta", type=_finite_float, default=0.0)
     pc.add_argument("--p", type=_finite_float, default=2.0, help="Holder/Minkowski exponent (> 1)")
+    # declared here so that a report's inputs, read from the parsed
+    # namespace in declaration order, keep their key order
+    pc.add_argument("--kind", required=True, choices=_CHECK_KINDS)
     _add_mode_flags(pc)
     pc.add_argument(
         "--check-tol",
@@ -110,6 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("--json", action="store_true")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call."""
+    return build_parser()
 
 
 def _finite_float(text: str) -> float:
@@ -146,8 +155,7 @@ def _add_mode_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _function(text: str):
-    ast = expr_mod.parse(text)
-    return lambda t: expr_mod.evaluate(ast, t)
+    return functools.partial(expr_mod.evaluate, expr_mod.parse(text))
 
 
 def _series_config(args) -> SeriesConfig:
@@ -167,29 +175,20 @@ def _integral_diagnostics(result) -> list:
     return notes
 
 
-def _known_inputs(args) -> dict:
-    inputs = {}
-    for key in (
-        "expr", "f", "g", "t", "a", "b", "alpha", "beta", "p",
-        "kind", "mode", "tol", "max_terms", "check_tol",
-    ):
-        if hasattr(args, key):
-            inputs[key] = getattr(args, key)
-    return inputs
+def _verdict(holds: bool) -> Status:
+    return Status.OK if holds else Status.CHECK_FAILED
 
 
-def _cmd_eval(args) -> RunReport:
-    inputs = _known_inputs(args)
+def _cmd_eval(args) -> tuple:
     f = _function(args.expr)
     steps = StepPair(args.alpha, args.beta)
     result = symmetric_integral(
         f, args.a, args.b, steps, IntegralMode(args.mode), _series_config(args)
     )
-    return RunReport("eval", inputs, result, Status.OK, _integral_diagnostics(result))
+    return result, Status.OK, _integral_diagnostics(result)
 
 
-def _cmd_diff(args) -> RunReport:
-    inputs = _known_inputs(args)
+def _cmd_diff(args) -> tuple:
     f = _function(args.expr)
     if args.alpha is not None and args.beta is not None:
         kind = "symmetric"
@@ -202,37 +201,27 @@ def _cmd_diff(args) -> RunReport:
         value = backward_difference(f, args.t, args.beta)
     else:
         raise ValueError("diff needs --alpha, --beta, or both")
-    return RunReport("diff", inputs, {"kind": kind, "value": value}, Status.OK)
+    return {"kind": kind, "value": value}, Status.OK, []
 
 
-def _cmd_check(args) -> RunReport:
-    inputs = _known_inputs(args)
+def _cmd_check(args) -> tuple:
     f = _function(args.f)
     cfg = _series_config(args)
-    mode = IntegralMode(args.mode)
-
-    if args.kind in ("ftc", "ibp"):
-        if args.alpha <= 0.0:
-            raise ValueError(f"the {args.kind} check needs --alpha > 0")
-        if args.kind == "ftc":
-            r1, r2 = ftc_residuals(f, args.a, args.b, args.alpha, cfg)
-            ok = max(r1, r2) <= args.check_tol
-            result = {"r1": r1, "r2": r2, "check_tol": args.check_tol}
-        else:
-            if args.g is None:
-                raise ValueError("the ibp check needs --g")
-            g = _function(args.g)
-            residual = integration_by_parts_residual(f, g, args.a, args.b, args.alpha, cfg)
-            ok = residual <= args.check_tol
-            result = {"residual": residual, "check_tol": args.check_tol}
-        status = Status.OK if ok else Status.CHECK_FAILED
-        return RunReport("check", inputs, result, status)
+    if args.kind == "ftc":
+        r1, r2 = ftc_residuals(f, args.a, args.b, args.alpha, cfg)
+        result = {"r1": r1, "r2": r2, "check_tol": args.check_tol}
+        return result, _verdict(max(r1, r2) <= args.check_tol), []
 
     if args.g is None:
         raise ValueError(f"the {args.kind} check needs --g")
     g = _function(args.g)
-    steps = StepPair(args.alpha, args.beta)
+    if args.kind == "ibp":
+        residual = integration_by_parts_residual(f, g, args.a, args.b, args.alpha, cfg)
+        result = {"residual": residual, "check_tol": args.check_tol}
+        return result, _verdict(residual <= args.check_tol), []
 
+    steps = StepPair(args.alpha, args.beta)
+    mode = IntegralMode(args.mode)
     if args.kind == "mvt":
         report = mvt_constant(f, g, args.a, args.b, steps, mode, cfg)
     elif args.kind == "holder":
@@ -243,10 +232,10 @@ def _cmd_check(args) -> RunReport:
         report = minkowski_check(f, g, args.a, args.b, steps, args.p, mode, cfg)
     else:
         report = comparison_check(f, g, args.a, args.b, steps, mode, cfg)
-    status = Status.OK if report.holds else Status.CHECK_FAILED
-    return RunReport("check", inputs, report, status)
+    return report, _verdict(report.holds), []
 
 
+# Each command returns the result, status and diagnostics of its report.
 _COMMANDS = {"eval": _cmd_eval, "diff": _cmd_diff, "check": _cmd_check}
 
 
@@ -270,19 +259,14 @@ def _emit(report: RunReport, as_json: bool) -> None:
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    inputs = {key: value for key, value in vars(args).items() if key not in ("command", "json")}
     try:
-        report = _COMMANDS[args.command](args)
+        result, status, diagnostics = _COMMANDS[args.command](args)
     except (NorlundError, ValueError) as exc:
-        report = RunReport(
-            command=args.command,
-            inputs=_known_inputs(args),
-            result=None,
-            status=Status.ERROR,
-            diagnostics=[f"{type(exc).__name__}: {exc}"],
-        )
-    _emit(report, getattr(args, "json", False))
+        result, status, diagnostics = None, Status.ERROR, [f"{type(exc).__name__}: {exc}"]
+    report = RunReport(args.command, inputs, result, status, diagnostics)
+    _emit(report, args.json)
     return report.status.exit_code
 
 

@@ -125,20 +125,12 @@ def _side(
 
     The forward grid ascends from min(a, b), the backward grid descends
     from max(a, b).  Strict is the difference of the improper integrals
-    at the two endpoints, taken towards the side's infinity.
+    at the two endpoints, taken towards the side's infinity.  A value
+    that is not a finite float raises NonFiniteValueError at b.
     """
     step_name, improper, diag_slot = _SIDES[direction]
     side = direction.value
     _require_positive(step, step_name)
-    if a == b:
-        if mode is IntegralMode.STRICT:
-            s = improper(f, a, step, cfg)
-            _check_converged(s, a, side)
-            return IntegralResult(0.0, IntegralMode.STRICT, **{diag_slot: (s, s)})
-        return IntegralResult(
-            0.0, IntegralMode.TELESCOPED, alignment=GridAlignment(0, 0.0)
-        )
-
     lo, hi = (a, b) if a < b else (b, a)
     forward = direction is GridDirection.FORWARD
     start, end = (lo, hi) if forward else (hi, lo)
@@ -166,14 +158,17 @@ def _side(
         value = step * total
         if a > b:
             value = -value
-        return IntegralResult(value, IntegralMode.TELESCOPED, alignment=alignment)
-
-    s_a = improper(f, a, step, cfg)
-    _check_converged(s_a, a, side)
-    s_b = improper(f, b, step, cfg)
-    _check_converged(s_b, b, side)
-    value = s_a.value - s_b.value if forward else s_b.value - s_a.value
-    return IntegralResult(value, IntegralMode.STRICT, **{diag_slot: (s_a, s_b)})
+        result = IntegralResult(value, IntegralMode.TELESCOPED, alignment=alignment)
+    else:
+        s_a = improper(f, a, step, cfg)
+        _check_converged(s_a, a, side)
+        s_b = improper(f, b, step, cfg)
+        _check_converged(s_b, b, side)
+        value = s_a.value - s_b.value if forward else s_b.value - s_a.value
+        result = IntegralResult(value, IntegralMode.STRICT, **{diag_slot: (s_a, s_b)})
+    if not math.isfinite(value):
+        raise NonFiniteValueError(b, value)
+    return result
 
 
 def forward_integral(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from norlund import cli
 from norlund.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,6 +136,50 @@ def test_check_hypothesis_failure(capsys):
     )
     assert code == 2
     assert "HypothesisFailedError" in capsys.readouterr().out
+
+
+def test_main_builds_the_parser_at_most_once(monkeypatch, capsys):
+    calls = []
+    build = cli.build_parser
+
+    def counting_build():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    main(["eval", "--expr", "t", "--a", "0", "--b", "2", "--alpha", "1"])
+    main(["diff", "--expr", "t", "--t", "0", "--alpha", "1", "--json"])
+    main(["check", "--kind", "cs", "--f", "1", "--g", "t", "--a", "0", "--b", "3", "--alpha", "1"])
+    capsys.readouterr()
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("kind", ["ftc", "ibp"])
+def test_ftc_and_ibp_reject_zero_alpha(capsys, kind):
+    code = main(["check", "--kind", kind, "--f", "t", "--g", "t", "--a", "0", "--b", "2",
+                 "--alpha", "0", "--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert report["diagnostics"] == ["ZeroStepError: alpha must be positive, got 0.0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--expr", "exp(t)", "--a", "700", "--b", "709", "--alpha", "0.1"],
+        ["eval", "--expr", "1.7e308*exp(-t)", "--a", "0", "--b", "3", "--alpha", "0.5",
+         "--mode", "strict", "--tol", "1e-3"],
+        ["check", "--kind", "comparison", "--f", "1", "--g", "exp(t)", "--a", "700",
+         "--b", "709", "--alpha", "0.1"],
+    ],
+    ids=["telescoped", "strict", "comparison"],
+)
+def test_non_finite_integral_is_an_error(capsys, argv):
+    code = main(argv + ["--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["diagnostics"][0].startswith("NonFiniteValueError: ")
 
 
 def test_usage_error_exits_two():

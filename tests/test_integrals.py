@@ -150,6 +150,25 @@ def test_telescoped_rejects_non_finite_values():
     assert err.value.point == 1.0
 
 
+@pytest.mark.parametrize(
+    "f, mode",
+    [
+        # finite values whose sum overflows
+        (lambda t: 1e308, IntegralMode.TELESCOPED),
+        # converged series whose values overflow, so their difference is NaN
+        (lambda t: 1.7e308 * math.exp(-t), IntegralMode.STRICT),
+    ],
+    ids=["telescoped", "strict"],
+)
+def test_non_finite_integral_value_raises(f, mode):
+    from norlund import NonFiniteValueError
+
+    with pytest.raises(NonFiniteValueError) as err:
+        forward_integral(f, 0.0, 3.0, 0.5, mode, SeriesConfig(tol=1e-3))
+    assert err.value.point == 3.0
+    assert not math.isfinite(err.value.value)
+
+
 # ----------------------------------------------------------------------
 # Backward integral
 # ----------------------------------------------------------------------
