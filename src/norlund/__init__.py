@@ -10,6 +10,7 @@ from .errors import (
     BadExponentError,
     DomainFaultError,
     ExprSyntaxError,
+    GridBudgetError,
     HypothesisFailedError,
     NegativeWeightError,
     NonFiniteTermError,
@@ -66,6 +67,7 @@ __all__ = [
     "EPS_GRID",
     "ExprSyntaxError",
     "GridAlignment",
+    "GridBudgetError",
     "GridDirection",
     "HypothesisFailedError",
     "InequalityReport",

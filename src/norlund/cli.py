@@ -151,7 +151,7 @@ def _positive_float(text: str) -> float:
 def _add_mode_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=("strict", "telescoped", "auto"), default="auto")
     sub.add_argument("--tol", type=_positive_float, default=1e-12, help="series tail tolerance")
-    sub.add_argument("--max-terms", type=int, default=1_000_000, help="series term cap")
+    sub.add_argument("--max-terms", type=int, default=1_000_000, help="term cap of any sum")
 
 
 def _function(text: str):

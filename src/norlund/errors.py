@@ -21,12 +21,28 @@ class ZeroStepError(NorlundError):
 
 
 class NonFiniteValueError(NorlundError):
-    """A function evaluation required by an operator was NaN or +/-inf."""
+    """A function value, or a sum of finite ones, was NaN or +/-inf.
 
-    def __init__(self, point: float, value: float):
-        super().__init__(f"function value at t={point!r} is non-finite ({value!r})")
+    point is where the value arose: the point f was read at, or the end
+    of the integral or running sum that overflowed.
+    """
+
+    def __init__(self, point: float, value: float, message: str | None = None):
+        super().__init__(message or f"function value at t={point!r} is non-finite ({value!r})")
         self.point = point
         self.value = value
+
+
+class GridBudgetError(NorlundError):
+    """A grid walk would read more points than the term cap max_terms."""
+
+    def __init__(self, start: float, end: float, step: float, points: int, max_terms: int):
+        super().__init__(
+            f"the grid from {start!r} to {end!r} with step {step!r} has {points:.7g} "
+            f"points, more than the term cap max_terms={max_terms}"
+        )
+        self.points = points
+        self.max_terms = max_terms
 
 
 class NotIntegrableError(NorlundError):

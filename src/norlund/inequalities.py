@@ -6,7 +6,9 @@ evaluates both sides with symmetric integrals and reports the margin;
 a check "holds" when the margin is no worse than rounding slack scaled
 to the magnitudes involved.  Pointwise hypotheses (nonnegative weight,
 |f| <= g) are verified by sampling the evaluation grids of both sides
-over [a, b], which are exactly the points the integrals read.
+over [a, b], which are exactly the points the integrals read.  A check
+reads f and g at most once per distinct grid point on the telescoped
+route, whatever number of integrals it builds from them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .errors import (
     NegativeWeightError,
     NonFiniteValueError,
 )
-from .integrals import IntegralMode, IntegralResult, symmetric_integral
-from .operators import GridDirection, RealFunction, StepPair, grid_count
+from .integrals import IntegralMode, IntegralResult, _require_budget, symmetric_integral
+from .operators import GridDirection, RealFunction, Samples, StepPair, grid_count
 from .series import SeriesConfig
 
 __all__ = [
@@ -93,20 +95,51 @@ def _require_interval(a: float, b: float) -> None:
         raise ValueError(f"needs a < b, got a={a!r}, b={b!r}")
 
 
-def sampled_grid_points(a: float, b: float, steps: StepPair) -> List[float]:
+def sampled_grid_points(
+    a: float, b: float, steps: StepPair, cfg: SeriesConfig | None = None
+) -> List[float]:
     """The grid points in [a, b] read by the two sides of the integral.
 
     Forward points ascend from a, backward points descend from b; both
     endpoint counts come from the alignment witness when it exists.
+    Either walk longer than cfg.max_terms points raises GridBudgetError.
     """
     points: List[float] = []
     if steps.alpha > 0.0:
         n = grid_count(a, b, steps.alpha, GridDirection.FORWARD)
+        _require_budget(a, b, steps.alpha, n + 1, cfg)
         points.extend(a + k * steps.alpha for k in range(n + 1))
     if steps.beta > 0.0:
         n = grid_count(b, a, steps.beta, GridDirection.BACKWARD)
+        _require_budget(b, a, steps.beta, n + 1, cfg)
         points.extend(b - k * steps.beta for k in range(n + 1))
     return points
+
+
+class _Integrals:
+    """Symmetric integrals on one [a, b] of integrands built from f and g.
+
+    Calling it with an integrand and its values form integrates the
+    integrand.  On a telescoped side, f and g are read once per distinct
+    grid point into columns that every integral of the check shares,
+    and values(xs, ys) turns a side's columns into the integrand's values
+    by the integrand's own arithmetic on the raw reads.  A side whose
+    reads or values fault is summed by calling the integrand instead.
+    """
+
+    def __init__(self, f, g, a, b, steps, mode, cfg):
+        self.f, self.g = Samples(f), Samples(g)
+        self.args = (a, b, steps, mode, cfg)
+        self.columns = {}  # per grid direction: (xs, ys)
+
+    def __call__(self, integrand, values) -> IntegralResult:
+        def on_grid(direction, points):
+            if direction not in self.columns:
+                points = list(points)
+                self.columns[direction] = (self.f.column(points), self.g.column(points))
+            return values(*self.columns[direction])
+
+        return symmetric_integral(integrand, *self.args, on_grid=on_grid)
 
 
 def _require_exponent(p: float) -> None:
@@ -131,9 +164,12 @@ def _holder_pieces(f, g, a, b, steps, p, mode, cfg):
     _require_exponent(p)
     _require_interval(a, b)
     q = p / (p - 1.0)
-    product = symmetric_integral(lambda t: abs(f(t) * g(t)), a, b, steps, mode, cfg)
-    f_power = symmetric_integral(_abs_power(f, p), a, b, steps, mode, cfg)
-    g_power = symmetric_integral(_abs_power(g, q), a, b, steps, mode, cfg)
+    integral = _Integrals(f, g, a, b, steps, mode, cfg)
+    product = integral(
+        lambda t: abs(f(t) * g(t)), lambda xs, ys: [abs(x * y) for x, y in zip(xs, ys)]
+    )
+    f_power = integral(_abs_power(f, p), lambda xs, ys: [abs(x) ** p for x in xs])
+    g_power = integral(_abs_power(g, q), lambda xs, ys: [abs(y) ** q for y in ys])
     return q, product, f_power, g_power
 
 
@@ -183,9 +219,13 @@ def minkowski_check(
     """Check (int|f+g|^p)^(1/p) <= (int|f|^p)^(1/p) + (int|g|^p)^(1/p)."""
     _require_exponent(p)
     _require_interval(a, b)
-    total = symmetric_integral(_abs_power(lambda t: f(t) + g(t), p), a, b, steps, mode, cfg)
-    f_power = symmetric_integral(_abs_power(f, p), a, b, steps, mode, cfg)
-    g_power = symmetric_integral(_abs_power(g, p), a, b, steps, mode, cfg)
+    integral = _Integrals(f, g, a, b, steps, mode, cfg)
+    total = integral(
+        _abs_power(lambda t: f(t) + g(t), p),
+        lambda xs, ys: [abs(x + y) ** p for x, y in zip(xs, ys)],
+    )
+    f_power = integral(_abs_power(f, p), lambda xs, ys: [abs(x) ** p for x in xs])
+    g_power = integral(_abs_power(g, p), lambda xs, ys: [abs(y) ** p for y in ys])
     lhs = _nonneg(total.value) ** (1.0 / p)
     rhs = _nonneg(f_power.value) ** (1.0 / p) + _nonneg(g_power.value) ** (1.0 / p)
     return _report(lhs, rhs, _context(a, b, steps, total, p=p))
@@ -206,13 +246,16 @@ def comparison_check(
     carrying the witness point.
     """
     _require_interval(a, b)
-    for t in sampled_grid_points(a, b, steps):
-        f_value = float(f(t))
-        g_value = float(g(t))
+    integral = _Integrals(f, g, a, b, steps, mode, cfg)
+    points = sampled_grid_points(a, b, steps, cfg)
+    xs, ys = integral.f.column_or_calls(points), integral.g.column_or_calls(points)
+    for t, x, y in zip(points, xs, ys):
+        f_value = float(x)
+        g_value = float(y)
         if abs(f_value) > g_value:
             raise HypothesisFailedError(t, f_value, g_value)
-    f_integral = symmetric_integral(f, a, b, steps, mode, cfg)
-    g_integral = symmetric_integral(g, a, b, steps, mode, cfg)
+    f_integral = integral(f, lambda xs, ys: xs)
+    g_integral = integral(g, lambda xs, ys: ys)
     lhs = abs(f_integral.value)
     rhs = g_integral.value
     return _report(lhs, rhs, _context(a, b, steps, g_integral))
@@ -235,15 +278,18 @@ def mvt_constant(
     by convention.
     """
     _require_interval(a, b)
-    points = sampled_grid_points(a, b, steps)
-    for t in points:
-        g_value = float(g(t))
+    integral = _Integrals(f, g, a, b, steps, mode, cfg)
+    points = sampled_grid_points(a, b, steps, cfg)
+    for t, y in zip(points, integral.g.column_or_calls(points)):
+        g_value = float(y)
         if g_value < -_viol_tol(g_value, 0.0):
             raise NegativeWeightError(t, g_value)
 
-    weighted = symmetric_integral(lambda t: f(t) * g(t), a, b, steps, mode, cfg)
-    weight = symmetric_integral(g, a, b, steps, mode, cfg)
-    f_values = [float(f(t)) for t in points]
+    weighted = integral(
+        lambda t: f(t) * g(t), lambda xs, ys: [x * y for x, y in zip(xs, ys)]
+    )
+    weight = integral(g, lambda xs, ys: ys)
+    f_values = [float(x) for x in integral.f.column_or_calls(points)]
     m = min(f_values)
     M = max(f_values)
     if abs(weight.value) <= _viol_tol(weighted.value, weight.value):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NonFiniteValueError, ZeroStepError
 
@@ -14,6 +15,7 @@ __all__ = [
     "GridAlignment",
     "GridDirection",
     "RealFunction",
+    "Samples",
     "StepPair",
     "backward_difference",
     "forward_difference",
@@ -65,6 +67,43 @@ class GridAlignment:
     residual: float
 
 
+class Samples:
+    """A function's raw values by point, each point evaluated at most once.
+
+    Points are keyed by value, except that -0.0 and 0.0 are distinct.  An
+    evaluation that raises stores nothing, so reading its point again
+    evaluates it again.
+    """
+
+    def __init__(self, f: RealFunction):
+        self.f = f
+        self.values = {}
+
+    def column(self, points: Sequence[float]) -> list:
+        """f's raw values at points, in order, evaluating the unread ones."""
+        values, f = self.values, self.f
+        # -0.0 == 0.0 as dict keys, so a zero is keyed by its sign.
+        keys = [t or (math.copysign(1.0, t), "zero") for t in points]
+        return [
+            values[k] if k in values else values.setdefault(k, f(t)) for k, t in zip(keys, points)
+        ]
+
+    def read(self, t: float):
+        """f's raw value at t."""
+        return self.column((t,))[0]
+
+    def column_or_calls(self, points: Sequence[float]) -> Iterable:
+        """column(points), or, if that raises, f at each point lazily.
+
+        A caller that checks each value as it iterates then meets the
+        first fault in point order, as a loop calling f would.
+        """
+        try:
+            return self.column(points)
+        except Exception:
+            return map(self.f, points)
+
+
 def _eval_finite(f: RealFunction, t: float) -> float:
     y = float(f(t))
     if not math.isfinite(y):
@@ -107,8 +146,9 @@ def grid_align(
     """Match target onto the half-infinite grid starting at anchor.
 
     Returns the step count k1 and the signed residual in step units, or
-    None when the target is off-grid (|residual| > EPS_GRID) or behind
-    the anchor.  Non-alignment is an ordinary outcome, not an error.
+    None when the target is off-grid (|residual| > EPS_GRID), behind the
+    anchor, or more steps away than a float counts.  Non-alignment is an
+    ordinary outcome, not an error.
     """
     if step <= 0.0:
         raise ZeroStepError(f"grid step must be positive, got {step!r}")
@@ -116,6 +156,8 @@ def grid_align(
         ratio = (target - anchor) / step
     else:
         ratio = (anchor - target) / step
+    if not math.isfinite(ratio):
+        return None
     k1 = round(ratio)
     residual = ratio - k1
     if k1 < 0 or abs(residual) > EPS_GRID:
@@ -132,10 +174,11 @@ def grid_count(
     """Number of whole steps from anchor towards target, never below 0.
 
     The alignment witness's k1 when target lies on the grid, otherwise
-    the floor of the span in step units.
+    the floor of the span in step units, at most sys.maxsize (an
+    infinite span counts as that many steps).
     """
     alignment = grid_align(anchor, target, step, direction)
     if alignment is not None:
         return alignment.k1
     span = target - anchor if direction is GridDirection.FORWARD else anchor - target
-    return max(0, math.floor(span / step))
+    return max(0, math.floor(min(span / step, sys.maxsize)))

@@ -1,0 +1,488 @@
+"""Values-first checks: call counts, the grid budget, overflow messages, and
+a seeded differential run against a per-integral reference.
+
+The reference below is written from scratch: every integral of a check
+calls f and g at each grid point it needs, in the order the checks have
+always read them.  The library reads f and g once per distinct grid point
+on the telescoped route, so it must give the same bits and the same first
+fault: exception type, point and message.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from norlund import (
+    DomainFaultError,
+    GridBudgetError,
+    HypothesisFailedError,
+    IntegralMode,
+    NegativeWeightError,
+    NonFiniteValueError,
+    SeriesConfig,
+    StepPair,
+    cauchy_schwarz_check,
+    comparison_check,
+    forward_integral,
+    ftc_residuals,
+    holder_check,
+    integration_by_parts_residual,
+    minkowski_check,
+    mvt_constant,
+    symmetric_integral,
+)
+from norlund.inequalities import sampled_grid_points
+
+# ----------------------------------------------------------------------
+# Per-integral reference
+# ----------------------------------------------------------------------
+
+
+def ref_side(h, a, b, step, forward):
+    """Telescoped side on aligned a < b, calling h at each grid point."""
+    start, signed = (a, step) if forward else (b, -step)
+    total = 0.0
+    for k in range(round((b - a) / step)):
+        t = start + k * signed
+        value = float(h(t))
+        if not math.isfinite(value):
+            raise NonFiniteValueError(t, value)
+        total += value
+    value = step * total
+    if not math.isfinite(value):
+        side = "forward" if forward else "backward"
+        raise NonFiniteValueError(
+            b, value, f"the {side} integral from {a!r} to {b!r} overflowed ({value!r})"
+        )
+    return value
+
+
+def ref_integral(h, a, b, alpha, beta):
+    if beta == 0.0:
+        return ref_side(h, a, b, alpha, True)
+    if alpha == 0.0:
+        return ref_side(h, a, b, beta, False)
+    fwd = ref_side(h, a, b, alpha, True)
+    bwd = ref_side(h, a, b, beta, False)
+    weight = alpha + beta
+    return (alpha / weight) * fwd + (beta / weight) * bwd
+
+
+def ref_count(span, step):
+    """Whole steps in span: the nearest count on the grid, else the floor."""
+    ratio = span / step
+    return round(ratio) if abs(ratio - round(ratio)) <= 1e-9 else math.floor(ratio)
+
+
+def ref_points(a, b, alpha, beta):
+    points = []
+    if alpha > 0.0:
+        points += [a + k * alpha for k in range(ref_count(b - a, alpha) + 1)]
+    if beta > 0.0:
+        points += [b - k * beta for k in range(ref_count(b - a, beta) + 1)]
+    return points
+
+
+def ref_power(f, p):
+    def h(t):
+        try:
+            return abs(f(t)) ** p
+        except OverflowError:
+            raise NonFiniteValueError(t, math.inf) from None
+
+    return h
+
+
+def ref_finite(f, t):
+    value = float(f(t))
+    if not math.isfinite(value):
+        raise NonFiniteValueError(t, value)
+    return value
+
+
+def ref_difference(f, t, alpha):
+    return (ref_finite(f, t + alpha) - ref_finite(f, t)) / alpha
+
+
+def tol(lhs, rhs):
+    return 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+
+def nonneg(x):
+    return x if x > 0.0 else 0.0
+
+
+def verdict(lhs, rhs):
+    return lhs, rhs, rhs - lhs, rhs - lhs >= -tol(lhs, rhs)
+
+
+def ref_holder(f, g, a, b, alpha, beta, p, integral=ref_integral):
+    q = p / (p - 1.0)
+    lhs = integral(lambda t: abs(f(t) * g(t)), a, b, alpha, beta)
+    f_power = integral(ref_power(f, p), a, b, alpha, beta)
+    g_power = integral(ref_power(g, q), a, b, alpha, beta)
+    return verdict(lhs, nonneg(f_power) ** (1.0 / p) * nonneg(g_power) ** (1.0 / q))
+
+
+def ref_cs(f, g, a, b, alpha, beta, integral=ref_integral):
+    lhs = integral(lambda t: abs(f(t) * g(t)), a, b, alpha, beta)
+    f_power = integral(ref_power(f, 2.0), a, b, alpha, beta)
+    g_power = integral(ref_power(g, 2.0), a, b, alpha, beta)
+    return verdict(lhs, math.sqrt(nonneg(f_power) * nonneg(g_power)))
+
+
+def ref_minkowski(f, g, a, b, alpha, beta, p, integral=ref_integral):
+    total = integral(ref_power(lambda t: f(t) + g(t), p), a, b, alpha, beta)
+    f_power = integral(ref_power(f, p), a, b, alpha, beta)
+    g_power = integral(ref_power(g, p), a, b, alpha, beta)
+    lhs = nonneg(total) ** (1.0 / p)
+    return verdict(lhs, nonneg(f_power) ** (1.0 / p) + nonneg(g_power) ** (1.0 / p))
+
+
+def ref_comparison(f, g, a, b, alpha, beta, integral=ref_integral):
+    for t in ref_points(a, b, alpha, beta):
+        f_value, g_value = float(f(t)), float(g(t))
+        if abs(f_value) > g_value:
+            raise HypothesisFailedError(t, f_value, g_value)
+    lhs = abs(integral(f, a, b, alpha, beta))
+    return verdict(lhs, integral(g, a, b, alpha, beta))
+
+
+def ref_mvt(f, g, a, b, alpha, beta, integral=ref_integral):
+    points = ref_points(a, b, alpha, beta)
+    for t in points:
+        g_value = float(g(t))
+        if g_value < -tol(g_value, 0.0):
+            raise NegativeWeightError(t, g_value)
+    weighted = integral(lambda t: f(t) * g(t), a, b, alpha, beta)
+    weight = integral(g, a, b, alpha, beta)
+    f_values = [float(f(t)) for t in points]
+    if abs(weight) <= tol(weighted, weight):
+        return 0.0, min(f_values), max(f_values), True
+    return weighted / weight, min(f_values), max(f_values), False
+
+
+def ref_forward(h, a, b, alpha):
+    return ref_side(h, a, b, alpha, True)
+
+
+def ref_ibp(f, g, a, b, alpha, forward=ref_forward):
+    lhs = forward(lambda t: f(t) * ref_difference(g, t, alpha), a, b, alpha)
+    boundary = f(b) * g(b) - f(a) * g(a)
+    shifted = forward(lambda t: ref_difference(f, t, alpha) * g(t + alpha), a, b, alpha)
+    return abs(lhs - (boundary - shifted))
+
+
+def ref_ftc(f, a, b, alpha, forward=ref_forward):
+    r1 = total = lower = 0.0
+    for k in range(ref_count(b - a, alpha) + 1):
+        x = a + k * alpha
+        value = ref_finite(f, x)
+        total += value
+        upper = alpha * total
+        if not math.isfinite(upper):
+            raise NonFiniteValueError(
+                x + alpha,
+                upper,
+                f"the accumulated integral from {a!r} to {x + alpha!r} overflowed ({upper!r})",
+            )
+        r1 = max(r1, abs((upper - lower) / alpha - value))
+        lower = upper
+    integral = forward(lambda t: ref_difference(f, t, alpha), a, b, alpha)
+    return r1, abs(integral - (f(b) - f(a)))
+
+
+def library_cases(f, g, a, b, alpha, beta, p, cfg=None):
+    """Each entry point beside its reference.  With a cfg, the reference
+    takes any strict side from the library's own integral of a plain
+    callable, whose strict route the values-first change leaves alone."""
+    steps = StepPair(alpha, beta)
+    integral, forward = ref_integral, ref_forward
+    if cfg is not None:
+        integral = lambda h, a, b, alpha, beta: symmetric_integral(  # noqa: E731
+            h, a, b, StepPair(alpha, beta), cfg=cfg).value
+        forward = lambda h, a, b, alpha: forward_integral(h, a, b, alpha, cfg=cfg).value  # noqa: E731
+    report = lambda r: (r.lhs, r.rhs, r.margin, r.holds)  # noqa: E731
+    mvt = lambda r: (r.K, r.m, r.M, r.degenerate)  # noqa: E731
+    return {
+        "holder": (lambda: report(holder_check(f, g, a, b, steps, p, cfg=cfg)),
+                   lambda: ref_holder(f, g, a, b, alpha, beta, p, integral)),
+        "cs": (lambda: report(cauchy_schwarz_check(f, g, a, b, steps, cfg=cfg)),
+               lambda: ref_cs(f, g, a, b, alpha, beta, integral)),
+        "minkowski": (lambda: report(minkowski_check(f, g, a, b, steps, p, cfg=cfg)),
+                      lambda: ref_minkowski(f, g, a, b, alpha, beta, p, integral)),
+        "comparison": (lambda: report(comparison_check(f, g, a, b, steps, cfg=cfg)),
+                       lambda: ref_comparison(f, g, a, b, alpha, beta, integral)),
+        "mvt": (lambda: mvt(mvt_constant(f, g, a, b, steps, cfg=cfg)),
+                lambda: ref_mvt(f, g, a, b, alpha, beta, integral)),
+        "integral": (lambda: symmetric_integral(f, a, b, steps, cfg=cfg).value,
+                     lambda: integral(f, a, b, alpha, beta)),
+        "ibp": (lambda: integration_by_parts_residual(f, g, a, b, alpha, cfg),
+                lambda: ref_ibp(f, g, a, b, alpha, forward)),
+        "ftc": (lambda: ftc_residuals(f, a, b, alpha, cfg),
+                lambda: ref_ftc(f, a, b, alpha, forward)),
+    }
+
+
+# ----------------------------------------------------------------------
+# Seeded cases
+# ----------------------------------------------------------------------
+
+BASES = (
+    lambda t: 1.5 + math.sin(t),
+    lambda t: math.exp(-t / 3.0) - 0.25,
+    lambda t: t * t - 0.5,
+    lambda t: math.copysign(1.0, t) + t,  # tells -0.0 from 0.0
+    lambda t: int(math.floor(2.0 * t)) + 3,  # returns ints
+    lambda t: 7,
+)
+
+
+def bits(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value
+
+
+def outcome(run):
+    try:
+        return ("ok", bits(run()))
+    except Exception as exc:  # the first fault is part of the outcome
+        point = getattr(exc, "point", getattr(exc, "t", None))
+        return ("raise", type(exc).__name__, str(exc), bits(point))
+
+
+def faulty(base, faults):
+    """base, except at the points (by float.hex) that faults names."""
+
+    def f(t):
+        kind = faults.get(t.hex() if isinstance(t, float) else t)
+        if kind == "raise":
+            raise DomainFaultError(None, t, "injected fault")
+        if kind == "zerodiv":
+            return 1 / 0
+        if kind is not None:
+            return kind
+        return base(t)
+
+    return f
+
+
+FAULT_VALUES = ("raise", "zerodiv", math.inf, -math.inf, math.nan, 1e200, -1e200, 10**400, -1.0)
+
+
+def draw_case(rng):
+    alpha = rng.choice((0.5, 1.0, 0.1, 0.25, 0.3, 0.7))
+    n = rng.choice((6, 12, 18, 24))
+    beta = rng.choice((0.0, alpha, 2.0 * alpha, alpha / 2.0, alpha / 3.0, 3.0 * alpha))
+    shape = rng.randrange(4)
+    if shape == 0:
+        a = round(rng.uniform(-3.0, 3.0), 3)
+    elif shape == 1:
+        a = -(n // 2) * alpha  # 0.0 on the grid
+    elif shape == 2:
+        a = -0.0
+    else:
+        a = -n * alpha  # b is -0.0 or a float next to it
+    b = a + n * alpha
+    if shape == 3 and b == 0.0:
+        b = -0.0
+    return a, b, alpha, beta
+
+
+def draw_functions(rng, a, b, alpha, beta):
+    forward = ref_points(a, b, alpha, 0.0)
+    candidates = ref_points(a, b, alpha, beta or alpha) + [t + alpha for t in forward]
+    pair = []
+    for _ in range(2):
+        faults = {}
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            faults[rng.choice(candidates).hex()] = rng.choice(FAULT_VALUES)
+        pair.append(faulty(rng.choice(BASES), faults))
+    if rng.random() < 0.3:  # a g that dominates f, so comparisons pass
+        f = pair[0]
+        pair[1] = lambda t: abs(float(f(t))) + 1.0
+    return pair
+
+
+def test_values_first_matches_per_integral_reference():
+    rng = random.Random(20120)
+    compared, faults = 0, 0
+    for _ in range(140):
+        a, b, alpha, beta = draw_case(rng)
+        f, g = draw_functions(rng, a, b, alpha, beta)
+        p = rng.choice((1.5, 2.0, 3.0, 7.0))
+        for name, (library, reference) in library_cases(f, g, a, b, alpha, beta, p).items():
+            got, want = outcome(library), outcome(reference)
+            assert got == want, (name, a, b, alpha, beta, p)
+            compared += 1
+            faults += want[0] == "raise"
+    assert compared >= 1000
+    assert 100 <= faults <= compared - 300  # both outcomes are well represented
+
+
+DECAYING = (
+    lambda t: math.exp(-t * t),
+    lambda t: 0.5 * math.exp(-(t - 1.0) ** 2) + 1e-3 * math.exp(-t * t),
+    lambda t: math.exp(-t * t) * math.cos(3.0 * t),
+    lambda t: 1.0 / (1.0 + t**4),
+)
+
+
+def test_values_first_matches_reference_on_strict_and_mixed_routes():
+    rng = random.Random(20121)
+    cfg = SeriesConfig(tol=1e-6, max_terms=500)
+    compared, faults = 0, 0
+    for _ in range(45):
+        alpha = rng.choice((0.5, 0.25, 0.3))
+        a = round(rng.uniform(-2.0, 1.0), 2)
+        n = rng.choice((4, 8, 12))
+        family = rng.randrange(3)
+        if family == 0:  # forward side telescoped, backward strict
+            b, beta = a + n * alpha, 0.37 * alpha
+        elif family == 1:  # both strict
+            b, beta = a + (n + 0.37) * alpha, alpha
+        else:  # forward strict, backward telescoped
+            b = a + (n + 0.37) * alpha
+            beta = (b - a) / n
+        starts = ref_points(a, b, alpha, beta) + [b - k * beta for k in range(4)]
+        starts += [a - k * beta for k in range(4)] + [a + k * alpha for k in range(4)]
+        pair = []
+        for _ in range(2):
+            faults_at = {rng.choice(starts).hex(): rng.choice(FAULT_VALUES)
+                         for _ in range(rng.choice((0, 1, 2)))}
+            pair.append(faulty(rng.choice(DECAYING), faults_at))
+        f, g = pair
+        p = rng.choice((1.5, 2.0, 3.0))
+        for name, (library, reference) in library_cases(f, g, a, b, alpha, beta, p, cfg).items():
+            got, want = outcome(library), outcome(reference)
+            assert got == want, (name, a, b, alpha, beta, p)
+            compared += 1
+            faults += want[0] == "raise"
+    assert compared >= 300
+    assert 30 <= faults <= compared - 100
+
+
+# ----------------------------------------------------------------------
+# Call counts
+# ----------------------------------------------------------------------
+
+
+def counted(f):
+    calls = [0]
+
+    def wrapper(t):
+        calls[0] += 1
+        return f(t)
+
+    return wrapper, calls
+
+
+def calls_of(run, f=lambda t: 2.0 + math.sin(t), g=lambda t: 3.0 + math.cos(t)):
+    f, f_calls = counted(f)
+    g, g_calls = counted(g)
+    run(f, g)
+    return f_calls[0] + g_calls[0]
+
+
+ONE = StepPair(1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f, g: cauchy_schwarz_check(f, g, 0.0, 100.0, ONE),
+        lambda f, g: holder_check(f, g, 0.0, 100.0, ONE, 3.0),
+        lambda f, g: minkowski_check(f, g, 0.0, 100.0, ONE, 3.0),
+        lambda f, g: comparison_check(lambda t: 0.1 * f(t), g, 0.0, 100.0, ONE),
+    ],
+    ids=["cs", "holder", "minkowski", "comparison"],
+)
+def test_inequality_checks_read_each_grid_point_once(run):
+    assert calls_of(run) <= 202
+
+
+def test_mvt_reads_each_grid_point_once():
+    assert calls_of(lambda f, g: mvt_constant(f, g, 1.0, 101.0, ONE)) <= 204
+
+
+def test_ibp_reads_each_grid_point_once():
+    run = lambda f, g: integration_by_parts_residual(f, g, 0.0, 100.0, 1.0)  # noqa: E731
+    assert calls_of(run) <= 204
+
+
+def test_ftc_reads_each_grid_point_once():
+    assert calls_of(lambda f, g: ftc_residuals(f, 0.0, 100.0, 1.0)) <= 102
+
+
+def test_checks_on_grids_that_do_not_coincide():
+    steps = StepPair(1.0, 100.0 / 101.0)  # the backward grid misses the forward one
+    assert calls_of(lambda f, g: cauchy_schwarz_check(f, g, 0.0, 100.0, steps)) <= 404
+    assert calls_of(lambda f, g: mvt_constant(f, g, 0.0, 100.0, steps)) <= 404
+
+
+def test_strict_sides_call_f_and_g_for_every_term():
+    cfg = SeriesConfig(tol=1e-8)
+    steps = StepPair(0.7, 0.7)  # [0, 1] is off both grids
+    gauss = lambda t: math.exp(-t * t)  # noqa: E731
+    f, f_calls = counted(gauss)
+    g, g_calls = counted(gauss)
+    cauchy_schwarz_check(f, g, 0.0, 1.0, steps, IntegralMode.STRICT, cfg)
+    f2, f2_calls = counted(gauss)
+    g2, g2_calls = counted(gauss)
+    for h in (lambda t: abs(f2(t) * g2(t)), lambda t: abs(f2(t)) ** 2, lambda t: abs(g2(t)) ** 2):
+        symmetric_integral(h, 0.0, 1.0, steps, IntegralMode.STRICT, cfg)
+    assert (f_calls, g_calls) == (f2_calls, g2_calls)
+    assert f_calls[0] > 40  # f is read by the terms of eight strict series
+
+
+# ----------------------------------------------------------------------
+# Grid budget and overflow messages
+# ----------------------------------------------------------------------
+
+
+def test_grid_walks_beyond_max_terms_raise_before_reading_a_point():
+    cfg = SeriesConfig(max_terms=50)
+    f, calls = counted(lambda t: t)
+    message = r"has 100 points, more than the term cap max_terms=50"
+    with pytest.raises(GridBudgetError, match=message):
+        forward_integral(f, 0.0, 100.0, 1.0, IntegralMode.TELESCOPED, cfg)
+    with pytest.raises(GridBudgetError):
+        ftc_residuals(f, 0.0, 100.0, 1.0, cfg)
+    with pytest.raises(GridBudgetError):
+        sampled_grid_points(0.0, 100.0, ONE, cfg)
+    with pytest.raises(GridBudgetError):
+        comparison_check(f, f, 0.0, 100.0, ONE, cfg=cfg)
+    with pytest.raises(GridBudgetError):
+        cauchy_schwarz_check(f, f, 0.0, 100.0, ONE, cfg=cfg)
+    assert calls[0] == 0
+    assert forward_integral(f, 0.0, 50.0, 1.0, cfg=cfg).value == 1225.0
+
+
+def test_grid_budget_error_attributes():
+    with pytest.raises(GridBudgetError) as err:
+        forward_integral(lambda t: t, 0.0, 1e300, 1.0)
+    assert err.value.max_terms == 1_000_000
+    assert err.value.points == round(1e300)
+    assert "has 1e+300 points" in str(err.value)
+
+
+def test_integral_overflow_says_the_integral_overflowed():
+    with pytest.raises(NonFiniteValueError) as err:
+        forward_integral(math.exp, 700.0, 709.0, 0.1)
+    assert err.value.point == 709.0
+    assert err.value.value == math.inf
+    assert str(err.value) == "the forward integral from 700.0 to 709.0 overflowed (inf)"
+
+
+def test_running_sum_overflow_says_the_accumulated_integral_overflowed():
+    with pytest.raises(NonFiniteValueError) as err:
+        ftc_residuals(lambda t: 1e308, 0.0, 3.0, 1.0)
+    assert err.value.point == 2.0
+    assert err.value.value == math.inf
+    assert str(err.value) == "the accumulated integral from 0.0 to 2.0 overflowed (inf)"
