@@ -111,18 +111,36 @@ def _eval_finite(f: RealFunction, t: float) -> float:
     return y
 
 
+def _moved(t: float, shifted: float, step: float, side: str) -> float:
+    """shifted, the point t + alpha or t - beta; ZeroStepError if a
+    positive step rounds away to leave t unmoved."""
+    if shifted == t and step > 0.0:
+        raise ZeroStepError(
+            f"{side} step {step!r} does not move t={t!r}: it is below t's resolution"
+        )
+    return shifted
+
+
 def forward_difference(f: RealFunction, t: float, alpha: float) -> float:
-    """Forward difference quotient (f(t + alpha) - f(t)) / alpha."""
+    """Forward difference quotient (f(t + alpha) - f(t)) / alpha.
+
+    The step must be positive and must move t (t + alpha != t).
+    """
     if alpha <= 0.0:
         raise ZeroStepError(f"forward step must be positive, got {alpha!r}")
-    return (_eval_finite(f, t + alpha) - _eval_finite(f, t)) / alpha
+    upper = _moved(t, t + alpha, alpha, "forward")
+    return (_eval_finite(f, upper) - _eval_finite(f, t)) / alpha
 
 
 def backward_difference(f: RealFunction, t: float, beta: float) -> float:
-    """Backward difference quotient (f(t) - f(t - beta)) / beta."""
+    """Backward difference quotient (f(t) - f(t - beta)) / beta.
+
+    The step must be positive and must move t (t - beta != t).
+    """
     if beta <= 0.0:
         raise ZeroStepError(f"backward step must be positive, got {beta!r}")
-    return (_eval_finite(f, t) - _eval_finite(f, t - beta)) / beta
+    lower = _moved(t, t - beta, beta, "backward")
+    return (_eval_finite(f, t) - _eval_finite(f, lower)) / beta
 
 
 def symmetric_difference(f: RealFunction, t: float, steps: StepPair) -> float:
@@ -130,11 +148,12 @@ def symmetric_difference(f: RealFunction, t: float, steps: StepPair) -> float:
 
     Reduces to the forward quotient at beta = 0 and to the backward
     quotient at alpha = 0; at alpha = beta = h it is the classical
-    symmetric quotient (f(t + h) - f(t - h)) / (2h).
+    symmetric quotient (f(t + h) - f(t - h)) / (2h).  A zero side is
+    allowed; a positive one must move t.
     """
-    upper = _eval_finite(f, t + steps.alpha)
-    lower = _eval_finite(f, t - steps.beta)
-    return (upper - lower) / (steps.alpha + steps.beta)
+    upper = _moved(t, t + steps.alpha, steps.alpha, "forward")
+    lower = _moved(t, t - steps.beta, steps.beta, "backward")
+    return (_eval_finite(f, upper) - _eval_finite(f, lower)) / (steps.alpha + steps.beta)
 
 
 def grid_align(

@@ -4,10 +4,12 @@ The engine sums term(0) + term(1) + ... in strict index order with
 Kahan-Neumaier compensated accumulation.  Stopping is heuristic: recent
 terms are treated as roughly geometric, with the common ratio estimated
 by a geometric mean over a sliding window, and the implied remainder
-bound is compared against the requested tolerance.  Terms that plateau
-above the tolerance are declared divergent; exhausting the term cap
-yields a truncation verdict.  The partial sum is reported under every
-verdict so callers can attach diagnostics.
+bound is compared against the requested tolerance.  Two heuristics
+declare divergence: terms that plateau above the tolerance (the stall
+rule), and dyadic block sums that shrink like a power law k^-p with
+p <= 1 (the condensation rule).  Exhausting the term cap yields a
+truncation verdict.  The partial sum is reported under every verdict so
+callers can attach diagnostics.
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ _WARMUP = 16
 # Sizes both the ratio-averaging window and the number of consecutive
 # non-improving divergence checks tolerated.
 _STALL_WINDOW = 32
+
+# Term count of the first dyadic mark of the condensation rule; marks
+# double from there.
+_FIRST_MARK = 256
+
+# How far above 1 the condensation rule's extrapolated exponent may lie.
+# A harmonic series extrapolates to within 1e-3 of 1 at its first check;
+# (k + 1)^-1.02 extrapolates to about 1.02 and converges.
+_EXPONENT_SLACK = 0.01
 
 
 class Verdict(Enum):
@@ -80,9 +91,28 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     propagates).  The tail estimate treats the recent terms as geometric:
     with rho the geometric-mean ratio |a_k/a_{k-1}| over the last
     _STALL_WINDOW (32) steps, the remainder after a_k is taken to be
-    |a_k| * rho / (1 - rho), infinite when rho >= 1.  Divergence is
-    declared once per-window term minima stop improving for _STALL_WINDOW
-    consecutive windows while staying above tol.
+    |a_k| * rho / (1 - rho), infinite when rho >= 1.
+
+    Divergence is declared by either of two heuristics, both checked once
+    per _STALL_WINDOW terms that miss tol, so neither adds per-term work:
+
+    - the stall rule: per-window term minima stop improving for
+      _STALL_WINDOW consecutive windows while staying above tol (a
+      constant series stops after 1,072 terms);
+    - the condensation rule (after Cauchy's condensation test): the
+      partial sum is recorded at the first window boundary at or after
+      each of 256, 512, 1024, ... terms, and the last four block sums
+      between those marks are read as a power law k^-p.  The series is
+      declared divergent when the four blocks have one sign, the local
+      exponents p of the last two block pairs are at most 1, and p's
+      increments shrink, as they do for a power law with an offset (a
+      geometric decay's exponent grows with each doubling instead).  A
+      harmonic series stops after 4,112 terms.
+
+    Both are heuristics and can misjudge a convergent series: the stall
+    rule one whose terms oscillate (sin(k + 1)/(k + 1) at tol=1e-6), the
+    condensation rule one whose terms decay like k^-p with p within
+    _EXPONENT_SLACK of 1.
 
     Identical inputs produce bit-identical results: summation order is
     fixed and there is no shared state.
@@ -105,6 +135,9 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     block_min = math.inf
     block_fill = 0
     stalled = 0
+
+    marks = []  # partial sums at the condensation rule's dyadic marks
+    next_mark = _FIRST_MARK
 
     verdict = Verdict.TRUNCATION_LIMIT
     terms_used = max_terms
@@ -165,5 +198,39 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
                             break
                     block_min = math.inf
                     block_fill = 0
+                    if k >= next_mark - 1:
+                        next_mark *= 2
+                        marks.append(total + comp)
+                        if _power_law_divergent(marks[-5:]):
+                            verdict = Verdict.DIVERGENT
+                            terms_used = k + 1
+                            break
 
     return SeriesResult(total + comp, terms_used, tail, verdict)
+
+
+def _power_law_divergent(sums: list) -> bool:
+    """Whether the four block sums between five dyadic marks' partial
+    sums decay like a power law k^-p with p <= 1.
+
+    A block spanning [n, 2n) of terms C k^-p sums to about
+    C' n^(1 - p), so p = 1 - log2(B_next / B) between neighbouring
+    blocks.  The exponents of the last two pairs must be at most 1 and
+    their increments must shrink, which a geometric decay never shows.
+    The increments of an offset power law (k + c)^-p shrink about
+    geometrically, so their sum extrapolates the exponent the blocks
+    tend to; it must be at most 1 + _EXPONENT_SLACK, which keeps
+    convergent series such as (k + 100)^-1.05 out.
+    """
+    if len(sums) < 5:
+        return False
+    blocks = [hi - lo for lo, hi in zip(sums, sums[1:])]
+    if not (all(b > 0.0 for b in blocks) or all(b < 0.0 for b in blocks)):
+        return False
+    logs = [math.log2(abs(b)) for b in blocks]
+    p = [1.0 - (hi - lo) for lo, hi in zip(logs, logs[1:])]
+    step, last_step = p[1] - p[0], p[2] - p[1]
+    if not (p[1] <= 1.0 and p[2] <= 1.0 and abs(last_step) < abs(step)):
+        return False
+    ratio = last_step / step
+    return p[2] + last_step * ratio / (1.0 - ratio) <= 1.0 + _EXPONENT_SLACK

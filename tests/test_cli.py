@@ -78,6 +78,23 @@ def test_diff_needs_a_step(capsys):
     assert "status = error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "step_flags, diagnostic",
+    [
+        (["--t", "1", "--alpha", "5e-324"],
+         "ZeroStepError: forward step 5e-324 does not move t=1.0: it is below t's resolution"),
+        (["--t", "1e17", "--beta", "1"],
+         "ZeroStepError: backward step 1.0 does not move t=1e+17: it is below t's resolution"),
+    ],
+)
+def test_diff_rejects_a_step_below_the_resolution_of_t(capsys, step_flags, diagnostic):
+    code = main(["diff", "--expr", "t", *step_flags, "--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert report["status"] == "error" and report["result"] is None
+    assert report["diagnostics"] == [diagnostic]
+
+
 def test_check_cauchy_schwarz(capsys):
     code = main(
         ["check", "--kind", "cs", "--f", "1", "--g", "t", "--a", "0", "--b", "3",

@@ -74,6 +74,28 @@ def test_zero_step_rejected():
         backward_difference(lambda t: t, 0.0, -1.0)
 
 
+def test_step_below_the_resolution_of_t_rejected():
+    f = lambda t: t
+    with pytest.raises(ZeroStepError, match=r"forward step 5e-324 does not move t=1\.0"):
+        forward_difference(f, 1.0, 5e-324)
+    with pytest.raises(ZeroStepError, match=r"backward step 1\.0 does not move t=1e\+17"):
+        backward_difference(f, 1e17, 1.0)
+    with pytest.raises(ZeroStepError, match="forward step"):
+        symmetric_difference(f, 1e17, StepPair(1.0, 4.0))
+    with pytest.raises(ZeroStepError, match="backward step"):
+        symmetric_difference(f, 1.0, StepPair(1.0, 1e-17))
+    # 1 + 1e-16 rounds to 1 but 1 - 1e-16 does not: each side is judged alone
+    assert backward_difference(f, 1.0, 1e-16) == (1.0 - (1.0 - 1e-16)) / 1e-16
+    with pytest.raises(ZeroStepError):
+        forward_difference(f, 1.0, 1e-16)
+
+
+def test_zero_side_of_symmetric_difference_still_allowed():
+    f = lambda t: t * t
+    assert symmetric_difference(f, 1e17, StepPair(0.0, 1e3)) == backward_difference(f, 1e17, 1e3)
+    assert symmetric_difference(f, 1.0, StepPair(0.0, 0.5)) == 1.5
+
+
 def test_non_finite_value_rejected():
     with pytest.raises(NonFiniteValueError):
         forward_difference(lambda t: math.inf, 0.0, 1.0)

@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from norlund import NonFiniteTermError, SeriesConfig, Verdict, series, sum_series
@@ -116,3 +116,176 @@ def test_converged_tail_respects_tolerance():
     assert r.verdict is Verdict.CONVERGED
     assert r.tail_estimate <= cfg.tol
     assert r.terms_used <= cfg.max_terms
+
+
+# ----------------------------------------------------------------------
+# Pinned results: the engine's value, terms_used, tail_estimate and
+# verdict for a battery of series, recorded before the condensation rule
+# existed.  The rule may only end series that diverge; every row here
+# must stay bit-identical.  The cap keeps the table cheap while still
+# passing the rule's dyadic checks up to 65,552 terms.
+# ----------------------------------------------------------------------
+
+PINNED_SERIES = {
+    "constant": lambda k: 1.0,
+    "geometric_0.9": lambda k: 0.9**k,
+    "exp_1e-3": lambda k: math.exp(-1e-3 * k),
+    "exp_1e-4": lambda k: math.exp(-1e-4 * k),
+    "exp_3e-5": lambda k: math.exp(-3e-5 * k),
+    "exp_offset": lambda k: math.exp(-5e-5 * k) / (k + 2048),
+    "inv_sq_shift": lambda k: 1.0 / (k + 1.5) ** 2,
+    "p_1.05": lambda k: 1.0 / (k + 1) ** 1.05,
+    "p_1.2": lambda k: 1.0 / (k + 1) ** 1.2,
+    "log_sq": lambda k: 1.0 / ((k + 2) * math.log(k + 2) ** 2),
+    "alt_harmonic": lambda k: (-1.0) ** k / (k + 1),
+    "sin_over_k": lambda k: math.sin(k + 1) / (k + 1),
+    "two_plus_sin": lambda k: (2 + math.sin(k)) / (k + 1) ** 2,
+    "odd_sq": lambda k: 1.0 / (1 + 2 * k) ** 2,
+}
+PINNED_MAX_TERMS = 2**17
+
+# (name, tol): (value.hex(), terms_used, repr(tail_estimate), verdict)
+PINNED = {
+    ("constant", 1e-4):
+        ("0x1.0c00000000000p+10", 1072, "inf", "divergent"),
+    ("constant", 1e-6):
+        ("0x1.0c00000000000p+10", 1072, "inf", "divergent"),
+    ("constant", 1e-12):
+        ("0x1.0c00000000000p+10", 1072, "inf", "divergent"),
+    ("geometric_0.9", 1e-4):
+        ("0x1.3fff513279ce3p+3", 111, "8.335248417898114e-05", "converged"),
+    ("geometric_0.9", 1e-6):
+        ("0x1.3ffffe1dcfe47p+3", 154, "8.98144994103402e-07", "converged"),
+    ("geometric_0.9", 1e-12):
+        ("0x1.3fffffffffe34p+3", 286, "8.191391811479378e-13", "converged"),
+    ("exp_1e-3", 1e-4):
+        ("0x1.f43fff755dfb5p+9", 16120, "9.985965949868272e-05", "converged"),
+    ("exp_1e-3", 1e-6):
+        ("0x1.f44002b2ac220p+9", 20725, "9.987665565971812e-07", "converged"),
+    ("exp_1e-3", 1e-12):
+        ("0x1.f44002bb0cf73p+9", 34541, "9.982778378701181e-13", "converged"),
+    ("exp_1e-4", 1e-4):
+        ("0x1.3883d66ddd996p+13", 131072, "0.02030659378988257", "truncation_limit"),
+    ("exp_1e-4", 1e-6):
+        ("0x1.3883d66ddd996p+13", 131072, "0.02030659378988257", "truncation_limit"),
+    ("exp_1e-4", 1e-12):
+        ("0x1.3883d66ddd996p+13", 131072, "0.02030659378988257", "truncation_limit"),
+    ("exp_3e-5", 1e-4):
+        ("0x1.fea1ca00a406ep+14", 131072, "653.3860677643773", "truncation_limit"),
+    ("exp_3e-5", 1e-6):
+        ("0x1.fea1ca00a406ep+14", 131072, "653.3860677643773", "truncation_limit"),
+    ("exp_3e-5", 1e-12):
+        ("0x1.fea1ca00a406ep+14", 131072, "653.3860677643773", "truncation_limit"),
+    ("exp_offset", 1e-4):
+        ("0x1.feec56d306142p+0", 131072, "0.0001861276960988846", "truncation_limit"),
+    ("exp_offset", 1e-6):
+        ("0x1.feec56d306142p+0", 131072, "0.0001861276960988846", "truncation_limit"),
+    ("exp_offset", 1e-12):
+        ("0x1.feec56d306142p+0", 131072, "0.0001861276960988846", "truncation_limit"),
+    ("inv_sq_shift", 1e-4):
+        ("0x1.de8419cac1329p-1", 4984, "9.996850185768195e-05", "converged"),
+    ("inv_sq_shift", 1e-6):
+        ("0x1.de9d64dfa2eefp-1", 131072, "3.814187933557947e-06", "truncation_limit"),
+    ("inv_sq_shift", 1e-12):
+        ("0x1.de9d64dfa2eefp-1", 131072, "3.814187933557947e-06", "truncation_limit"),
+    ("p_1.05", 1e-4):
+        ("0x1.2f865cda65e3bp+3", 131072, "0.5282997984628927", "truncation_limit"),
+    ("p_1.05", 1e-6):
+        ("0x1.2f865cda65e3bp+3", 131072, "0.5282997984628927", "truncation_limit"),
+    ("p_1.05", 1e-12):
+        ("0x1.2f865cda65e3bp+3", 131072, "0.5282997984628927", "truncation_limit"),
+    ("p_1.2", 1e-4):
+        ("0x1.478c0618d642ap+2", 131072, "0.07893357273951732", "truncation_limit"),
+    ("p_1.2", 1e-6):
+        ("0x1.478c0618d642ap+2", 131072, "0.07893357273951732", "truncation_limit"),
+    ("p_1.2", 1e-12):
+        ("0x1.478c0618d642ap+2", 131072, "0.07893357273951732", "truncation_limit"),
+    ("log_sq", 1e-4):
+        ("0x1.032f37ba68ca8p+1", 131072, "0.006156160156301355", "truncation_limit"),
+    ("log_sq", 1e-6):
+        ("0x1.032f37ba68ca8p+1", 131072, "0.006156160156301355", "truncation_limit"),
+    ("log_sq", 1e-12):
+        ("0x1.032f37ba68ca8p+1", 131072, "0.006156160156301355", "truncation_limit"),
+    ("alt_harmonic", 1e-4):
+        ("0x1.62e3afefc39efp-1", 131072, "0.9998741100308584", "truncation_limit"),
+    ("alt_harmonic", 1e-6):
+        ("0x1.62e3afefc39efp-1", 131072, "0.9998741100308584", "truncation_limit"),
+    ("alt_harmonic", 1e-12):
+        ("0x1.62e3afefc39efp-1", 131072, "0.9998741100308584", "truncation_limit"),
+    ("sin_over_k", 1e-4):
+        ("0x1.121f7064b809dp+0", 131072, "inf", "truncation_limit"),
+    ("sin_over_k", 1e-6):
+        ("0x1.121e0558ed9e3p+0", 37981, "0.0023139594460652316", "divergent"),
+    ("sin_over_k", 1e-12):
+        ("0x1.121fc275dc645p+0", 105392, "inf", "divergent"),
+    ("two_plus_sin", 1e-4):
+        ("0x1.c8188453c343bp+1", 1168, "9.238179664360068e-05", "converged"),
+    ("two_plus_sin", 1e-6):
+        ("0x1.c84b7b40bf4ebp+1", 12773, "8.934924720841822e-07", "converged"),
+    ("two_plus_sin", 1e-12):
+        ("0x1.c8501cb6248b3p+1", 131072, "8.121252755563575e-09", "truncation_limit"),
+    ("odd_sq", 1e-4):
+        ("0x1.3bc688695c863p+0", 1235, "9.985548126836769e-05", "converged"),
+    ("odd_sq", 1e-6):
+        ("0x1.3bd3ab0ced326p+0", 124985, "9.999879762040286e-07", "converged"),
+    ("odd_sq", 1e-12):
+        ("0x1.3bd3ac9be45dep+0", 131072, "9.535542574600079e-07", "truncation_limit"),
+}
+
+
+@pytest.mark.parametrize("name, tol", list(PINNED))
+def test_pinned_series_results(name, tol):
+    r = sum_series(PINNED_SERIES[name], SeriesConfig(tol=tol, max_terms=PINNED_MAX_TERMS))
+    got = (r.value.hex(), r.terms_used, repr(r.tail_estimate), r.verdict.value)
+    assert got == PINNED[name, tol]
+
+
+# ----------------------------------------------------------------------
+# The condensation rule against the mathematics
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.floats(min_value=0.3, max_value=1.0),
+    st.floats(min_value=0.5, max_value=100.0),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_slow_power_laws_are_divergent(p, c, sign):
+    # sum (k + c)^-p diverges for p <= 1
+    r = sum_series(lambda k: sign / (k + c) ** p, SeriesConfig(tol=1e-6, max_terms=2**16))
+    assert r.verdict is Verdict.DIVERGENT
+    assert r.terms_used < 2**16
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    st.floats(min_value=0.5, max_value=100.0),
+    st.sampled_from([1e-4, 1e-6, 1e-12]),
+    st.sampled_from([1.0, -1.0]),
+)
+@example(1.0, 1e-6, 1.0)
+def test_p_105_is_never_divergent(c, tol, sign):
+    # sum (k + c)^-1.05 converges (to zeta(1.05), about 20.6, at c = 1),
+    # slowly enough that no cap here reaches tol
+    r = sum_series(lambda k: sign / (k + c) ** 1.05, SeriesConfig(tol=tol, max_terms=2**18))
+    assert r.verdict is not Verdict.DIVERGENT
+    # the first term plus the integral of x^-1.05 from c bounds the sum
+    assert 0.0 < sign * r.value < c**-1.05 + 20.0 * c**-0.05
+
+
+def test_alternating_harmonic_is_never_divergent():
+    for tol in (1e-4, 1e-6, 1e-12):
+        r = sum_series(lambda k: (-1.0) ** k / (k + 1), SeriesConfig(tol=tol, max_terms=2**17))
+        assert r.verdict is not Verdict.DIVERGENT
+        assert abs(r.value - math.log(2.0)) <= 1.0 / r.terms_used
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.floats(min_value=1e-4, max_value=0.5))
+@example(1e-4)
+def test_slow_exponentials_converge(eps):
+    # at eps = 1e-4 this takes 230,261 terms
+    r = sum_series(lambda k: math.exp(-eps * k), SeriesConfig(tol=1e-6))
+    assert r.verdict is Verdict.CONVERGED
+    assert abs(r.value - 1.0 / -math.expm1(-eps)) <= 1e-5
