@@ -35,6 +35,19 @@ __all__ = ["RunReport", "Status", "build_parser", "main"]
 
 _CHECK_KINDS = ("holder", "cs", "minkowski", "mvt", "comparison", "ftc", "ibp")
 
+# The defaults of the check flags that some kinds do not read, and, per
+# kind, the flags it does not read: each must keep its default.
+_CHECK_DEFAULTS = {"g": None, "beta": 0.0, "p": 2.0, "mode": "auto", "check_tol": 1e-9}
+_UNREAD_FLAGS = {
+    "ftc": ("g", "beta", "p", "mode"),
+    "ibp": ("beta", "p", "mode"),
+    "cs": ("p", "check_tol"),
+    "mvt": ("p", "check_tol"),
+    "comparison": ("p", "check_tol"),
+    "holder": ("check_tol",),
+    "minkowski": ("check_tol",),
+}
+
 
 class Status(Enum):
     OK = "ok"
@@ -95,12 +108,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="run an identity or inequality verifier")
     pc.add_argument("--f", required=True, help="first expression")
-    pc.add_argument("--g", default=None, help="second expression where applicable")
+    pc.add_argument("--g", default=_CHECK_DEFAULTS["g"], help="second expression where applicable")
     pc.add_argument("--a", type=_finite_float, required=True)
     pc.add_argument("--b", type=_finite_float, required=True)
     pc.add_argument("--alpha", type=_finite_float, default=0.0)
-    pc.add_argument("--beta", type=_finite_float, default=0.0)
-    pc.add_argument("--p", type=_finite_float, default=2.0, help="Holder/Minkowski exponent (> 1)")
+    pc.add_argument("--beta", type=_finite_float, default=_CHECK_DEFAULTS["beta"])
+    pc.add_argument(
+        "--p",
+        type=_finite_float,
+        default=_CHECK_DEFAULTS["p"],
+        help="Holder/Minkowski exponent (> 1)",
+    )
     # declared here so that a report's inputs, read from the parsed
     # namespace in declaration order, keep their key order
     pc.add_argument("--kind", required=True, choices=_CHECK_KINDS)
@@ -108,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--check-tol",
         type=_nonnegative_float,
-        default=1e-9,
+        default=_CHECK_DEFAULTS["check_tol"],
         help="largest residual accepted by the ftc and ibp checks",
     )
     pc.add_argument("--json", action="store_true")
@@ -205,6 +223,18 @@ def _cmd_diff(args) -> tuple:
 
 
 def _cmd_check(args) -> tuple:
+    """The check's result and status.  A flag the kind does not read must
+    keep its default, else ValueError; this is checked after the run, so
+    that an error in an input the kind does read is reported first."""
+    outcome = _run_check(args)
+    for name in _UNREAD_FLAGS[args.kind]:
+        if getattr(args, name) != _CHECK_DEFAULTS[name]:
+            flag = name.replace("_", "-")
+            raise ValueError(f"the {args.kind} check does not use --{flag}")
+    return outcome
+
+
+def _run_check(args) -> tuple:
     f = _function(args.f)
     cfg = _series_config(args)
     if args.kind == "ftc":

@@ -23,8 +23,8 @@ from .errors import (
     NegativeWeightError,
     NonFiniteValueError,
 )
-from .integrals import IntegralMode, IntegralResult, _require_budget, symmetric_integral
-from .operators import GridDirection, RealFunction, Samples, StepPair, grid_count
+from .integrals import IntegralMode, IntegralResult, symmetric_integral
+from .operators import GridDirection, RealFunction, Samples, StepPair, grid_count, grid_points
 from .series import SeriesConfig
 
 __all__ = [
@@ -102,17 +102,16 @@ def sampled_grid_points(
 
     Forward points ascend from a, backward points descend from b; both
     endpoint counts come from the alignment witness when it exists.
-    Either walk longer than cfg.max_terms points raises GridBudgetError.
+    Either walk longer than cfg.max_terms points raises GridBudgetError,
+    and either walk with a step below its endpoints' resolution raises
+    ZeroStepError.
     """
     points: List[float] = []
-    if steps.alpha > 0.0:
-        n = grid_count(a, b, steps.alpha, GridDirection.FORWARD)
-        _require_budget(a, b, steps.alpha, n + 1, cfg)
-        points.extend(a + k * steps.alpha for k in range(n + 1))
-    if steps.beta > 0.0:
-        n = grid_count(b, a, steps.beta, GridDirection.BACKWARD)
-        _require_budget(b, a, steps.beta, n + 1, cfg)
-        points.extend(b - k * steps.beta for k in range(n + 1))
+    walks = ((a, b, steps.alpha, GridDirection.FORWARD), (b, a, steps.beta, GridDirection.BACKWARD))
+    for anchor, target, step, direction in walks:
+        if step > 0.0:
+            count = grid_count(anchor, target, step, direction) + 1
+            points += grid_points(anchor, target, step, direction, count, cfg)
     return points
 
 
@@ -135,7 +134,6 @@ class _Integrals:
     def __call__(self, integrand, values) -> IntegralResult:
         def on_grid(direction, points):
             if direction not in self.columns:
-                points = list(points)
                 self.columns[direction] = (self.f.column(points), self.g.column(points))
             return values(*self.columns[direction])
 

@@ -10,15 +10,21 @@ resolves to Telescoped whenever the relevant endpoint is grid-aligned
 and to Strict otherwise.
 
 Reversed endpoints are handled by antisymmetry in every mode, and the
-empty interval integrates to exactly zero.  A telescoped walk reads at
-most cfg.max_terms grid points, the term cap of any sum, and raises
-GridBudgetError before it reads the first one of a longer grid.
+empty interval integrates to exactly zero.  Every telescoped grid comes
+from operators.grid_points, which raises GridBudgetError for a walk of
+more than cfg.max_terms points, the term cap of any sum, and
+ZeroStepError for a step below the endpoints' resolution, before any
+point is read.
 
-The plain integrals call f once per point they need.  The checks read
-f and g at most once per distinct grid point on the telescoped route:
-they hand each integral an on_grid function that builds the integrand's
-values from values read once, and the route sums those in place of
-calling f.  Strict sides always call f.
+Every telescoped side sums the values an on_grid function gives for its
+grid points.  A plain integral's on_grid calls f at each point, once.
+The checks read f and g at most once per distinct grid point: they hand
+each integral an on_grid function that builds the integrand's values
+from values read once.  Only when on_grid raises or its values do not
+sum to a finite total does the side call f point by point, up to the
+first fault, so the fault is raised as f itself raises it; a plain
+integral whose f faults thus calls f again up to the fault.  Strict
+sides always call f.
 """
 
 from __future__ import annotations
@@ -26,24 +32,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
-from .errors import (
-    GridBudgetError,
-    NonFiniteValueError,
-    NotAlignedError,
-    NotIntegrableError,
-    ZeroStepError,
-)
+from .errors import NonFiniteValueError, NotAlignedError, NotIntegrableError
 from .operators import (
     GridAlignment,
     GridDirection,
     RealFunction,
     Samples,
     StepPair,
+    _eval_finite,
+    _require_positive,
     forward_difference,
     grid_align,
     grid_count,
+    grid_points,
 )
 from .series import SeriesConfig, SeriesResult, Verdict, sum_series
 
@@ -63,8 +66,8 @@ __all__ = [
 
 
 # on_grid(direction, points): the integrand's values at the points of a
-# telescoped side, in order; points is an iterator over them.
-GridValues = Callable[[GridDirection, Iterator[float]], Iterable[float]]
+# telescoped side, in order; points is the list of them.
+GridValues = Callable[[GridDirection, List[float]], Iterable[float]]
 
 
 class IntegralMode(Enum):
@@ -90,11 +93,6 @@ class IntegralResult:
     forward_diag: Optional[Tuple[SeriesResult, SeriesResult]] = None
     backward_diag: Optional[Tuple[SeriesResult, SeriesResult]] = None
     alignment: Optional[GridAlignment] = None
-
-
-def _require_positive(step: float, name: str) -> None:
-    if step <= 0.0:
-        raise ZeroStepError(f"{name} must be positive, got {step!r}")
 
 
 def forward_integral_to_infinity(
@@ -131,18 +129,6 @@ _SIDES = {
 }
 
 
-_DEFAULT_MAX_TERMS = SeriesConfig().max_terms
-
-
-def _require_budget(
-    start: float, end: float, step: float, points: int, cfg: SeriesConfig | None
-) -> None:
-    """Raise GridBudgetError when a walk would read more than max_terms points."""
-    max_terms = _DEFAULT_MAX_TERMS if cfg is None else cfg.max_terms
-    if points > max_terms:
-        raise GridBudgetError(start, end, step, points, max_terms)
-
-
 def _grid_total(values: Iterable[float]) -> float:
     """values[0] + values[1] + ..., added left to right.
 
@@ -168,11 +154,10 @@ def _side(
     """One side of the symmetric integral, walking its grid in direction.
 
     The forward grid ascends from min(a, b), the backward grid descends
-    from max(a, b).  Telescoped sums the values on_grid gives for the
-    grid points, or f at each point when on_grid is None or its values
-    do not sum to a finite total; strict is the difference of the
-    improper integrals of f at the two endpoints, taken towards the
-    side's infinity.  A value that is not a finite float raises
+    from max(a, b).  Telescoped sums on_grid's values at the grid points,
+    falling back on f as forward_integral says.  Strict is the difference
+    of the improper integrals of f at the two endpoints, taken towards
+    the side's infinity.  A value that is not a finite float raises
     NonFiniteValueError at b.
     """
     step_name, improper, diag_slot = _SIDES[direction]
@@ -191,28 +176,19 @@ def _side(
                 f"endpoints {a!r} and {b!r} are not aligned on the {side} "
                 f"grid with step {step!r}"
             )
-        _require_budget(start, end, step, alignment.k1, cfg)
-        # start + k*(-step) is start - k*step bit for bit (IEEE negation is
-        # exact).  Plain left-to-right accumulation and one trailing multiply
-        # keep the result bit-identical to the direct finite sum.
-        signed = step if forward else -step
-        total = math.nan
-        if on_grid is not None:
-            points = (start + k * signed for k in range(alignment.k1))
-            try:
-                total = _grid_total(map(float, on_grid(direction, points)))
-            except Exception:
-                pass  # the pass below, which calls f, raises the fault
+        points = grid_points(start, end, step, direction, alignment.k1, cfg)
+        if on_grid is None:  # a plain integral: f at each point
+            on_grid = lambda direction, points: map(f, points)  # noqa: E731
+        # Plain left-to-right accumulation and one trailing multiply keep
+        # the result bit-identical to the direct finite sum.
+        try:
+            total = _grid_total(map(float, on_grid(direction, points)))
+        except Exception:
+            total = math.nan  # the pass below, which calls f, raises the fault
         # A total that is not finite holds a fault or an overflow: calling
         # f point by point raises the fault as f itself first meets it.
         if not math.isfinite(total):
-            total = 0.0
-            for k in range(alignment.k1):
-                point = start + k * signed
-                value = float(f(point))
-                if not math.isfinite(value):
-                    raise NonFiniteValueError(point, value)
-                total += value
+            total = _grid_total(_eval_finite(f, t) for t in points)
         value = step * total
         if a > b:
             value = -value
@@ -245,11 +221,10 @@ def forward_integral(
 
     Strict value is the difference of the two improper integrals at a
     and b; Telescoped sums the k1 grid values from min(a, b), with the
-    sign flipped when a > b.  on_grid(direction, points), when given,
-    returns f's values at the telescoped grid points; the route sums them
-    in place of calling f, and calls f at each point only when on_grid
-    raises or its values do not sum to a finite total, so a fault is
-    raised as f itself raises it.
+    sign flipped when a > b.  on_grid(direction, points) gives f's values
+    at the list of telescoped grid points, by default f at each point.
+    If they raise or do not sum to a finite total, f is called (again)
+    point by point up to the first fault, which it raises as f does.
     """
     return _side(f, a, b, alpha, GridDirection.FORWARD, mode, cfg, on_grid)
 
@@ -350,10 +325,8 @@ def ftc_residuals(
     _require_positive(alpha, "alpha")
     if b < a:
         raise ValueError(f"needs b >= a, got a={a!r}, b={b!r}")
-    count = grid_count(a, b, alpha) + 1
-    _require_budget(a, b, alpha, count, cfg)
+    points = grid_points(a, b, alpha, GridDirection.FORWARD, grid_count(a, b, alpha) + 1, cfg)
     samples = Samples(f)
-    points = [a + k * alpha for k in range(count)]
 
     # The accumulated integral at a + k*alpha is alpha times the running
     # sum of f over the k grid points before it, added left to right as
@@ -362,10 +335,9 @@ def ftc_residuals(
     r1 = 0.0
     total = 0.0
     lower = 0.0
-    for x, raw in zip(points, samples.column_or_calls(points)):
-        value = float(raw)
-        if not math.isfinite(value):
-            raise NonFiniteValueError(x, value)
+    read = samples.read
+    for x in points:
+        value = _eval_finite(read, x)
         total += value
         upper = alpha * total
         if not math.isfinite(upper):
@@ -382,8 +354,7 @@ def ftc_residuals(
     def delta(t: float) -> float:
         return forward_difference(f, t, alpha)
 
-    def delta_values(direction: GridDirection, points: Iterator[float]) -> List[float]:
-        points = list(points)
+    def delta_values(direction: GridDirection, points: List[float]) -> List[float]:
         ahead = samples.column([t + alpha for t in points])
         here = samples.column(points)
         return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(ahead, here)]
@@ -419,15 +390,13 @@ def integration_by_parts_residual(
     def df_g_shift(t: float) -> float:
         return forward_difference(f, t, alpha) * g(t + alpha)
 
-    def f_dg_values(direction: GridDirection, points: Iterator[float]) -> List[float]:
-        points = list(points)
+    def f_dg_values(direction: GridDirection, points: List[float]) -> List[float]:
         xs = f_samples.column(points)
         ahead = g_samples.column([t + alpha for t in points])
         ys = g_samples.column(points)
         return [x * ((float(y1) - float(y0)) / alpha) for x, y1, y0 in zip(xs, ahead, ys)]
 
-    def df_g_shift_values(direction: GridDirection, points: Iterator[float]) -> List[float]:
-        points = list(points)
+    def df_g_shift_values(direction: GridDirection, points: List[float]) -> List[float]:
         ahead = [t + alpha for t in points]
         here = zip(f_samples.column(ahead), f_samples.column(points), g_samples.column(ahead))
         return [((float(x1) - float(x0)) / alpha) * y1 for x1, x0, y1 in here]

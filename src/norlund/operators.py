@@ -1,4 +1,11 @@
-"""Pointwise quantum difference operators and step-grid arithmetic."""
+"""Pointwise quantum difference operators and step-grid arithmetic.
+
+grid_points is the one walk over a step grid: every grid the integrals
+and the checks read comes from it, so the point formula, the term-cap
+budget and the resolution rule live in one place.  A step that must be
+positive is checked by one rule, _require_positive, for the difference
+quotients, the grid arithmetic and the integrals alike.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +13,10 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from .errors import NonFiniteValueError, ZeroStepError
+from .errors import GridBudgetError, NonFiniteValueError, ZeroStepError
+from .series import SeriesConfig
 
 __all__ = [
     "EPS_GRID",
@@ -21,6 +29,7 @@ __all__ = [
     "forward_difference",
     "grid_align",
     "grid_count",
+    "grid_points",
     "symmetric_difference",
 ]
 
@@ -89,8 +98,12 @@ class Samples:
         ]
 
     def read(self, t: float):
-        """f's raw value at t."""
-        return self.column((t,))[0]
+        """f's raw value at t: column((t,))[0], without building a column."""
+        key = t or (math.copysign(1.0, t), "zero")
+        values = self.values
+        if key not in values:
+            values[key] = self.f(t)
+        return values[key]
 
     def column_or_calls(self, points: Sequence[float]) -> Iterable:
         """column(points), or, if that raises, f at each point lazily.
@@ -111,6 +124,11 @@ def _eval_finite(f: RealFunction, t: float) -> float:
     return y
 
 
+def _require_positive(step: float, name: str) -> None:
+    if step <= 0.0:
+        raise ZeroStepError(f"{name} must be positive, got {step!r}")
+
+
 def _moved(t: float, shifted: float, step: float, side: str) -> float:
     """shifted, the point t + alpha or t - beta; ZeroStepError if a
     positive step rounds away to leave t unmoved."""
@@ -126,8 +144,7 @@ def forward_difference(f: RealFunction, t: float, alpha: float) -> float:
 
     The step must be positive and must move t (t + alpha != t).
     """
-    if alpha <= 0.0:
-        raise ZeroStepError(f"forward step must be positive, got {alpha!r}")
+    _require_positive(alpha, "forward step")
     upper = _moved(t, t + alpha, alpha, "forward")
     return (_eval_finite(f, upper) - _eval_finite(f, t)) / alpha
 
@@ -137,8 +154,7 @@ def backward_difference(f: RealFunction, t: float, beta: float) -> float:
 
     The step must be positive and must move t (t - beta != t).
     """
-    if beta <= 0.0:
-        raise ZeroStepError(f"backward step must be positive, got {beta!r}")
+    _require_positive(beta, "backward step")
     lower = _moved(t, t - beta, beta, "backward")
     return (_eval_finite(f, t) - _eval_finite(f, lower)) / beta
 
@@ -169,8 +185,7 @@ def grid_align(
     anchor, or more steps away than a float counts.  Non-alignment is an
     ordinary outcome, not an error.
     """
-    if step <= 0.0:
-        raise ZeroStepError(f"grid step must be positive, got {step!r}")
+    _require_positive(step, "grid step")
     if direction is GridDirection.FORWARD:
         ratio = (target - anchor) / step
     else:
@@ -201,3 +216,31 @@ def grid_count(
         return alignment.k1
     span = target - anchor if direction is GridDirection.FORWARD else anchor - target
     return max(0, math.floor(min(span / step, sys.maxsize)))
+
+
+def grid_points(
+    anchor: float,
+    target: float,
+    step: float,
+    direction: GridDirection,
+    count: int,
+    cfg: SeriesConfig | None = None,
+) -> List[float]:
+    """The first count points of the grid from anchor towards target.
+
+    Before making a point it raises GridBudgetError if count exceeds
+    cfg.max_terms, then ZeroStepError if the endpoints differ and step
+    is below the ulp of the larger in magnitude: the points would
+    coincide.
+    """
+    max_terms = (cfg or SeriesConfig()).max_terms
+    if count > max_terms:
+        raise GridBudgetError(anchor, target, step, count, max_terms)
+    if anchor != target and step < math.ulp(max(abs(anchor), abs(target))):
+        raise ZeroStepError(
+            f"grid step {step!r} from {anchor!r} to {target!r} is below the endpoints' "
+            f"resolution: its points would coincide"
+        )
+    # anchor + k*(-step) is anchor - k*step bit for bit (IEEE negation is exact).
+    signed = step if direction is GridDirection.FORWARD else -step
+    return [anchor + k * signed for k in range(count)]

@@ -367,3 +367,89 @@ def test_text_and_json_values_agree_to_full_precision():
     text_value = value_line.removeprefix("value = ")
     assert text_value == json.dumps(report["result"]["value"])
     assert float(text_value) == report["result"]["value"]
+
+
+# ----------------------------------------------------------------------
+# Grids finer than their endpoints' resolution; flags a check ignores
+# ----------------------------------------------------------------------
+
+FINE_GRID = ["--a", "1e17", "--b", "1.0000000000000002e17", "--alpha", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--kind", "ftc", "--f", "t", *FINE_GRID],
+        ["eval", "--expr", "t", *FINE_GRID],
+        ["check", "--kind", "cs", "--f", "t", "--g", "1", *FINE_GRID],
+        ["check", "--kind", "comparison", "--f", "0", "--g", "1", *FINE_GRID],
+    ],
+    ids=["ftc", "eval", "cs", "comparison"],
+)
+def test_grid_step_below_the_endpoints_resolution_is_an_error(capsys, argv):
+    code = main(argv + ["--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert report["result"] is None
+    assert report["diagnostics"] == [
+        "ZeroStepError: grid step 1.0 from 1e+17 to 1.0000000000000002e+17 is below the "
+        "endpoints' resolution: its points would coincide"
+    ]
+
+
+def test_sub_resolution_strict_eval_and_empty_interval_still_run(capsys):
+    strict = ["eval", "--expr", "0", *FINE_GRID, "--mode", "strict"]
+    assert main(strict) == 0
+    assert "value = 0.0" in capsys.readouterr().out
+    assert main(["eval", "--expr", "t", "--a", "1e17", "--b", "1e17", "--alpha", "1"]) == 0
+    assert "value = 0.0" in capsys.readouterr().out
+
+
+CHECK_RUNS = {
+    "ftc": ["--f", "t", "--a", "0", "--b", "2", "--alpha", "1"],
+    "ibp": ["--f", "t", "--g", "t", "--a", "0", "--b", "2", "--alpha", "1"],
+    "cs": ["--f", "t", "--g", "t", "--a", "0", "--b", "2", "--alpha", "1"],
+    "mvt": ["--f", "t", "--g", "1", "--a", "0", "--b", "2", "--alpha", "1"],
+    "comparison": ["--f", "0", "--g", "1", "--a", "0", "--b", "2", "--alpha", "1"],
+    "holder": ["--f", "t", "--g", "t", "--a", "0", "--b", "2", "--alpha", "1"],
+    "minkowski": ["--f", "t", "--g", "t", "--a", "0", "--b", "2", "--alpha", "1"],
+}
+UNREAD = [
+    ("ftc", ["--g", "ln(t)"], "--g"),
+    ("ftc", ["--beta", "1"], "--beta"),
+    ("ftc", ["--p", "3"], "--p"),
+    ("ftc", ["--mode", "strict"], "--mode"),
+    ("ibp", ["--beta", "1"], "--beta"),
+    ("ibp", ["--p", "5"], "--p"),
+    ("ibp", ["--mode", "telescoped"], "--mode"),
+    ("cs", ["--p", "3"], "--p"),
+    ("cs", ["--check-tol", "1e-3"], "--check-tol"),
+    ("mvt", ["--p", "3"], "--p"),
+    ("mvt", ["--check-tol", "0"], "--check-tol"),
+    ("comparison", ["--p", "1.5"], "--p"),
+    ("comparison", ["--check-tol", "1"], "--check-tol"),
+    ("holder", ["--check-tol", "1e-3"], "--check-tol"),
+    ("minkowski", ["--check-tol", "1e-3"], "--check-tol"),
+]
+
+
+@pytest.mark.parametrize("kind, extra, flag", UNREAD, ids=[f"{k}{f}" for k, _, f in UNREAD])
+def test_check_rejects_a_flag_its_kind_does_not_read(capsys, kind, extra, flag):
+    code = main(["check", "--kind", kind, *CHECK_RUNS[kind], *extra, "--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert report["diagnostics"] == [f"ValueError: the {kind} check does not use {flag}"]
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_RUNS))
+def test_check_accepts_unread_flags_at_their_defaults(capsys, kind):
+    defaults = ["--beta", "0", "--p", "2", "--mode", "auto", "--check-tol", "1e-9"]
+    assert main(["check", "--kind", kind, *CHECK_RUNS[kind], *defaults]) == 0
+    assert "status = ok" in capsys.readouterr().out
+
+
+def test_ibp_flag_misuse_with_a_second_misused_flag_names_the_first(capsys):
+    code = main(["check", "--kind", "ibp", *CHECK_RUNS["ibp"], "--beta", "1", "--mode", "strict",
+                 "--p", "5"])
+    assert code == 2
+    assert "note: ValueError: the ibp check does not use --beta" in capsys.readouterr().out

@@ -169,6 +169,44 @@ def test_non_finite_integral_value_raises(f, mode):
     assert not math.isfinite(err.value.value)
 
 
+# 1e17 and the next float but one, 16 apart: a unit step cannot walk
+# between them, since every a + k rounds onto a multiple of 16.
+FINE_A, FINE_B = 1e17, 1.0000000000000002e17
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f: forward_integral(f, FINE_A, FINE_B, 1.0),
+        lambda f: backward_integral(f, FINE_A, FINE_B, 1.0),
+        lambda f: forward_integral(f, FINE_B, FINE_A, 1.0, IntegralMode.TELESCOPED),
+        lambda f: symmetric_integral(f, FINE_A, FINE_B, StepPair(1.0, 16.0)),
+        lambda f: ftc_residuals(f, FINE_A, FINE_B, 1.0),
+        lambda f: integration_by_parts_residual(f, f, FINE_A, FINE_B, 1.0),
+    ],
+    ids=["forward", "backward", "reversed", "symmetric", "ftc", "ibp"],
+)
+def test_grid_step_below_the_endpoints_resolution_is_a_zero_step(run):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t
+
+    with pytest.raises(ZeroStepError, match="below the endpoints' resolution"):
+        run(f)
+    assert calls == []
+
+
+def test_sub_resolution_step_leaves_strict_route_and_empty_interval_alone():
+    strict = forward_integral(lambda t: 0.0, FINE_A, FINE_B, 1.0, IntegralMode.STRICT)
+    assert strict.value == 0.0
+    assert forward_integral(lambda t: t, FINE_A, FINE_A, 1.0).value == 0.0
+    assert backward_integral(lambda t: t, FINE_A, FINE_A, 1.0).value == 0.0
+    # a step of one ulp walks the same endpoints exactly
+    assert forward_integral(lambda t: 1.0, FINE_A, FINE_B, 16.0).value == 16.0
+
+
 # ----------------------------------------------------------------------
 # Backward integral
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ from norlund import (
     grid_align,
     symmetric_difference,
 )
-from norlund.operators import grid_count
+from norlund import GridBudgetError, SeriesConfig
+from norlund.operators import grid_count, grid_points
 
 
 def test_forward_difference_examples():
@@ -162,3 +163,60 @@ def test_grid_count_forward_and_backward():
     assert grid_count(2.0, 2.0, 0.5) == 0
     with pytest.raises(ZeroStepError):
         grid_count(0.0, 1.0, 0.0)
+
+
+def test_grid_points_walk_from_the_anchor():
+    fwd, bwd = GridDirection.FORWARD, GridDirection.BACKWARD
+    assert grid_points(1.0, 7.0, 2.0, fwd, 3) == [1.0, 3.0, 5.0]
+    assert grid_points(7.0, 1.0, 2.0, bwd, 4) == [7.0, 5.0, 3.0, 1.0]
+    assert grid_points(0.1, 1.0, 0.1, fwd, 4) == [0.1 + k * 0.1 for k in range(4)]
+    assert grid_points(1.0, 0.1, 0.3, bwd, 4) == [1.0 - k * 0.3 for k in range(4)]
+    assert grid_points(2.0, 2.0, 0.5, fwd, 0) == []
+
+
+def test_grid_points_budget_comes_before_any_other_rule():
+    cfg = SeriesConfig(max_terms=50)
+    with pytest.raises(GridBudgetError, match="has 51 points, more than the term cap max_terms=50"):
+        grid_points(0.0, 50.0, 1.0, GridDirection.FORWARD, 51, cfg)
+    assert len(grid_points(0.0, 50.0, 1.0, GridDirection.FORWARD, 50, cfg)) == 50
+    # the budget, not the resolution rule, refuses a walk too long to count
+    with pytest.raises(GridBudgetError):
+        grid_points(0.0, 1e300, 1.0, GridDirection.FORWARD, round(1e300))
+
+
+@pytest.mark.parametrize(
+    "anchor, target, step, direction",
+    [
+        (1e17, 1.0000000000000002e17, 1.0, GridDirection.FORWARD),
+        (1.0000000000000002e17, 1e17, 8.0, GridDirection.BACKWARD),
+        (1.0, 1.0 + 2**-50, 2**-53, GridDirection.FORWARD),
+        (-1e17, -1.0000000000000002e17, 15.999, GridDirection.BACKWARD),
+    ],
+)
+def test_grid_points_refuse_a_step_below_the_endpoints_resolution(anchor, target, step, direction):
+    with pytest.raises(ZeroStepError, match="below the endpoints' resolution"):
+        grid_points(anchor, target, step, direction, 2)
+
+
+def test_grid_points_accept_a_step_of_one_ulp():
+    ulp = math.ulp(1e17)
+    points = grid_points(1e17, 1e17 + 2 * ulp, ulp, GridDirection.FORWARD, 3)
+    assert points == [1e17, 1e17 + ulp, 1e17 + 2 * ulp]
+    assert len(set(points)) == 3
+    # an empty interval walks nowhere, whatever the step
+    assert grid_points(1e17, 1e17, 1.0, GridDirection.FORWARD, 1) == [1e17]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: forward_difference(math.sin, 0.0, 0.0), "forward step must be positive, got 0.0"),
+        (lambda: backward_difference(math.sin, 0.0, -1.0),
+         "backward step must be positive, got -1.0"),
+        (lambda: grid_align(0.0, 1.0, -0.5), "grid step must be positive, got -0.5"),
+    ],
+)
+def test_non_positive_steps_keep_their_messages(call, message):
+    with pytest.raises(ZeroStepError) as err:
+        call()
+    assert str(err.value) == message

@@ -24,6 +24,7 @@ from norlund import (
     NonFiniteValueError,
     SeriesConfig,
     StepPair,
+    backward_integral,
     cauchy_schwarz_check,
     comparison_check,
     forward_integral,
@@ -418,6 +419,35 @@ def test_ibp_reads_each_grid_point_once():
 
 def test_ftc_reads_each_grid_point_once():
     assert calls_of(lambda f, g: ftc_residuals(f, 0.0, 100.0, 1.0)) <= 102
+
+
+@pytest.mark.parametrize(
+    "run, points",
+    [
+        (lambda f: forward_integral(f, 0.0, 100.0, 1.0), 100),
+        (lambda f: backward_integral(f, 0.0, 100.0, 1.0), 100),
+        (lambda f: symmetric_integral(f, 0.0, 100.0, ONE), 200),
+        (lambda f: symmetric_integral(f, 0.0, 100.0, StepPair(1.0, 0.5)), 300),
+    ],
+    ids=["forward", "backward", "symmetric", "symmetric-two-grids"],
+)
+def test_plain_integrals_read_f_once_per_grid_point(run, points):
+    f, calls = counted(lambda t: 2.0 + math.sin(t))
+    run(f)
+    assert calls[0] == points
+
+
+def test_faulting_plain_integral_reads_f_again_up_to_the_fault():
+    f, calls = counted(faulty(lambda t: t, {(7.0).hex(): "raise"}))
+    with pytest.raises(DomainFaultError) as err:
+        forward_integral(f, 0.0, 100.0, 1.0)
+    assert err.value.t == 7.0
+    assert calls[0] == 8 + 8  # the summing pass, then the fault pass
+    f, calls = counted(faulty(lambda t: t, {(7.0).hex(): math.nan}))
+    with pytest.raises(NonFiniteValueError) as err:
+        forward_integral(f, 0.0, 100.0, 1.0)
+    assert err.value.point == 7.0
+    assert calls[0] == 100 + 8
 
 
 def test_checks_on_grids_that_do_not_coincide():
