@@ -14,6 +14,10 @@ The exponent of "^" may not start with a bare unary minus: write
 2^(-t), not 2^-t.  Numbers are decimal with optional fraction and
 exponent part.  Unary functions: abs, exp, ln, sqrt, sin, cos;
 pow(x, y) is the binary power function.
+
+Parsing, compiling, evaluating and formatting all recurse over the tree,
+so parse refuses an expression nested more than _MAX_DEPTH levels deep,
+in its text or in its tree, with an ExprSyntaxError.
 """
 
 from __future__ import annotations
@@ -81,6 +85,13 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _SYMBOLS = "+-*/^(),"
 
+# The deepest nesting parse accepts: of the parser's own recursion (each
+# level holds at most six Python frames) and of the tree it builds (one
+# frame per level to compile, evaluate or format it), well inside
+# Python's default limit of 1000 frames.
+_MAX_DEPTH = 100
+_TOO_DEEP = (f"an expression nested at most {_MAX_DEPTH} levels deep",)
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -114,6 +125,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # factor calls open on the stack
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -134,6 +146,12 @@ class _Parser:
         token = self.peek()
         if token[0] != "end":
             raise ExprSyntaxError(token[2], ("end of input", "an operator"), token[1])
+        # A tree has at most one node per token, so only a long text can
+        # hold a tree too deep, as a long chain like t+t+...+t does.
+        if len(self.tokens) > _MAX_DEPTH:
+            height = _height(node)
+            if height > _MAX_DEPTH:
+                raise ExprSyntaxError(0, _TOO_DEEP, f"{height} levels")
         return node
 
     def expr(self) -> Expr:
@@ -151,10 +169,18 @@ class _Parser:
         return node
 
     def factor(self) -> Expr:
-        if self.peek()[0] == "-":
+        # Every recursion of the parser passes through here.
+        kind, text, pos = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExprSyntaxError(pos, _TOO_DEEP, text or "end of input")
+        if kind == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.primary()
@@ -168,7 +194,8 @@ class _Parser:
                     "-",
                     hint="a '^' exponent starting with '-' must be parenthesized",
                 )
-            return Bin("^", base, self.power())
+            # factor() is power() here, as '-' was refused, but counts the depth
+            return Bin("^", base, self.factor())
         return base
 
     def primary(self) -> Expr:
@@ -214,8 +241,32 @@ class _Parser:
         return Call(name, tuple(args))
 
 
+def _height(e: Expr) -> int:
+    """The number of node levels in e, counted without recursion."""
+    height, level = 0, [e]
+    while level:
+        height += 1
+        level = [child for node in level for child in _children(node)]
+    return height
+
+
+def _children(e: Expr) -> tuple:
+    match e:
+        case Neg(operand=x):
+            return (x,)
+        case Bin(left=l, right=r):
+            return l, r
+        case Call(args=args):
+            return args
+    return ()
+
+
 def parse(text: str) -> Expr:
-    """Parse expression text into a tree; see the module grammar."""
+    """Parse expression text into a tree; see the module grammar.
+
+    Raises ExprSyntaxError for text that does not parse or that nests
+    more than _MAX_DEPTH (100) levels deep.
+    """
     return _Parser(text).parse()
 
 

@@ -41,7 +41,7 @@ from .operators import (
     RealFunction,
     Samples,
     StepPair,
-    _eval_finite,
+    _finite,
     _require_positive,
     forward_difference,
     grid_align,
@@ -95,20 +95,48 @@ class IntegralResult:
     alignment: Optional[GridAlignment] = None
 
 
+def _improper(
+    f: RealFunction, x: float, step: float, direction: GridDirection, cfg: SeriesConfig | None
+) -> SeriesResult:
+    """step * sum of f(x + k*step) forwards, f(x - k*step) backwards."""
+    # x + k*(-step) is x - k*step bit for bit (IEEE negation is exact).
+    signed = step if direction is GridDirection.FORWARD else -step
+    return sum_series(lambda k: step * f(x + k * signed), cfg)
+
+
+def _finite_improper(
+    f: RealFunction, x: float, step: float, direction: GridDirection, cfg: SeriesConfig | None
+) -> SeriesResult:
+    """_improper's result; NonFiniteValueError at x if its value is not finite."""
+    s = _improper(f, x, step, direction, cfg)
+    if not math.isfinite(s.value):
+        ends = f"{x!r} to infinity" if direction is GridDirection.FORWARD else f"-infinity to {x!r}"
+        raise NonFiniteValueError(
+            x, s.value, f"the {direction.value} integral from {ends} overflowed ({s.value!r})"
+        )
+    return s
+
+
 def forward_integral_to_infinity(
     f: RealFunction, x: float, alpha: float, cfg: SeriesConfig | None = None
 ) -> SeriesResult:
-    """Improper integral from x to +infinity: alpha * sum of f(x + k*alpha)."""
+    """Improper integral from x to +infinity: alpha * sum of f(x + k*alpha).
+
+    A value that overflows to inf or NaN raises NonFiniteValueError at x.
+    """
     _require_positive(alpha, "alpha")
-    return sum_series(lambda k: alpha * f(x + k * alpha), cfg)
+    return _finite_improper(f, x, alpha, GridDirection.FORWARD, cfg)
 
 
 def backward_integral_from_minus_infinity(
     f: RealFunction, x: float, beta: float, cfg: SeriesConfig | None = None
 ) -> SeriesResult:
-    """Improper integral from -infinity to x: beta * sum of f(x - k*beta)."""
+    """Improper integral from -infinity to x: beta * sum of f(x - k*beta).
+
+    A value that overflows to inf or NaN raises NonFiniteValueError at x.
+    """
     _require_positive(beta, "beta")
-    return sum_series(lambda k: beta * f(x - k * beta), cfg)
+    return _finite_improper(f, x, beta, GridDirection.BACKWARD, cfg)
 
 
 def _check_converged(s: SeriesResult, x: float, side: str) -> None:
@@ -121,11 +149,11 @@ def _check_converged(s: SeriesResult, x: float, side: str) -> None:
         )
 
 
-# Per direction: the step's name, the improper integral at one endpoint,
-# and the IntegralResult slot for its strict diagnostics.
+# Per direction: the step's name and the IntegralResult slot for its
+# strict diagnostics.
 _SIDES = {
-    GridDirection.FORWARD: ("alpha", forward_integral_to_infinity, "forward_diag"),
-    GridDirection.BACKWARD: ("beta", backward_integral_from_minus_infinity, "backward_diag"),
+    GridDirection.FORWARD: ("alpha", "forward_diag"),
+    GridDirection.BACKWARD: ("beta", "backward_diag"),
 }
 
 
@@ -160,7 +188,7 @@ def _side(
     the side's infinity.  A value that is not a finite float raises
     NonFiniteValueError at b.
     """
-    step_name, improper, diag_slot = _SIDES[direction]
+    step_name, diag_slot = _SIDES[direction]
     side = direction.value
     _require_positive(step, step_name)
     lo, hi = (a, b) if a < b else (b, a)
@@ -188,15 +216,15 @@ def _side(
         # A total that is not finite holds a fault or an overflow: calling
         # f point by point raises the fault as f itself first meets it.
         if not math.isfinite(total):
-            total = _grid_total(_eval_finite(f, t) for t in points)
+            total = _grid_total(_finite(t, f(t)) for t in points)
         value = step * total
         if a > b:
             value = -value
         result = IntegralResult(value, IntegralMode.TELESCOPED, alignment=alignment)
     else:
-        s_a = improper(f, a, step, cfg)
+        s_a = _improper(f, a, step, direction, cfg)
         _check_converged(s_a, a, side)
-        s_b = improper(f, b, step, cfg)
+        s_b = _improper(f, b, step, direction, cfg)
         _check_converged(s_b, b, side)
         value = s_a.value - s_b.value if forward else s_b.value - s_a.value
         result = IntegralResult(value, IntegralMode.STRICT, **{diag_slot: (s_a, s_b)})
@@ -320,7 +348,8 @@ def ftc_residuals(
     accumulated integral from f itself over the grid points a + k*alpha
     up to b; r2 is the deviation of the integral of the forward
     difference of f from f(b) - f(a).  f is read at most once per
-    distinct point, unless r2 takes the strict route.
+    distinct point, unless r2 takes the strict route or f raises, when
+    f is called again up to the fault.
     """
     _require_positive(alpha, "alpha")
     if b < a:
@@ -331,13 +360,13 @@ def ftc_residuals(
     # The accumulated integral at a + k*alpha is alpha times the running
     # sum of f over the k grid points before it, added left to right as
     # the telescoped route adds them, so each value is bit-identical to
-    # antiderivative(f, a, alpha)(a + k*alpha).
+    # antiderivative(f, a, alpha)(a + k*alpha).  f is read as one column,
+    # and the loop raises the first fault in point order.
     r1 = 0.0
     total = 0.0
     lower = 0.0
-    read = samples.read
-    for x in points:
-        value = _eval_finite(read, x)
+    for x, value in zip(points, samples.column_or_calls(points)):
+        value = _finite(x, value)
         total += value
         upper = alpha * total
         if not math.isfinite(upper):
@@ -360,7 +389,8 @@ def ftc_residuals(
         return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(ahead, here)]
 
     integral = forward_integral(delta, a, b, alpha, IntegralMode.AUTO, cfg, on_grid=delta_values)
-    r2 = abs(integral.value - (samples.read(b) - samples.read(a)))
+    fb, fa = samples.column((b, a))
+    r2 = abs(integral.value - (fb - fa))
     return r1, r2
 
 
@@ -402,7 +432,8 @@ def integration_by_parts_residual(
         return [((float(x1) - float(x0)) / alpha) * y1 for x1, x0, y1 in here]
 
     lhs = forward_integral(f_dg, a, b, alpha, IntegralMode.AUTO, cfg, on_grid=f_dg_values).value
-    boundary = f_samples.read(b) * g_samples.read(b) - f_samples.read(a) * g_samples.read(a)
+    (fb, fa), (gb, ga) = f_samples.column((b, a)), g_samples.column((b, a))
+    boundary = fb * gb - fa * ga
     shifted = forward_integral(
         df_g_shift, a, b, alpha, IntegralMode.AUTO, cfg, on_grid=df_g_shift_values
     )

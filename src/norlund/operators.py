@@ -4,7 +4,10 @@ grid_points is the one walk over a step grid: every grid the integrals
 and the checks read comes from it, so the point formula, the term-cap
 budget and the resolution rule live in one place.  A step that must be
 positive is checked by one rule, _require_positive, for the difference
-quotients, the grid arithmetic and the integrals alike.
+quotients, the grid arithmetic and the integrals alike: a step at or
+below zero is a ZeroStepError, an infinite or NaN one a ValueError.  A
+value read at a point is checked by one rule too, _finite: a value that
+is infinite or NaN is a NonFiniteValueError at its point.
 """
 
 from __future__ import annotations
@@ -97,14 +100,6 @@ class Samples:
             values[k] if k in values else values.setdefault(k, f(t)) for k, t in zip(keys, points)
         ]
 
-    def read(self, t: float):
-        """f's raw value at t: column((t,))[0], without building a column."""
-        key = t or (math.copysign(1.0, t), "zero")
-        values = self.values
-        if key not in values:
-            values[key] = self.f(t)
-        return values[key]
-
     def column_or_calls(self, points: Sequence[float]) -> Iterable:
         """column(points), or, if that raises, f at each point lazily.
 
@@ -117,8 +112,10 @@ class Samples:
             return map(self.f, points)
 
 
-def _eval_finite(f: RealFunction, t: float) -> float:
-    y = float(f(t))
+def _finite(t: float, y) -> float:
+    """y, the value read at t, as a float; NonFiniteValueError if it is
+    infinite or NaN.  The one finiteness rule for a value read at a point."""
+    y = float(y)
     if not math.isfinite(y):
         raise NonFiniteValueError(t, y)
     return y
@@ -127,6 +124,8 @@ def _eval_finite(f: RealFunction, t: float) -> float:
 def _require_positive(step: float, name: str) -> None:
     if step <= 0.0:
         raise ZeroStepError(f"{name} must be positive, got {step!r}")
+    if not math.isfinite(step):
+        raise ValueError(f"{name} must be finite, got {step!r}")
 
 
 def _moved(t: float, shifted: float, step: float, side: str) -> float:
@@ -146,7 +145,7 @@ def forward_difference(f: RealFunction, t: float, alpha: float) -> float:
     """
     _require_positive(alpha, "forward step")
     upper = _moved(t, t + alpha, alpha, "forward")
-    return (_eval_finite(f, upper) - _eval_finite(f, t)) / alpha
+    return (_finite(upper, f(upper)) - _finite(t, f(t))) / alpha
 
 
 def backward_difference(f: RealFunction, t: float, beta: float) -> float:
@@ -156,7 +155,7 @@ def backward_difference(f: RealFunction, t: float, beta: float) -> float:
     """
     _require_positive(beta, "backward step")
     lower = _moved(t, t - beta, beta, "backward")
-    return (_eval_finite(f, t) - _eval_finite(f, lower)) / beta
+    return (_finite(t, f(t)) - _finite(lower, f(lower))) / beta
 
 
 def symmetric_difference(f: RealFunction, t: float, steps: StepPair) -> float:
@@ -169,7 +168,7 @@ def symmetric_difference(f: RealFunction, t: float, steps: StepPair) -> float:
     """
     upper = _moved(t, t + steps.alpha, steps.alpha, "forward")
     lower = _moved(t, t - steps.beta, steps.beta, "backward")
-    return (_eval_finite(f, upper) - _eval_finite(f, lower)) / (steps.alpha + steps.beta)
+    return (_finite(upper, f(upper)) - _finite(lower, f(lower))) / (steps.alpha + steps.beta)
 
 
 def grid_align(
@@ -228,11 +227,12 @@ def grid_points(
 ) -> List[float]:
     """The first count points of the grid from anchor towards target.
 
-    Before making a point it raises GridBudgetError if count exceeds
-    cfg.max_terms, then ZeroStepError if the endpoints differ and step
-    is below the ulp of the larger in magnitude: the points would
-    coincide.
+    Before making a point it checks step as grid_align does, then raises
+    GridBudgetError if count exceeds cfg.max_terms, then ZeroStepError if
+    the endpoints differ and step is below the ulp of the larger in
+    magnitude: the points would coincide.
     """
+    _require_positive(step, "grid step")
     max_terms = (cfg or SeriesConfig()).max_terms
     if count > max_terms:
         raise GridBudgetError(anchor, target, step, count, max_terms)

@@ -9,12 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from norlund.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+CHAIN = "+".join(["t"] * 1_000)
 
 
 def test_eval_on_an_unbounded_grid_is_an_error():
@@ -46,6 +48,55 @@ def test_traced_entry_points_resolve_on_a_fresh_import():
     count, _, missing = proc.stdout.strip().partition(" ")
     assert int(count) >= 20
     assert missing == "[]"
+
+
+def _run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "norlund", *args], capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "args, note",
+    [
+        (["eval", "--expr", "(" * 300 + "t" + ")" * 300, "--a", "0", "--b", "1", "--alpha", "1"],
+         "note: ExprSyntaxError: syntax error at offset 100: expected an expression nested "
+         "at most 100 levels deep, found '('"),
+        (["eval", "--expr", CHAIN, "--a", "0", "--b", "1", "--alpha", "1"],
+         "note: ExprSyntaxError: syntax error at offset 0: expected an expression nested "
+         "at most 100 levels deep, found '1000 levels'"),
+        (["check", "--kind", "cs", "--f", CHAIN, "--g", "1", "--a", "0", "--b", "1",
+          "--alpha", "1"],
+         "note: ExprSyntaxError: syntax error at offset 0: expected an expression nested "
+         "at most 100 levels deep, found '1000 levels'"),
+    ],
+    ids=["nested-parentheses", "eval-long-chain", "check-long-chain"],
+)
+def test_expressions_too_deep_are_usage_errors(args, note):
+    proc = _run_cli(*args)
+    assert proc.returncode == 2
+    assert note in proc.stdout.splitlines()
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_number_flag_that_is_not_a_number_is_a_usage_error():
+    proc = _run_cli("eval", "--expr", "t", "--a", "abc", "--b", "1", "--alpha", "1")
+    assert proc.returncode == 2
+    assert "argument --a: invalid float value: 'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_cli_imports_only_the_standard_library():
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import norlund.cli\n"
+        "allowed = sys.stdlib_module_names | {'norlund'}\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in allowed))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

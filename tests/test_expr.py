@@ -75,6 +75,80 @@ def test_parse_syntax_errors_carry_offsets():
         parse("1e999")  # overflows to infinity
 
 
+def test_token_after_a_complete_expression():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("t)")
+    assert err.value.offset == 1
+    assert err.value.expected == ("end of input", "an operator")
+    assert err.value.found == ")"
+
+
+# ----------------------------------------------------------------------
+# Depth bound: parse refuses what would overflow Python's stack later
+# ----------------------------------------------------------------------
+
+TOO_DEEP = ("an expression nested at most 100 levels deep",)
+
+
+@pytest.mark.parametrize(
+    "text, offset, found",
+    [
+        ("(" * 300 + "t" + ")" * 300, 100, "("),
+        ("(" * 100 + "t" + ")" * 100, 100, "t"),
+        ("sin(" * 300 + "t" + ")" * 300, 400, "sin"),
+        ("-" * 300 + "t", 100, "-"),
+        ("2^" * 300 + "t", 200, "2"),
+    ],
+    ids=["parentheses", "parentheses-101", "calls", "negations", "powers"],
+)
+def test_parse_refuses_text_nested_too_deep(text, offset, found):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected, err.value.found) == (offset, TOO_DEEP, found)
+
+
+@pytest.mark.parametrize("terms", [101, 1_000, 10_000])
+def test_parse_refuses_a_chain_whose_tree_is_too_deep(terms):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("+".join(["t"] * terms))
+    assert (err.value.offset, err.value.expected, err.value.found) == (0, TOO_DEEP, f"{terms} levels")
+
+
+def _balanced(levels: int) -> str:
+    text = "t"
+    for _ in range(levels):
+        text = f"({text})+({text})"
+    return text
+
+
+BALANCED = _balanced(10)  # 1,024 terms in a tree 11 levels deep
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("(" * 99 + "t" + ")" * 99, 2.0),
+        ("+".join(["t"] * 100), 200.0),
+        ("*".join(["1"] * 99) + "*t", 2.0),
+        ("-" * 98 + "t", 2.0),
+        ("abs(" * 49 + "-" * 49 + "t" + ")" * 49, 2.0),
+        (BALANCED, 2048.0),  # long but shallow
+    ],
+    ids=["parentheses", "chain", "product", "negations", "mixed", "balanced"],
+)
+def test_deepest_accepted_expressions_compile_evaluate_and_format(text, value):
+    tree = parse(text)
+    assert evaluate(tree, 2.0) == value
+    assert parse(format(tree)) == tree
+
+
+def test_non_parser_nodes_are_type_errors():
+    with pytest.raises(TypeError, match=r"not an expression node: Bin\(op='%'"):
+        evaluate(Bin("%", Num(1.0), Var()), 1.0)
+    with pytest.raises(TypeError, match="not an expression node: 1.0"):
+        format(Neg(1.0))
+
+
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------

@@ -169,6 +169,59 @@ def test_non_finite_integral_value_raises(f, mode):
     assert not math.isfinite(err.value.value)
 
 
+@pytest.mark.parametrize(
+    "improper, x, message",
+    [
+        (forward_integral_to_infinity, 0.0,
+         "the forward integral from 0.0 to infinity overflowed (nan)"),
+        (backward_integral_from_minus_infinity, 3.0,
+         "the backward integral from -infinity to 3.0 overflowed (nan)"),
+    ],
+    ids=["forward", "backward"],
+)
+def test_improper_integral_that_overflows_raises(improper, x, message):
+    from norlund import NonFiniteValueError
+
+    # each term is finite, but the converged sum overflows
+    f = lambda t: 1.7e308 * math.exp(-abs(t - x))  # noqa: E731
+    with pytest.raises(NonFiniteValueError) as err:
+        improper(f, x, 0.5, SeriesConfig(tol=1e-3))
+    assert err.value.point == x
+    assert math.isnan(err.value.value)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda f, step: forward_integral_to_infinity(f, 0.0, step), "alpha"),
+        (lambda f, step: backward_integral_from_minus_infinity(f, 0.0, step), "beta"),
+        (lambda f, step: forward_integral(f, 0.0, 1.0, step), "alpha"),
+        (lambda f, step: forward_integral(f, 0.0, 1.0, step, IntegralMode.STRICT), "alpha"),
+        (lambda f, step: backward_integral(f, 0.0, 1.0, step), "beta"),
+        (lambda f, step: antiderivative(f, 0.0, step), "alpha"),
+        (lambda f, step: ftc_residuals(f, 0.0, 1.0, step), "alpha"),
+        (lambda f, step: integration_by_parts_residual(f, f, 0.0, 1.0, step), "alpha"),
+    ],
+    ids=["forward_integral_to_infinity", "backward_integral_from_minus_infinity",
+         "forward_integral", "forward_integral-strict", "backward_integral", "antiderivative",
+         "ftc_residuals", "integration_by_parts_residual"],
+)
+def test_non_finite_steps_rejected_before_any_read(call, name, step):
+    # symmetric_integral and the checks take a StepPair, which refuses them itself
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t
+
+    with pytest.raises(ValueError) as err:
+        call(f, step)
+    assert str(err.value) == f"{name} must be finite, got {step!r}"
+    assert calls == []
+
+
 # 1e17 and the next float but one, 16 apart: a unit step cannot walk
 # between them, since every a + k rounds onto a multiple of 16.
 FINE_A, FINE_B = 1e17, 1.0000000000000002e17

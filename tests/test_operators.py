@@ -220,3 +220,29 @@ def test_non_positive_steps_keep_their_messages(call, message):
     with pytest.raises(ZeroStepError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda f, step: forward_difference(f, 0.0, step), "forward step"),
+        (lambda f, step: backward_difference(f, 0.0, step), "backward step"),
+        (lambda f, step: grid_align(0.0, 1.0, step), "grid step"),
+        (lambda f, step: grid_count(0.0, 1.0, step), "grid step"),
+        (lambda f, step: grid_points(0.0, 1.0, step, GridDirection.FORWARD, 1), "grid step"),
+    ],
+    ids=["forward_difference", "backward_difference", "grid_align", "grid_count", "grid_points"],
+)
+def test_non_finite_steps_rejected_before_any_read(call, name, step):
+    # symmetric_difference takes a StepPair, which refuses them itself
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t
+
+    with pytest.raises(ValueError) as err:
+        call(f, step)
+    assert str(err.value) == f"{name} must be finite, got {step!r}"
+    assert calls == []
