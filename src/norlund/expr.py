@@ -79,7 +79,16 @@ class Call:
 Expr = Num | Var | Const | Neg | Bin | Call
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
-_UNARY_FUNCTIONS = ("abs", "exp", "ln", "sqrt", "sin", "cos")
+# Each unary function's math routine, the exception it raises outside the
+# function's domain and the DomainFaultError reason for it, or None, None.
+_UNARY = {
+    "abs": (abs, None, None),
+    "exp": (math.exp, OverflowError, "exponential overflows"),
+    "ln": (math.log, ValueError, "logarithm of a non-positive value"),
+    "sqrt": (math.sqrt, ValueError, "square root of a negative value"),
+    "sin": (math.sin, None, None),
+    "cos": (math.cos, None, None),
+}
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -225,7 +234,7 @@ class _Parser:
         )
 
     def call(self, name: str, pos: int) -> Expr:
-        if name not in _UNARY_FUNCTIONS and name != "pow":
+        if name not in _UNARY and name != "pow":
             raise UnknownIdentifierError(name, pos)
         self.expect("(")
         args = [self.expr()]
@@ -296,7 +305,7 @@ def _closure(operand):
     return x
 
 
-def _add(left, right):
+def _add(node, left, right):
     (lk, a), (rk, b) = left, right
     if lk == _CONST and rk == _VAR:
         return lambda t: a + t
@@ -310,7 +319,7 @@ def _add(left, right):
     return lambda t: f(t) + g(t)
 
 
-def _subtract(left, right):
+def _subtract(node, left, right):
     (lk, a), (rk, b) = left, right
     if lk == _CONST and rk == _VAR:
         return lambda t: a - t
@@ -324,7 +333,7 @@ def _subtract(left, right):
     return lambda t: f(t) - g(t)
 
 
-def _multiply(left, right):
+def _multiply(node, left, right):
     (lk, a), (rk, b) = left, right
     if lk == _CONST and rk == _VAR:
         return lambda t: a * t
@@ -386,44 +395,28 @@ def _power(node, base, exponent):
     return power
 
 
+# Each binary node's compiler, by node kind and operator.
+_BINARY = {(Bin, "+"): _add, (Bin, "-"): _subtract, (Bin, "*"): _multiply, (Bin, "/"): _divide,
+           (Bin, "^"): _power, (Call, "pow"): _power}
+
+
 def _unary(node, name, operand):
+    """fn(operand), with fn's domain error raised as a DomainFaultError."""
     f = _closure(operand)
-    if name in ("abs", "sin", "cos"):
-        fn = abs if name == "abs" else getattr(math, name)
+    fn, error, reason = _UNARY[name]
+    if error is None:
         return lambda t: fn(f(t))
-    if name == "ln":
-        log = math.log
 
-        def ln(t):
-            v = f(t)
-            if v <= 0.0:
-                raise DomainFaultError(node, t, "logarithm of a non-positive value")
-            return log(v)
-
-        return ln
-    if name == "sqrt":
-        sqrt = math.sqrt
-
-        def square_root(t):
-            v = f(t)
-            if v < 0.0:
-                raise DomainFaultError(node, t, "square root of a negative value")
-            return sqrt(v)
-
-        return square_root
-    exp = math.exp
-
-    def exponential(t):
+    def guarded(t):
         v = f(t)
         try:
-            return exp(v)
-        except OverflowError:
-            raise DomainFaultError(node, t, "exponential overflows") from None
+            return fn(v)
+        except error:
+            raise DomainFaultError(node, t, reason) from None
 
-    return exponential
+    return guarded
 
 
-_ARITHMETIC = {"+": _add, "-": _subtract, "*": _multiply}
 _isfinite = math.isfinite
 
 
@@ -437,21 +430,13 @@ def _compile(e: Expr):
         case Const(name=name):
             return _CONST, _CONSTANTS[name]
         case Neg(operand=x):
-            kind, v = operand = _compile(x)
-            if kind == _CONST:
-                return _CONST, -v
-            f = _closure(operand)
-            return _FUNC, lambda t: -f(t)
-        case Bin(op=op, left=l, right=r) if op in _ARITHMETIC:
+            operands = (_compile(x),)
+            f = _closure(*operands)
+            fn = lambda t: -f(t)  # noqa: E731
+        case Bin(op=op, left=l, right=r) | Call(name=op, args=(l, r)) if (type(e), op) in _BINARY:
             operands = (_compile(l), _compile(r))
-            fn = _ARITHMETIC[op](*operands)
-        case Bin(op="/", left=l, right=r):
-            operands = (_compile(l), _compile(r))
-            fn = _divide(e, *operands)
-        case Bin(op="^", left=l, right=r) | Call(name="pow", args=(l, r)):
-            operands = (_compile(l), _compile(r))
-            fn = _power(e, *operands)
-        case Call(name=name, args=(x,)) if name in _UNARY_FUNCTIONS:
+            fn = _BINARY[type(e), op](e, *operands)
+        case Call(name=name, args=(x,)) if name in _UNARY:
             operands = (_compile(x),)
             fn = _unary(e, name, *operands)
         case _:

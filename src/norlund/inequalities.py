@@ -24,7 +24,15 @@ from .errors import (
     NonFiniteValueError,
 )
 from .integrals import IntegralMode, IntegralResult, symmetric_integral
-from .operators import GridDirection, RealFunction, Samples, StepPair, grid_count, grid_points
+from .operators import (
+    GridDirection,
+    RealFunction,
+    Samples,
+    StepPair,
+    _require_finite,
+    grid_count,
+    grid_points,
+)
 from .series import SeriesConfig
 
 __all__ = [
@@ -91,6 +99,8 @@ def _nonneg(x: float) -> float:
 
 
 def _require_interval(a: float, b: float) -> None:
+    _require_finite(a, "a")
+    _require_finite(b, "b")
     if not a < b:
         raise ValueError(f"needs a < b, got a={a!r}, b={b!r}")
 
@@ -119,11 +129,12 @@ class _Integrals:
     """Symmetric integrals on one [a, b] of integrands built from f and g.
 
     Calling it with an integrand and its values form integrates the
-    integrand.  On a telescoped side, f and g are read once per distinct
-    grid point into columns that every integral of the check shares,
-    and values(xs, ys) turns a side's columns into the integrand's values
-    by the integrand's own arithmetic on the raw reads.  A side whose
-    reads or values fault is summed by calling the integrand instead.
+    integrand.  On a telescoped side, the first integral to reach a
+    direction walks its grid and reads f and g once per distinct grid
+    point into columns that every integral of the check shares, and
+    values(xs, ys) turns a side's columns into the integrand's values by
+    the integrand's own arithmetic on the raw reads.  A side whose reads
+    or values fault is summed by calling the integrand instead.
     """
 
     def __init__(self, f, g, a, b, steps, mode, cfg):
@@ -132,8 +143,9 @@ class _Integrals:
         self.columns = {}  # per grid direction: (xs, ys)
 
     def __call__(self, integrand, values) -> IntegralResult:
-        def on_grid(direction, points):
+        def on_grid(direction, walk):
             if direction not in self.columns:
+                points = walk()
                 self.columns[direction] = (self.f.column(points), self.g.column(points))
             return values(*self.columns[direction])
 

@@ -17,14 +17,17 @@ ZeroStepError for a step below the endpoints' resolution, before any
 point is read.
 
 Every telescoped side sums the values an on_grid function gives for its
-grid points.  A plain integral's on_grid calls f at each point, once.
-The checks read f and g at most once per distinct grid point: they hand
-each integral an on_grid function that builds the integrand's values
-from values read once.  Only when on_grid raises or its values do not
-sum to a finite total does the side call f point by point, up to the
-first fault, so the fault is raised as f itself raises it; a plain
-integral whose f faults thus calls f again up to the fault.  Strict
-sides always call f.
+grid points.  on_grid receives the side's walk, a function that returns
+the list of points, so a caller that already holds a direction's values
+need not walk its grid again.  A plain integral's on_grid walks the grid
+once and calls f at each point, once.  The checks read f and g at most
+once per distinct grid point: they hand each integral an on_grid
+function that builds the integrand's values from values read once, and
+walk each direction's grid once.  Only when on_grid raises or its values
+do not sum to a finite total does the side walk its grid again and call
+f point by point, up to the first fault, so the fault is raised as f
+itself raises it; a plain integral whose f faults thus calls f again up
+to the fault.  Strict sides always call f.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import NonFiniteValueError, NotAlignedError, NotIntegrableError
@@ -42,6 +46,7 @@ from .operators import (
     Samples,
     StepPair,
     _finite,
+    _require_finite,
     _require_positive,
     forward_difference,
     grid_align,
@@ -65,9 +70,10 @@ __all__ = [
 ]
 
 
-# on_grid(direction, points): the integrand's values at the points of a
-# telescoped side, in order; points is the list of them.
-GridValues = Callable[[GridDirection, List[float]], Iterable[float]]
+# on_grid(direction, walk): the integrand's values at the points of a
+# telescoped side, in order; walk() returns the list of them.
+GridWalk = Callable[[], List[float]]
+GridValues = Callable[[GridDirection, GridWalk], Iterable[float]]
 
 
 class IntegralMode(Enum):
@@ -108,6 +114,7 @@ def _finite_improper(
     f: RealFunction, x: float, step: float, direction: GridDirection, cfg: SeriesConfig | None
 ) -> SeriesResult:
     """_improper's result; NonFiniteValueError at x if its value is not finite."""
+    _require_finite(x, "x")
     s = _improper(f, x, step, direction, cfg)
     if not math.isfinite(s.value):
         ends = f"{x!r} to infinity" if direction is GridDirection.FORWARD else f"-infinity to {x!r}"
@@ -191,6 +198,8 @@ def _side(
     step_name, diag_slot = _SIDES[direction]
     side = direction.value
     _require_positive(step, step_name)
+    _require_finite(a, "a")
+    _require_finite(b, "b")
     lo, hi = (a, b) if a < b else (b, a)
     forward = direction is GridDirection.FORWARD
     start, end = (lo, hi) if forward else (hi, lo)
@@ -204,19 +213,20 @@ def _side(
                 f"endpoints {a!r} and {b!r} are not aligned on the {side} "
                 f"grid with step {step!r}"
             )
-        points = grid_points(start, end, step, direction, alignment.k1, cfg)
+        walk = partial(grid_points, start, end, step, direction, alignment.k1, cfg)
         if on_grid is None:  # a plain integral: f at each point
-            on_grid = lambda direction, points: map(f, points)  # noqa: E731
+            on_grid = lambda direction, walk: map(f, walk())  # noqa: E731
         # Plain left-to-right accumulation and one trailing multiply keep
         # the result bit-identical to the direct finite sum.
         try:
-            total = _grid_total(map(float, on_grid(direction, points)))
+            total = _grid_total(map(float, on_grid(direction, walk)))
         except Exception:
             total = math.nan  # the pass below, which calls f, raises the fault
         # A total that is not finite holds a fault or an overflow: calling
-        # f point by point raises the fault as f itself first meets it.
+        # f point by point raises the fault as f itself first meets it, and
+        # a walk the budget or the resolution rule refuses raises first.
         if not math.isfinite(total):
-            total = _grid_total(_finite(t, f(t)) for t in points)
+            total = _grid_total(_finite(t, f(t)) for t in walk())
         value = step * total
         if a > b:
             value = -value
@@ -249,10 +259,11 @@ def forward_integral(
 
     Strict value is the difference of the two improper integrals at a
     and b; Telescoped sums the k1 grid values from min(a, b), with the
-    sign flipped when a > b.  on_grid(direction, points) gives f's values
-    at the list of telescoped grid points, by default f at each point.
-    If they raise or do not sum to a finite total, f is called (again)
-    point by point up to the first fault, which it raises as f does.
+    sign flipped when a > b.  on_grid(direction, walk) gives f's values
+    at the telescoped grid points, the list walk() returns, by default f
+    at each point.  If they raise or do not sum to a finite total, f is
+    called (again) point by point up to the first fault, which it raises
+    as f does.
     """
     return _side(f, a, b, alpha, GridDirection.FORWARD, mode, cfg, on_grid)
 
@@ -352,6 +363,8 @@ def ftc_residuals(
     f is called again up to the fault.
     """
     _require_positive(alpha, "alpha")
+    _require_finite(a, "a")
+    _require_finite(b, "b")
     if b < a:
         raise ValueError(f"needs b >= a, got a={a!r}, b={b!r}")
     points = grid_points(a, b, alpha, GridDirection.FORWARD, grid_count(a, b, alpha) + 1, cfg)
@@ -383,7 +396,8 @@ def ftc_residuals(
     def delta(t: float) -> float:
         return forward_difference(f, t, alpha)
 
-    def delta_values(direction: GridDirection, points: List[float]) -> List[float]:
+    def delta_values(direction: GridDirection, walk: GridWalk) -> List[float]:
+        points = walk()
         ahead = samples.column([t + alpha for t in points])
         here = samples.column(points)
         return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(ahead, here)]
@@ -420,13 +434,15 @@ def integration_by_parts_residual(
     def df_g_shift(t: float) -> float:
         return forward_difference(f, t, alpha) * g(t + alpha)
 
-    def f_dg_values(direction: GridDirection, points: List[float]) -> List[float]:
+    def f_dg_values(direction: GridDirection, walk: GridWalk) -> List[float]:
+        points = walk()
         xs = f_samples.column(points)
         ahead = g_samples.column([t + alpha for t in points])
         ys = g_samples.column(points)
         return [x * ((float(y1) - float(y0)) / alpha) for x, y1, y0 in zip(xs, ahead, ys)]
 
-    def df_g_shift_values(direction: GridDirection, points: List[float]) -> List[float]:
+    def df_g_shift_values(direction: GridDirection, walk: GridWalk) -> List[float]:
+        points = walk()
         ahead = [t + alpha for t in points]
         here = zip(f_samples.column(ahead), f_samples.column(points), g_samples.column(ahead))
         return [((float(x1) - float(x0)) / alpha) * y1 for x1, x0, y1 in here]

@@ -5,9 +5,11 @@ and the checks read comes from it, so the point formula, the term-cap
 budget and the resolution rule live in one place.  A step that must be
 positive is checked by one rule, _require_positive, for the difference
 quotients, the grid arithmetic and the integrals alike: a step at or
-below zero is a ZeroStepError, an infinite or NaN one a ValueError.  A
-value read at a point is checked by one rule too, _finite: a value that
-is infinite or NaN is a NonFiniteValueError at its point.
+below zero is a ZeroStepError, an infinite or NaN one a ValueError, as
+is an infinite or NaN endpoint of an integral or a check
+(_require_finite).  A value read at a point is checked by one rule too,
+_finite: a value that is infinite or NaN is a NonFiniteValueError at its
+point.
 """
 
 from __future__ import annotations
@@ -121,11 +123,15 @@ def _finite(t: float, y) -> float:
     return y
 
 
+def _require_finite(x: float, name: str) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+
+
 def _require_positive(step: float, name: str) -> None:
     if step <= 0.0:
         raise ZeroStepError(f"{name} must be positive, got {step!r}")
-    if not math.isfinite(step):
-        raise ValueError(f"{name} must be finite, got {step!r}")
+    _require_finite(step, name)
 
 
 def _moved(t: float, shifted: float, step: float, side: str) -> float:

@@ -15,6 +15,7 @@ callers can attach diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -57,14 +58,19 @@ class SeriesConfig:
     """Stopping controls for :func:`sum_series`.
 
     tol is the absolute remainder bound the tail estimate must reach for
-    convergence; it must be positive and finite.  max_terms caps the
-    number of evaluated terms.
+    convergence; it must be a real number, not a bool, positive and
+    finite.  max_terms caps the number of evaluated terms; it must be an
+    int.
     """
 
     tol: float = 1e-12
     max_terms: int = 1_000_000
 
     def __post_init__(self) -> None:
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
+        if not isinstance(self.max_terms, int):  # a bool passes, and is below warmup
+            raise ValueError(f"max_terms must be an int, got {self.max_terms!r}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_terms < _WARMUP:

@@ -147,6 +147,11 @@ def test_non_parser_nodes_are_type_errors():
         evaluate(Bin("%", Num(1.0), Var()), 1.0)
     with pytest.raises(TypeError, match="not an expression node: 1.0"):
         format(Neg(1.0))
+    # "^" is the operator and pow a function: neither compiles as the other
+    with pytest.raises(TypeError, match=r"not an expression node: Bin\(op='pow'"):
+        evaluate(Bin("pow", Num(2.0), Var()), 1.0)
+    with pytest.raises(TypeError, match=r"not an expression node: Call\(name='pow'"):
+        evaluate(Call("pow", (Var(),)), 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,33 @@ ZERO = lambda t: 0.0
 IDENT = lambda t: t
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("end", ["a", "b"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda f, a, b: holder_check(f, f, a, b, StepPair(1.0, 1.0), 3.0),
+        lambda f, a, b: cauchy_schwarz_check(f, f, a, b, StepPair(1.0, 1.0)),
+        lambda f, a, b: minkowski_check(f, f, a, b, StepPair(1.0, 1.0), 3.0),
+        lambda f, a, b: comparison_check(f, f, a, b, StepPair(1.0, 1.0)),
+        lambda f, a, b: mvt_constant(f, f, a, b, StepPair(1.0, 1.0)),
+    ],
+    ids=["holder", "cs", "minkowski", "comparison", "mvt"],
+)
+def test_non_finite_endpoints_rejected_before_any_read(check, end, x):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / (1.0 + t * t)
+
+    a, b = (x, 2.0) if end == "a" else (0.0, x)
+    with pytest.raises(ValueError) as err:
+        check(f, a, b)
+    assert str(err.value) == f"{end} must be finite, got {x!r}"
+    assert calls == []
+
+
 def test_holder_equality_for_constant_pair():
     report = holder_check(ONE, ONE, 0.0, 2.0, StepPair(1.0, 1.0), p=2.0)
     assert report.lhs == 2.0

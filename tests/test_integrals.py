@@ -222,6 +222,41 @@ def test_non_finite_steps_rejected_before_any_read(call, name, step):
     assert calls == []
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda f, x: forward_integral(f, x, 2.0, 1.0), "a"),
+        (lambda f, x: forward_integral(f, 0.0, x, 1.0), "b"),
+        (lambda f, x: forward_integral(f, 0.0, x, 1.0, IntegralMode.STRICT), "b"),
+        (lambda f, x: backward_integral(f, x, 0.0, 1.0), "a"),
+        (lambda f, x: symmetric_integral(f, 0.0, x, StepPair(1.0, 1.0)), "b"),
+        (lambda f, x: antiderivative(f, x, 1.0)(2.0), "a"),
+        (lambda f, x: antiderivative(f, 0.0, 1.0)(x), "b"),
+        (lambda f, x: forward_integral_to_infinity(f, x, 1.0), "x"),
+        (lambda f, x: backward_integral_from_minus_infinity(f, x, 1.0), "x"),
+        (lambda f, x: ftc_residuals(f, x, 2.0, 1.0), "a"),
+        (lambda f, x: ftc_residuals(f, 0.0, x, 1.0), "b"),
+        (lambda f, x: integration_by_parts_residual(f, f, x, 2.0, 1.0), "a"),
+        (lambda f, x: integration_by_parts_residual(f, f, 0.0, x, 1.0), "b"),
+    ],
+    ids=["forward-a", "forward-b", "forward-strict", "backward", "symmetric", "antiderivative-a",
+         "antiderivative-b", "forward_integral_to_infinity", "backward_integral_from_minus_infinity",
+         "ftc-a", "ftc-b", "ibp-a", "ibp-b"],
+)
+def test_non_finite_endpoints_rejected_before_any_read(call, name, x):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / (1.0 + t * t)
+
+    with pytest.raises(ValueError) as err:
+        call(f, x)
+    assert str(err.value) == f"{name} must be finite, got {x!r}"
+    assert calls == []
+
+
 # 1e17 and the next float but one, 16 apart: a unit step cannot walk
 # between them, since every a + k rounds onto a multiple of 16.
 FINE_A, FINE_B = 1e17, 1.0000000000000002e17

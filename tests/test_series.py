@@ -59,6 +59,10 @@ def test_non_finite_term_raises_with_index():
         {"tol": math.inf},
         {"max_terms": 4},
         {"tol": math.nan},
+        {"max_terms": 16.5},
+        {"max_terms": 1e6},
+        {"tol": True},
+        {"tol": "1e-6"},
     ],
 )
 def test_config_validation(kwargs):

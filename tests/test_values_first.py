@@ -18,6 +18,7 @@ import pytest
 from norlund import (
     DomainFaultError,
     GridBudgetError,
+    GridDirection,
     HypothesisFailedError,
     IntegralMode,
     NegativeWeightError,
@@ -35,6 +36,7 @@ from norlund import (
     mvt_constant,
     symmetric_integral,
 )
+from norlund import integrals
 from norlund.inequalities import sampled_grid_points
 
 # ----------------------------------------------------------------------
@@ -448,6 +450,32 @@ def test_faulting_plain_integral_reads_f_again_up_to_the_fault():
         forward_integral(f, 0.0, 100.0, 1.0)
     assert err.value.point == 7.0
     assert calls[0] == 100 + 8
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f, g: cauchy_schwarz_check(f, g, 0.0, 100.0, ONE),
+        lambda f, g: holder_check(f, g, 0.0, 100.0, ONE, 3.0),
+        lambda f, g: minkowski_check(f, g, 0.0, 100.0, ONE, 3.0),
+        lambda f, g: comparison_check(lambda t: 0.1 * f(t), g, 0.0, 100.0, ONE),
+        lambda f, g: mvt_constant(f, g, 0.0, 100.0, ONE),
+    ],
+    ids=["cs", "holder", "minkowski", "comparison", "mvt"],
+)
+def test_checks_walk_one_side_grid_per_direction(run, monkeypatch):
+    # Every integral of a check shares its direction's grid, so however
+    # many integrals the check builds, it walks one grid per direction.
+    walks = []
+    grid_points = integrals.grid_points
+
+    def counted_walk(anchor, target, step, direction, count, cfg=None):
+        walks.append(direction)
+        return grid_points(anchor, target, step, direction, count, cfg)
+
+    monkeypatch.setattr(integrals, "grid_points", counted_walk)
+    calls_of(run)
+    assert sorted(walks, key=lambda d: d.value) == [GridDirection.BACKWARD, GridDirection.FORWARD]
 
 
 def test_checks_on_grids_that_do_not_coincide():
