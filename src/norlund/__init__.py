@@ -6,107 +6,16 @@ the two-sided symmetric integral, and numerical verifiers for the
 calculus identities and integral inequalities.
 """
 
-from .errors import (
-    BadExponentError,
-    DomainFaultError,
-    ExprSyntaxError,
-    GridBudgetError,
-    HypothesisFailedError,
-    NegativeWeightError,
-    NonFiniteTermError,
-    NonFiniteValueError,
-    NorlundError,
-    NotAlignedError,
-    NotIntegrableError,
-    UnknownIdentifierError,
-    ZeroStepError,
-)
-from .expr import evaluate as evaluate_expr
-from .expr import format as format_expr
-from .expr import parse as parse_expr
-from .inequalities import (
-    InequalityReport,
-    MvtReport,
-    cauchy_schwarz_check,
-    comparison_check,
-    holder_check,
-    minkowski_check,
-    mvt_constant,
-)
-from .integrals import (
-    IntegralMode,
-    IntegralResult,
-    antiderivative,
-    backward_integral,
-    backward_integral_from_minus_infinity,
-    forward_integral,
-    forward_integral_to_infinity,
-    ftc_residuals,
-    integration_by_parts_residual,
-    symmetric_integral,
-    zero_extension,
-)
-from .operators import (
-    EPS_GRID,
-    GridAlignment,
-    GridDirection,
-    RealFunction,
-    StepPair,
-    backward_difference,
-    forward_difference,
-    grid_align,
-    symmetric_difference,
-)
-from .series import SeriesConfig, SeriesResult, Verdict, sum_series
+from . import errors, inequalities, integrals, operators, series
+from .errors import *  # noqa: F401,F403
+from .expr import evaluate as evaluate_expr, format as format_expr, parse as parse_expr
+from .inequalities import *  # noqa: F401,F403
+from .integrals import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadExponentError",
-    "DomainFaultError",
-    "EPS_GRID",
-    "ExprSyntaxError",
-    "GridAlignment",
-    "GridBudgetError",
-    "GridDirection",
-    "HypothesisFailedError",
-    "InequalityReport",
-    "IntegralMode",
-    "IntegralResult",
-    "MvtReport",
-    "NegativeWeightError",
-    "NonFiniteTermError",
-    "NonFiniteValueError",
-    "NorlundError",
-    "NotAlignedError",
-    "NotIntegrableError",
-    "RealFunction",
-    "SeriesConfig",
-    "SeriesResult",
-    "StepPair",
-    "UnknownIdentifierError",
-    "Verdict",
-    "ZeroStepError",
-    "antiderivative",
-    "backward_difference",
-    "backward_integral",
-    "backward_integral_from_minus_infinity",
-    "cauchy_schwarz_check",
-    "comparison_check",
-    "evaluate_expr",
-    "format_expr",
-    "forward_difference",
-    "forward_integral",
-    "forward_integral_to_infinity",
-    "ftc_residuals",
-    "grid_align",
-    "holder_check",
-    "integration_by_parts_residual",
-    "minkowski_check",
-    "mvt_constant",
-    "parse_expr",
-    "symmetric_difference",
-    "symmetric_integral",
-    "sum_series",
-    "zero_extension",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = [*errors.__all__, *inequalities.__all__, *integrals.__all__, *operators.__all__,
+           *series.__all__, "evaluate_expr", "format_expr", "parse_expr"]

@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from enum import Enum
 
 from .errors import NorlundError
@@ -31,43 +31,24 @@ from .operators import StepPair, backward_difference, forward_difference, symmet
 from .series import SeriesConfig
 from . import expr as expr_mod
 
-__all__ = ["RunReport", "Status", "build_parser", "main"]
-
-_CHECK_KINDS = ("holder", "cs", "minkowski", "mvt", "comparison", "ftc", "ibp")
+__all__ = ["build_parser", "main"]
 
 # The defaults of the check flags that some kinds do not read, and, per
-# kind, the flags it does not read: each must keep its default.
+# check kind in --kind's order, the flags it does not read: each must
+# keep its default.
 _CHECK_DEFAULTS = {"g": None, "beta": 0.0, "p": 2.0, "mode": "auto", "check_tol": 1e-9}
 _UNREAD_FLAGS = {
-    "ftc": ("g", "beta", "p", "mode"),
-    "ibp": ("beta", "p", "mode"),
+    "holder": ("check_tol",),
     "cs": ("p", "check_tol"),
+    "minkowski": ("check_tol",),
     "mvt": ("p", "check_tol"),
     "comparison": ("p", "check_tol"),
-    "holder": ("check_tol",),
-    "minkowski": ("check_tol",),
+    "ftc": ("g", "beta", "p", "mode"),
+    "ibp": ("beta", "p", "mode"),
 }
 
-
-class Status(Enum):
-    OK = "ok"
-    CHECK_FAILED = "check_failed"
-    ERROR = "error"
-
-    @property
-    def exit_code(self) -> int:
-        return {"ok": 0, "check_failed": 1, "error": 2}[self.value]
-
-
-@dataclass
-class RunReport:
-    """One command's report; result is a library result, a dict or None."""
-
-    command: str
-    inputs: dict
-    result: object
-    status: Status
-    diagnostics: list = field(default_factory=list)
+# A report's status and the exit code it ends in.
+_EXIT_CODES = {"ok": 0, "check_failed": 1, "error": 2}
 
 
 def _json_default(value):
@@ -121,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # declared here so that a report's inputs, read from the parsed
     # namespace in declaration order, keep their key order
-    pc.add_argument("--kind", required=True, choices=_CHECK_KINDS)
+    pc.add_argument("--kind", required=True, choices=tuple(_UNREAD_FLAGS))
     _add_mode_flags(pc)
     pc.add_argument(
         "--check-tol",
@@ -168,8 +149,12 @@ def _positive_float(text: str) -> float:
 
 def _add_mode_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=("strict", "telescoped", "auto"), default="auto")
-    sub.add_argument("--tol", type=_positive_float, default=1e-12, help="series tail tolerance")
-    sub.add_argument("--max-terms", type=int, default=1_000_000, help="term cap of any sum")
+    sub.add_argument(
+        "--tol", type=_positive_float, default=SeriesConfig.tol, help="series tail tolerance"
+    )
+    sub.add_argument(
+        "--max-terms", type=int, default=SeriesConfig.max_terms, help="term cap of any sum"
+    )
 
 
 def _function(text: str):
@@ -193,8 +178,8 @@ def _integral_diagnostics(result) -> list:
     return notes
 
 
-def _verdict(holds: bool) -> Status:
-    return Status.OK if holds else Status.CHECK_FAILED
+def _verdict(holds: bool) -> str:
+    return "ok" if holds else "check_failed"
 
 
 def _cmd_eval(args) -> tuple:
@@ -203,7 +188,7 @@ def _cmd_eval(args) -> tuple:
     result = symmetric_integral(
         f, args.a, args.b, steps, IntegralMode(args.mode), _series_config(args)
     )
-    return result, Status.OK, _integral_diagnostics(result)
+    return result, "ok", _integral_diagnostics(result)
 
 
 def _cmd_diff(args) -> tuple:
@@ -219,7 +204,7 @@ def _cmd_diff(args) -> tuple:
         value = backward_difference(f, args.t, args.beta)
     else:
         raise ValueError("diff needs --alpha, --beta, or both")
-    return {"kind": kind, "value": value}, Status.OK, []
+    return {"kind": kind, "value": value}, "ok", []
 
 
 def _cmd_check(args) -> tuple:
@@ -269,12 +254,12 @@ def _run_check(args) -> tuple:
 _COMMANDS = {"eval": _cmd_eval, "diff": _cmd_diff, "check": _cmd_check}
 
 
-def _emit(report: RunReport, as_json: bool) -> None:
+def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, default=_json_default))
         return
-    lines = [f"command = {report.command}"]
-    result = report.result
+    lines = [f"command = {report['command']}"]
+    result = report["result"]
     if result is not None:
         if not isinstance(result, dict):
             result = _json_default(result)
@@ -282,9 +267,9 @@ def _emit(report: RunReport, as_json: bool) -> None:
             if value is None:
                 continue
             lines.append(f"{key} = {json.dumps(value, default=_json_default)}")
-    for note in report.diagnostics:
+    for note in report["diagnostics"]:
         lines.append(f"note: {note}")
-    lines.append(f"status = {report.status.value}")
+    lines.append(f"status = {report['status']}")
     print("\n".join(lines))
 
 
@@ -294,10 +279,11 @@ def main(argv: list | None = None) -> int:
     try:
         result, status, diagnostics = _COMMANDS[args.command](args)
     except (NorlundError, ValueError) as exc:
-        result, status, diagnostics = None, Status.ERROR, [f"{type(exc).__name__}: {exc}"]
-    report = RunReport(args.command, inputs, result, status, diagnostics)
+        result, status, diagnostics = None, "error", [f"{type(exc).__name__}: {exc}"]
+    report = {"command": args.command, "inputs": inputs, "result": result,
+              "status": status, "diagnostics": diagnostics}
     _emit(report, args.json)
-    return report.status.exit_code
+    return _EXIT_CODES[status]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,22 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "BadExponentError",
+    "DomainFaultError",
+    "ExprSyntaxError",
+    "GridBudgetError",
+    "HypothesisFailedError",
+    "NegativeWeightError",
+    "NonFiniteTermError",
+    "NonFiniteValueError",
+    "NorlundError",
+    "NotAlignedError",
+    "NotIntegrableError",
+    "UnknownIdentifierError",
+    "ZeroStepError",
+]
+
 
 class NorlundError(Exception):
     """Base class for every error raised by this package."""

@@ -38,7 +38,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from .errors import NonFiniteValueError, NotAlignedError, NotIntegrableError
+from .errors import NonFiniteTermError, NonFiniteValueError, NotAlignedError, NotIntegrableError
 from .operators import (
     GridAlignment,
     GridDirection,
@@ -104,10 +104,18 @@ class IntegralResult:
 def _improper(
     f: RealFunction, x: float, step: float, direction: GridDirection, cfg: SeriesConfig | None
 ) -> SeriesResult:
-    """step * sum of f(x + k*step) forwards, f(x - k*step) backwards."""
+    """step * sum of f(x + k*step) forwards, f(x - k*step) backwards.
+
+    A term that is not finite raises NonFiniteValueError at its point.
+    """
     # x + k*(-step) is x - k*step bit for bit (IEEE negation is exact).
     signed = step if direction is GridDirection.FORWARD else -step
-    return sum_series(lambda k: step * f(x + k * signed), cfg)
+    try:
+        return sum_series(lambda k: step * f(x + k * signed), cfg)
+    except NonFiniteTermError as exc:
+        t = x + exc.index * signed
+        message = f"the {direction.value} series term at t={t!r} is non-finite ({exc.value!r})"
+        raise NonFiniteValueError(t, exc.value, message) from None
 
 
 def _finite_improper(
@@ -336,9 +344,11 @@ def antiderivative(
 ) -> RealFunction:
     """The function x -> forward integral of f from a to x (Auto mode).
 
-    Each call re-evaluates the integral; errors surface at call time.
+    Each call re-evaluates the integral; errors surface at call time,
+    except a bad alpha or a non-finite a, which are refused here.
     """
     _require_positive(alpha, "alpha")
+    _require_finite(a, "a")
 
     def accumulated(x: float) -> float:
         return forward_integral(f, a, x, alpha, IntegralMode.AUTO, cfg).value
@@ -462,9 +472,13 @@ def zero_extension(
 ) -> RealFunction:
     """The function equal to f on the closed interval [lo, hi], zero outside.
 
-    Either bound may be None for a half-line.  The extension makes any
-    function of bounded support strictly integrable.
+    Either bound may be None, or an infinity, for a half-line; a NaN
+    bound is a ValueError.  The extension makes any function of bounded
+    support strictly integrable.
     """
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if bound is not None and math.isnan(bound):
+            raise ValueError(f"{name} must not be NaN, got {bound!r}")
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"needs lo <= hi, got lo={lo!r}, hi={hi!r}")
 

@@ -28,13 +28,10 @@ __all__ = [
     "GridAlignment",
     "GridDirection",
     "RealFunction",
-    "Samples",
     "StepPair",
     "backward_difference",
     "forward_difference",
     "grid_align",
-    "grid_count",
-    "grid_points",
     "symmetric_difference",
 ]
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from norlund import cli
+from norlund import SeriesConfig, cli
 from norlund.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -197,6 +197,33 @@ def test_non_finite_integral_is_an_error(capsys, argv):
     assert code == 2
     assert report["status"] == "error"
     assert report["diagnostics"][0].startswith("NonFiniteValueError: ")
+
+
+def test_non_finite_strict_term_names_its_point(capsys):
+    argv = ["eval", "--expr", "1e308", "--a", "0", "--b", "0.5", "--alpha", "10", "--mode", "strict"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == (
+        "command = eval\n"
+        "note: NonFiniteValueError: the forward series term at t=0.0 is non-finite (inf)\n"
+        "status = error\n"
+    )
+
+
+def test_unknown_check_kind_lists_the_kinds_in_order(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--kind", "nope", "--f", "t", "--a", "0", "--b", "1"])
+    assert err.value.code == 2
+    assert (
+        "argument --kind: invalid choice: 'nope' (choose from 'holder', 'cs', 'minkowski', "
+        "'mvt', 'comparison', 'ftc', 'ibp')"
+    ) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_series_flag_defaults_are_the_series_config_defaults(command):
+    sub = {"eval": ["--expr", "t"], "check": ["--kind", "cs", "--f", "t"]}[command]
+    args = cli.build_parser().parse_args([command, *sub, "--a", "0", "--b", "1"])
+    assert (args.tol, args.max_terms) == (SeriesConfig().tol, SeriesConfig().max_terms)
 
 
 def test_usage_error_exits_two():

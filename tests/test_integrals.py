@@ -257,6 +257,32 @@ def test_non_finite_endpoints_rejected_before_any_read(call, name, x):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "call, point, message",
+    [
+        (lambda f: forward_integral(f, 0.0, 0.5, 1.0, IntegralMode.STRICT), 3.0,
+         "the forward series term at t=3.0 is non-finite (inf)"),
+        (lambda f: backward_integral(f, -0.5, 0.0, 1.0, IntegralMode.STRICT), -2.5,
+         "the backward series term at t=-2.5 is non-finite (inf)"),
+        (lambda f: forward_integral_to_infinity(f, 0.5, 1.0), 2.5,
+         "the forward series term at t=2.5 is non-finite (inf)"),
+        (lambda f: backward_integral_from_minus_infinity(f, 0.0, 0.5), -2.5,
+         "the backward series term at t=-2.5 is non-finite (inf)"),
+    ],
+    ids=["forward-strict", "backward-strict", "forward_integral_to_infinity",
+         "backward_integral_from_minus_infinity"],
+)
+def test_non_finite_series_term_names_its_point(call, point, message):
+    from norlund import NonFiniteValueError
+
+    f = lambda t: math.inf if abs(t) > 2 else 1 / (1 + t * t)  # noqa: E731
+    with pytest.raises(NonFiniteValueError) as err:
+        call(f)
+    assert err.value.point == point
+    assert err.value.value == math.inf
+    assert str(err.value) == message
+
+
 # 1e17 and the next float but one, 16 apart: a unit step cannot walk
 # between them, since every a + k rounds onto a multiple of 16.
 FINE_A, FINE_B = 1e17, 1.0000000000000002e17
@@ -529,6 +555,24 @@ def test_zero_extension_outside_and_degenerate():
     assert half(-0.1) == 0.0 and half(1e9) == 1.0
     with pytest.raises(ValueError):
         zero_extension(lambda t: t, 2.0, 1.0)
+
+
+def test_zero_extension_refuses_a_nan_bound_and_takes_an_infinite_one():
+    for lo, hi, name in ((math.nan, 1.0, "lo"), (0.0, math.nan, "hi"), (math.nan, None, "lo")):
+        with pytest.raises(ValueError) as err:
+            zero_extension(lambda t: t, lo, hi)
+        assert str(err.value) == f"{name} must not be NaN, got nan"
+    half = zero_extension(lambda t: t, -math.inf, 1.0)
+    assert half(-5.0) == -5.0 and half(2.0) == 0.0
+    half = zero_extension(lambda t: t, 0.0, math.inf)
+    assert half(-5.0) == 0.0 and half(1e308) == 1e308
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_antiderivative_refuses_a_non_finite_anchor_when_built(a):
+    with pytest.raises(ValueError) as err:
+        antiderivative(lambda t: t, a, 1.0)
+    assert str(err.value) == f"a must be finite, got {a!r}"
 
 
 # ----------------------------------------------------------------------
