@@ -2,13 +2,18 @@
 
 Grammar (whitespace insignificant):
 
-    expr    := term (("+" | "-") term)*
-    term    := factor (("*" | "/") factor)*
-    factor  := "-" factor | power
-    power   := primary ("^" power)?          right associative
+    expr    := operand (("+" | "-" | "*" | "/") operand)*
+    operand := "-" operand | primary ("^" operand)?
     primary := NUMBER | "t" | "pi" | "e"
              | NAME "(" expr ("," expr)* ")"
              | "(" expr ")"
+
+Operators bind tighter further down the precedence table, _PRECEDENCE:
+
+    + -   left associative
+    * /   left associative
+    -     unary minus
+    ^     right associative: -t^2 is -(t^2), 2^t^2 is 2^(t^2)
 
 The exponent of "^" may not start with a bare unary minus: write
 2^(-t), not 2^-t.  Numbers are decimal with optional fraction and
@@ -80,7 +85,8 @@ Expr = Num | Var | Const | Neg | Bin | Call
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 # Each unary function's math routine, the exception it raises outside the
-# function's domain and the DomainFaultError reason for it, or None, None.
+# function's domain and the DomainFaultError reason for it, or None, None;
+# evaluate turns the ValueError of sin or cos at an infinity into a fault.
 _UNARY = {
     "abs": (abs, None, None),
     "exp": (math.exp, OverflowError, "exponential overflows"),
@@ -90,43 +96,36 @@ _UNARY = {
     "cos": (math.cos, None, None),
 }
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_SYMBOLS = "+-*/^(),"
+# The one statement of operator precedence, read by the parser and the
+# formatter: a higher number binds tighter.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_PREC_NEG = 3
+_PREC_ATOM = 5
+
+# One token per match; a bad character is any other non-space one.
+_TOKEN_RE = re.compile(
+    r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<symbol>[-+*/^(),])|(?P<bad>\S)"
+)
+_OPERAND = ("a number", "t", "a constant", "a function call", "'('")
 
 # The deepest nesting parse accepts: of the parser's own recursion (each
-# level holds at most six Python frames) and of the tree it builds (one
-# frame per level to compile, evaluate or format it), well inside
-# Python's default limit of 1000 frames.
+# level holds at most six Python frames: operand, primary, call and three
+# of binary) and of the tree it builds (one frame per level to compile,
+# evaluate or format it), well inside Python's default limit of 1000.
 _MAX_DEPTH = 100
 _TOO_DEEP = (f"an expression nested at most {_MAX_DEPTH} levels deep",)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, a symbol being its own kind."""
     tokens = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(("number", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            tokens.append(("name", m.group(), pos))
-            pos = m.end()
-            continue
-        raise ExprSyntaxError(pos, ("a number", "a name", "an operator"), ch)
-    tokens.append(("end", "", length))
+    for m in _TOKEN_RE.finditer(text):
+        kind, token = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ExprSyntaxError(m.start(), ("a number", "a name", "an operator"), token)
+        tokens.append((token if kind == "symbol" else kind, token, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -134,7 +133,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
-        self.depth = 0  # factor calls open on the stack
+        self.depth = 0  # operand calls open on the stack
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -151,7 +150,7 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node = self.binary(1)
         token = self.peek()
         if token[0] != "end":
             raise ExprSyntaxError(token[2], ("end of input", "an operator"), token[1])
@@ -163,21 +162,16 @@ class _Parser:
                 raise ExprSyntaxError(0, _TOO_DEEP, f"{height} levels")
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
+    def binary(self, min_prec: int) -> Expr:
+        # Precedence climbing (Pratt, "Top down operator precedence", 1973)
+        # over the operators binding at least min_prec; operand takes "^".
+        node = self.operand()
+        while (prec := _PRECEDENCE.get(self.peek()[0], 0)) >= min_prec:
             op = self.advance()[0]
-            node = Bin(op, node, self.term())
+            node = Bin(op, node, self.binary(prec + 1))
         return node
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
+    def operand(self) -> Expr:
         # Every recursion of the parser passes through here.
         kind, text, pos = self.peek()
         self.depth += 1
@@ -185,27 +179,20 @@ class _Parser:
             raise ExprSyntaxError(pos, _TOO_DEEP, text or "end of input")
         if kind == "-":
             self.advance()
-            node = Neg(self.factor())
+            node = Neg(self.operand())
         else:
-            node = self.power()
+            node = self.primary()
+            if self.peek()[0] == "^":
+                self.advance()
+                token = self.peek()
+                if token[0] == "-":
+                    raise ExprSyntaxError(
+                        token[2], _OPERAND, "-",
+                        hint="a '^' exponent starting with '-' must be parenthesized",
+                    )
+                node = Bin("^", node, self.operand())
         self.depth -= 1
         return node
-
-    def power(self) -> Expr:
-        base = self.primary()
-        if self.peek()[0] == "^":
-            self.advance()
-            token = self.peek()
-            if token[0] == "-":
-                raise ExprSyntaxError(
-                    token[2],
-                    ("a number", "t", "a constant", "a function call", "'('"),
-                    "-",
-                    hint="a '^' exponent starting with '-' must be parenthesized",
-                )
-            # factor() is power() here, as '-' was refused, but counts the depth
-            return Bin("^", base, self.factor())
-        return base
 
     def primary(self) -> Expr:
         kind, text, pos = self.peek()
@@ -217,7 +204,7 @@ class _Parser:
             return Num(value)
         if kind == "(":
             self.advance()
-            node = self.expr()
+            node = self.binary(1)
             self.expect(")")
             return node
         if kind == "name":
@@ -229,20 +216,19 @@ class _Parser:
             if text in _CONSTANTS:
                 return Const(text)
             raise UnknownIdentifierError(text, pos)
-        raise ExprSyntaxError(
-            pos, ("a number", "t", "a constant", "a function call", "'('"), text or "end of input"
-        )
+        raise ExprSyntaxError(pos, _OPERAND, text or "end of input")
 
     def call(self, name: str, pos: int) -> Expr:
-        if name not in _UNARY and name != "pow":
+        # The compiler's tables give each function's arity.
+        arity = 1 if name in _UNARY else 2 if (Call, name) in _BINARY else 0
+        if not arity:
             raise UnknownIdentifierError(name, pos)
         self.expect("(")
-        args = [self.expr()]
+        args = [self.binary(1)]
         while self.peek()[0] == ",":
             self.advance()
-            args.append(self.expr())
+            args.append(self.binary(1))
         self.expect(")")
-        arity = 2 if name == "pow" else 1
         if len(args) != arity:
             raise ExprSyntaxError(
                 pos, (f"{arity} argument(s) to {name}",), f"{len(args)} arguments"
@@ -460,17 +446,13 @@ def evaluate(e: Expr, t: float) -> float:
     except AttributeError:
         run = _closure(_compile(e))
         object.__setattr__(e, "_compiled", run)
-    value = run(t)
+    try:
+        value = run(t)
+    except ValueError:  # from sin or cos only: ln, sqrt and pow raise faults
+        raise DomainFaultError(e, t, "sine or cosine of an infinite value") from None
     if not _isfinite(value):
         raise DomainFaultError(e, t, "non-finite result")
     return value
-
-
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
 
 
 def _format_number(v: float) -> str:
@@ -491,14 +473,13 @@ def _format(e: Expr, min_prec: int) -> str:
             text, prec = name, _PREC_ATOM
         case Neg(operand=x):
             text, prec = "-" + _format(x, _PREC_NEG), _PREC_NEG
-        case Bin(op="^", left=l, right=r):
-            # Base renders at atom level so (a^b)^c and (-a)^b keep
-            # their structure; the exponent may chain right.
-            text = _format(l, _PREC_ATOM) + "^" + _format(r, _PREC_POW)
-            prec = _PREC_POW
-        case Bin(op=op, left=l, right=r):
-            prec = _PREC_ADD if op in "+-" else _PREC_MUL
-            text = _format(l, prec) + op + _format(r, prec + 1)
+        case Bin(op=op, left=l, right=r) if op in _PRECEDENCE:
+            prec = _PRECEDENCE[op]
+            # A left-associative operator's right side binds tighter.  The
+            # base of "^" renders at atom level, so (a^b)^c and (-a)^b keep
+            # their structure, and its exponent may chain right.
+            left, right = (prec + 1, prec) if op == "^" else (prec, prec + 1)
+            text = _format(l, left) + op + _format(r, right)
         case Call(name=name, args=args):
             text = name + "(" + ",".join(_format(arg, 0) for arg in args) + ")"
             prec = _PREC_ATOM

@@ -23,7 +23,7 @@ from .errors import (
     NegativeWeightError,
     NonFiniteValueError,
 )
-from .integrals import IntegralMode, IntegralResult, symmetric_integral
+from .integrals import IntegralMode, IntegralResult, _require_mode, symmetric_integral
 from .operators import (
     GridDirection,
     RealFunction,
@@ -138,6 +138,7 @@ class _Integrals:
     """
 
     def __init__(self, f, g, a, b, steps, mode, cfg):
+        _require_mode(mode)  # before a hypothesis check reads f or g
         self.f, self.g = Samples(f), Samples(g)
         self.args = (a, b, steps, mode, cfg)
         self.columns = {}  # per grid direction: (xs, ys)

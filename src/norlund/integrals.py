@@ -82,6 +82,11 @@ class IntegralMode(Enum):
     AUTO = "auto"
 
 
+def _require_mode(mode: IntegralMode) -> None:
+    if not isinstance(mode, IntegralMode):
+        raise ValueError(f"mode must be an IntegralMode, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class IntegralResult:
     """Value of one integral plus per-route diagnostics.
@@ -205,6 +210,7 @@ def _side(
     """
     step_name, diag_slot = _SIDES[direction]
     side = direction.value
+    _require_mode(mode)
     _require_positive(step, step_name)
     _require_finite(a, "a")
     _require_finite(b, "b")

@@ -78,6 +78,14 @@ def test_expressions_too_deep_are_usage_errors(args, note):
     assert "Traceback" not in proc.stderr
 
 
+def test_sine_of_an_infinite_value_is_a_domain_fault(capsys):
+    # the upper point t + alpha is read first
+    code = main(["diff", "--expr", "sin(t*1e308*10)", "--t", "1", "--alpha", "1"])
+    assert code == 2
+    assert ("note: DomainFaultError: domain fault at t=2.0: sine or cosine of an infinite value"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_a_number_flag_that_is_not_a_number_is_a_usage_error():
     proc = _run_cli("eval", "--expr", "t", "--a", "abc", "--b", "1", "--alpha", "1")
     assert proc.returncode == 2

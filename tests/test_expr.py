@@ -83,6 +83,48 @@ def test_token_after_a_complete_expression():
     assert err.value.found == ")"
 
 
+CHARACTER = ("a number", "a name", "an operator")
+OPERAND = ("a number", "t", "a constant", "a function call", "'('")
+
+
+@pytest.mark.parametrize(
+    "text, error, offset, expected, found",
+    [
+        ("t $ 1", ExprSyntaxError, 2, CHARACTER, "$"),
+        (".5", ExprSyntaxError, 0, CHARACTER, "."),
+        ("é", ExprSyntaxError, 0, CHARACTER, "é"),
+        ("1 + ", ExprSyntaxError, 4, OPERAND, "end of input"),
+        ("(t+1", ExprSyntaxError, 4, ("')'",), "end of input"),
+        ("t)", ExprSyntaxError, 1, ("end of input", "an operator"), ")"),
+        ("2^-t", ExprSyntaxError, 2, OPERAND, "-"),
+        ("x", UnknownIdentifierError, 0, None, "x"),
+        ("foo(t)", UnknownIdentifierError, 0, None, "foo"),
+        ("pow+1", UnknownIdentifierError, 0, None, "pow"),
+        ("abs(t, 1)", ExprSyntaxError, 0, ("1 argument(s) to abs",), "2 arguments"),
+        ("pow(t)", ExprSyntaxError, 0, ("2 argument(s) to pow",), "1 arguments"),
+        ("sin()", ExprSyntaxError, 4, OPERAND, ")"),
+        ("1e999", ExprSyntaxError, 0, ("a representable number",), "1e999"),
+        ("", ExprSyntaxError, 0, OPERAND, "end of input"),
+        ("  ", ExprSyntaxError, 2, OPERAND, "end of input"),
+    ],
+)
+def test_parse_error_surface(text, error, offset, expected, found):
+    """One row per raise site of the parser; found is an unknown identifier's name."""
+    with pytest.raises(error) as err:
+        parse(text)
+    e = err.value
+    assert type(e) is error
+    if error is UnknownIdentifierError:
+        assert (e.offset, e.name) == (offset, found)
+    else:
+        assert (e.offset, e.expected, e.found) == (offset, expected, found)
+
+
+def test_parse_accepts_any_unicode_whitespace():
+    # a tab and a no-break space
+    assert parse("\tt\u00a0+\t1\u00a0") == Bin("+", Var(), Num(1.0))
+
+
 # ----------------------------------------------------------------------
 # Depth bound: parse refuses what would overflow Python's stack later
 # ----------------------------------------------------------------------
@@ -147,6 +189,8 @@ def test_non_parser_nodes_are_type_errors():
         evaluate(Bin("%", Num(1.0), Var()), 1.0)
     with pytest.raises(TypeError, match="not an expression node: 1.0"):
         format(Neg(1.0))
+    with pytest.raises(TypeError, match=r"not an expression node: Bin\(op='%'"):
+        format(Bin("%", Num(1.0), Var()))
     # "^" is the operator and pow a function: neither compiles as the other
     with pytest.raises(TypeError, match=r"not an expression node: Bin\(op='pow'"):
         evaluate(Bin("pow", Num(2.0), Var()), 1.0)
@@ -184,6 +228,16 @@ def test_evaluate_domain_faults():
         evaluate(parse("t^0.5"), -1.0)  # negative base, fractional exponent
     with pytest.raises(DomainFaultError):
         evaluate(parse("exp(t)"), 1e4)  # overflow is a fault, not inf
+
+
+@pytest.mark.parametrize("text", ["sin(t*1e308*10)", "cos(t*1e308*10)", "sin(1e308*10)"],
+                         ids=["sin", "cos", "constant-folded"])
+def test_sine_or_cosine_of_an_infinite_value_is_a_domain_fault(text):
+    tree = parse(text)
+    with pytest.raises(DomainFaultError) as err:
+        evaluate(tree, 1.0)
+    assert err.value.node is tree and err.value.t == 1.0
+    assert err.value.reason == "sine or cosine of an infinite value"
 
 
 def test_domain_fault_carries_point():
@@ -316,7 +370,10 @@ def _reference_walk(e, t):
 
 
 def _reference_evaluate(e, t):
-    value = _reference_walk(e, t)
+    try:
+        value = _reference_walk(e, t)
+    except ValueError:  # math.sin or math.cos of an infinity
+        raise DomainFaultError(e, t, "sine or cosine of an infinite value") from None
     if not math.isfinite(value):
         raise DomainFaultError(e, t, "non-finite result")
     return value

@@ -56,6 +56,30 @@ def test_non_finite_endpoints_rejected_before_any_read(check, end, x):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda f, mode: holder_check(f, f, 0.0, 2.0, StepPair(1.0, 1.0), 2.0, mode),
+        lambda f, mode: cauchy_schwarz_check(f, f, 0.0, 2.0, StepPair(1.0, 1.0), mode),
+        lambda f, mode: minkowski_check(f, f, 0.0, 2.0, StepPair(1.0, 1.0), 3.0, mode),
+        lambda f, mode: comparison_check(f, f, 0.0, 2.0, StepPair(1.0, 1.0), mode),
+        lambda f, mode: mvt_constant(f, f, 0.0, 2.0, StepPair(1.0, 1.0), mode),
+    ],
+    ids=["holder", "cs", "minkowski", "comparison", "mvt"],
+)
+def test_a_mode_that_is_not_an_integral_mode_is_refused_before_any_read(check):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0
+
+    with pytest.raises(ValueError) as err:
+        check(f, "auto")
+    assert str(err.value) == "mode must be an IntegralMode, got 'auto'"
+    assert calls == []
+
+
 def test_holder_equality_for_constant_pair():
     report = holder_check(ONE, ONE, 0.0, 2.0, StepPair(1.0, 1.0), p=2.0)
     assert report.lhs == 2.0

@@ -257,6 +257,29 @@ def test_non_finite_endpoints_rejected_before_any_read(call, name, x):
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", ["telescoped", None], ids=["string", "none"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, mode: forward_integral(f, 0.0, 2.0, 1.0, mode, SeriesConfig(tol=1e-6)),
+        lambda f, mode: backward_integral(f, 0.0, 2.0, 1.0, mode),
+        lambda f, mode: symmetric_integral(f, 0.0, 2.0, StepPair(1.0, 1.0), mode),
+    ],
+    ids=["forward", "backward", "symmetric"],
+)
+def test_a_mode_that_is_not_an_integral_mode_is_refused_before_any_read(call, mode):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0
+
+    with pytest.raises(ValueError) as err:
+        call(f, mode)
+    assert str(err.value) == f"mode must be an IntegralMode, got {mode!r}"
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "call, point, message",
     [
