@@ -53,7 +53,7 @@ from .operators import (
     grid_count,
     grid_points,
 )
-from .series import SeriesConfig, SeriesResult, Verdict, sum_series
+from .series import SeriesConfig, SeriesResult, Verdict, _config, sum_series
 
 __all__ = [
     "IntegralMode",
@@ -351,10 +351,12 @@ def antiderivative(
     """The function x -> forward integral of f from a to x (Auto mode).
 
     Each call re-evaluates the integral; errors surface at call time,
-    except a bad alpha or a non-finite a, which are refused here.
+    except a bad alpha, a non-finite a or a cfg that is not a
+    SeriesConfig, which are refused here.
     """
     _require_positive(alpha, "alpha")
     _require_finite(a, "a")
+    _config(cfg)
 
     def accumulated(x: float) -> float:
         return forward_integral(f, a, x, alpha, IntegralMode.AUTO, cfg).value

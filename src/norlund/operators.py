@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .errors import GridBudgetError, NonFiniteValueError, ZeroStepError
-from .series import SeriesConfig
+from .series import SeriesConfig, _config
 
 __all__ = [
     "EPS_GRID",
@@ -231,12 +231,13 @@ def grid_points(
     """The first count points of the grid from anchor towards target.
 
     Before making a point it checks step as grid_align does, then raises
-    GridBudgetError if count exceeds cfg.max_terms, then ZeroStepError if
+    ValueError if cfg is neither a SeriesConfig nor None, GridBudgetError
+    if count exceeds cfg.max_terms, then ZeroStepError if
     the endpoints differ and step is below the ulp of the larger in
     magnitude: the points would coincide.
     """
     _require_positive(step, "grid step")
-    max_terms = (cfg or SeriesConfig()).max_terms
+    max_terms = _config(cfg).max_terms
     if count > max_terms:
         raise GridBudgetError(anchor, target, step, count, max_terms)
     if anchor != target and step < math.ulp(max(abs(anchor), abs(target))):

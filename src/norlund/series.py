@@ -4,7 +4,10 @@ The engine sums term(0) + term(1) + ... in strict index order with
 Kahan-Neumaier compensated accumulation.  Stopping is heuristic: recent
 terms are treated as roughly geometric, with the common ratio estimated
 by a geometric mean over a sliding window, and the implied remainder
-bound is compared against the requested tolerance.  Two heuristics
+bound is compared against the requested tolerance.  Its fractional
+power is taken only when the lower bound 32 |a_k| r / (1 - r) on it,
+r = |a_k/a_{k-32}|, cannot exceed the tolerance; the reported tail
+estimate is still the exact formula's value.  Two heuristics
 declare divergence: terms that plateau above the tolerance (the stall
 rule), and dyadic block sums that shrink like a power law k^-p with
 p <= 1 (the condensation rule).  Exhausting the term cap yields a
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -79,6 +83,15 @@ class SeriesConfig:
             )
 
 
+def _config(cfg: SeriesConfig | None) -> SeriesConfig:
+    """cfg, or the default SeriesConfig for None; anything else is a ValueError."""
+    if cfg is None:
+        return SeriesConfig()
+    if not isinstance(cfg, SeriesConfig):
+        raise ValueError(f"cfg must be a SeriesConfig or None, got {cfg!r}")
+    return cfg
+
+
 @dataclass(frozen=True)
 class SeriesResult:
     """Value and diagnostics of one summation."""
@@ -97,7 +110,12 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     propagates).  The tail estimate treats the recent terms as geometric:
     with rho the geometric-mean ratio |a_k/a_{k-1}| over the last
     _STALL_WINDOW (32) steps, the remainder after a_k is taken to be
-    |a_k| * rho / (1 - rho), infinite when rho >= 1.
+    |a_k| * rho / (1 - rho), infinite when rho >= 1.  The power rho =
+    r^(1/32), r = |a_k/a_{k-32}|, is taken only when the lower bound
+    32 |a_k| r / (1 - r) on that remainder cannot exceed tol; results
+    are those of taking it on every term, and tail_estimate is the exact
+    value for the last term.  A cfg that is neither a SeriesConfig nor
+    None is a ValueError.
 
     Divergence is declared by either of two heuristics, both checked once
     per _STALL_WINDOW terms that miss tol, so neither adds per-term work:
@@ -123,18 +141,22 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     Identical inputs produce bit-identical results: summation order is
     fixed and there is no shared state.
     """
-    if cfg is None:
-        cfg = SeriesConfig()
+    cfg = _config(cfg)
     tol = cfg.tol
     max_terms = cfg.max_terms
     warmup = _WARMUP
     win = _STALL_WINDOW
+    # The bound of _geometric_tail with margins: 1 + 2^-40 covers the
+    # rounding on both sides, near_one - r for 1 - r covers up to 16 ulps
+    # of error in the power (large beside 1 - rho as r nears 1), and the
+    # floor keeps every quantity of a passing test a normal float.
+    bound_tol = max(float(min(tol, sys.float_info.max)) * (1.0 + 2.0**-40) / win, 2.0**-900)
+    near_one = 1.0 + 2.0**-44
 
     total = 0.0
     comp = 0.0
     slots = win + 1
     window = [0.0] * slots  # ring buffer of recent |a_k|
-    tail = math.inf
     confirmations = 0
 
     best = math.inf  # smallest per-window minimum seen so far
@@ -148,37 +170,33 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     verdict = Verdict.TRUNCATION_LIMIT
     terms_used = max_terms
     isfinite = math.isfinite
+    inf = math.inf
 
     for k in range(max_terms):
         a = float(term(k))
         if not isfinite(a):
             raise NonFiniteTermError(k, a)
+        abs_a = abs(a)
 
         # Kahan-Neumaier update.
         t = total + a
-        if abs(total) >= abs(a):
+        if abs(total) >= abs_a:
             comp += (total - t) + a
         else:
             comp += (a - t) + total
         total = t
 
-        abs_a = abs(a)
-        window[k % slots] = abs_a
-
-        # The geometric mean of the last `span` ratios telescopes to a
-        # single endpoint ratio, so no per-step ratio history is needed.
-        span = win if k >= win else k
-        if abs_a == 0.0:
-            tail = 0.0
-        elif span == 0:
-            tail = math.inf
-        else:
-            oldest = window[(k - span) % slots]
-            if oldest > 0.0:
-                rho = (abs_a / oldest) ** (1.0 / span)
-                tail = abs_a * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        i = k % slots
+        window[i] = abs_a
+        oldest = window[i - win]  # |a_{k-32}|, or 0.0 while k < 32
+        if oldest > 0.0:
+            r = abs_a / oldest
+            if r < 1.0 and abs_a * r <= bound_tol * (near_one - r):
+                tail = _geometric_tail(window, k)
             else:
-                tail = math.inf  # restarted after an exact zero: no usable ratio
+                tail = inf  # above tol: no need to know by how much
+        else:  # the warmup, or a restart after an exact zero
+            tail = _geometric_tail(window, k)
 
         if tail <= tol:
             confirmations += 1
@@ -212,7 +230,28 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
                             terms_used = k + 1
                             break
 
-    return SeriesResult(total + comp, terms_used, tail, verdict)
+    return SeriesResult(total + comp, terms_used, _geometric_tail(window, terms_used - 1), verdict)
+
+
+def _geometric_tail(window: list, k: int) -> float:
+    """The remainder after a_k, |a_k| rho / (1 - rho), from sum_series's
+    ring buffer of |a|: the geometric mean rho of the last span ratios
+    telescopes to r^(1/span), r = |a_k/a_{k-span}|.  It is infinite when
+    rho >= 1 or there is no usable ratio (k = 0, or a restart after an
+    exact zero).  For span = 32 and r < 1, rho (1 - r) = (1 - rho)(rho
+    + rho^2 + ... + rho^32) >= 32 r (1 - rho), so the remainder is at
+    least 32 |a_k| r / (1 - r).
+    """
+    slots = len(window)
+    span = min(k, slots - 1)
+    abs_a = window[k % slots]
+    if abs_a == 0.0:
+        return 0.0
+    oldest = window[(k - span) % slots]
+    if span == 0 or not oldest > 0.0:
+        return math.inf
+    rho = (abs_a / oldest) ** (1.0 / span)
+    return abs_a * rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
 def _power_law_divergent(sums: list) -> bool:

@@ -80,6 +80,31 @@ def test_a_mode_that_is_not_an_integral_mode_is_refused_before_any_read(check):
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", list(IntegralMode), ids=[m.value for m in IntegralMode])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda f, mode, cfg: holder_check(f, f, 0.0, 2.0, StepPair(1.0, 1.0), 2.0, mode, cfg),
+        lambda f, mode, cfg: cauchy_schwarz_check(f, f, 0.0, 2.0, StepPair(1.0, 1.0), mode, cfg),
+        lambda f, mode, cfg: minkowski_check(f, f, 0.0, 2.0, StepPair(1.0, 1.0), 3.0, mode, cfg),
+        lambda f, mode, cfg: comparison_check(f, f, 0.0, 2.0, StepPair(1.0, 1.0), mode, cfg),
+        lambda f, mode, cfg: mvt_constant(f, f, 0.0, 2.0, StepPair(1.0, 1.0), mode, cfg),
+    ],
+    ids=["holder", "cs", "minkowski", "comparison", "mvt"],
+)
+def test_a_cfg_that_is_not_a_series_config_is_refused_before_any_read(check, mode):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0
+
+    with pytest.raises(ValueError) as err:
+        check(f, mode, {"tol": 1})
+    assert str(err.value) == "cfg must be a SeriesConfig or None, got {'tol': 1}"
+    assert calls == []
+
+
 def test_holder_equality_for_constant_pair():
     report = holder_check(ONE, ONE, 0.0, 2.0, StepPair(1.0, 1.0), p=2.0)
     assert report.lhs == 2.0

@@ -280,6 +280,39 @@ def test_a_mode_that_is_not_an_integral_mode_is_refused_before_any_read(call, mo
     assert calls == []
 
 
+@pytest.mark.parametrize("cfg", [{"tol": 1e-6}, "x", 3], ids=["dict", "string", "int"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, cfg: forward_integral(f, 0.0, 2.0, 1.0, IntegralMode.TELESCOPED, cfg),
+        lambda f, cfg: forward_integral(f, 0.0, 2.0, 1.0, IntegralMode.STRICT, cfg),
+        lambda f, cfg: backward_integral(f, 0.0, 2.0, 1.0, IntegralMode.TELESCOPED, cfg),
+        lambda f, cfg: backward_integral(f, 0.0, 2.0, 1.0, IntegralMode.STRICT, cfg),
+        lambda f, cfg: symmetric_integral(f, 0.0, 2.0, StepPair(1.0, 1.0), IntegralMode.AUTO, cfg),
+        lambda f, cfg: symmetric_integral(f, 0.0, 2.5, StepPair(1.0, 1.0), IntegralMode.AUTO, cfg),
+        lambda f, cfg: forward_integral_to_infinity(f, 0.0, 1.0, cfg),
+        lambda f, cfg: backward_integral_from_minus_infinity(f, 0.0, 1.0, cfg),
+        lambda f, cfg: antiderivative(f, 0.0, 1.0, cfg),
+        lambda f, cfg: ftc_residuals(f, 0.0, 2.0, 1.0, cfg),
+        lambda f, cfg: integration_by_parts_residual(f, f, 0.0, 2.0, 1.0, cfg),
+    ],
+    ids=["forward-telescoped", "forward-strict", "backward-telescoped", "backward-strict",
+         "symmetric-aligned", "symmetric-off-grid", "forward_integral_to_infinity",
+         "backward_integral_from_minus_infinity", "antiderivative", "ftc", "ibp"],
+)
+def test_a_cfg_that_is_not_a_series_config_is_refused_before_any_read(call, cfg):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / (1.0 + t * t)
+
+    with pytest.raises(ValueError) as err:
+        call(f, cfg)
+    assert str(err.value) == f"cfg must be a SeriesConfig or None, got {cfg!r}"
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "call, point, message",
     [

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -293,3 +294,222 @@ def test_slow_exponentials_converge(eps):
     r = sum_series(lambda k: math.exp(-eps * k), SeriesConfig(tol=1e-6))
     assert r.verdict is Verdict.CONVERGED
     assert abs(r.value - 1.0 / -math.expm1(-eps)) <= 1e-5
+
+
+# ----------------------------------------------------------------------
+# Differential test: the engine against its earlier loop, which took the
+# geometric tail's power on every term.  Every result and every exception
+# must be bit-identical, and term must be called in the same order.
+# ----------------------------------------------------------------------
+
+
+def _reference_sum_series(term, cfg=None):
+    """sum_series as it was before the tail's power was skipped by a bound."""
+    if cfg is None:
+        cfg = SeriesConfig()
+    tol = cfg.tol
+    max_terms = cfg.max_terms
+    warmup = series._WARMUP
+    win = series._STALL_WINDOW
+
+    total = 0.0
+    comp = 0.0
+    slots = win + 1
+    window = [0.0] * slots  # ring buffer of recent |a_k|
+    tail = math.inf
+    confirmations = 0
+
+    best = math.inf  # smallest per-window minimum seen so far
+    block_min = math.inf
+    block_fill = 0
+    stalled = 0
+
+    marks = []  # partial sums at the condensation rule's dyadic marks
+    next_mark = series._FIRST_MARK
+
+    verdict = Verdict.TRUNCATION_LIMIT
+    terms_used = max_terms
+    isfinite = math.isfinite
+
+    for k in range(max_terms):
+        a = float(term(k))
+        if not isfinite(a):
+            raise NonFiniteTermError(k, a)
+
+        # Kahan-Neumaier update.
+        t = total + a
+        if abs(total) >= abs(a):
+            comp += (total - t) + a
+        else:
+            comp += (a - t) + total
+        total = t
+
+        abs_a = abs(a)
+        window[k % slots] = abs_a
+
+        # The geometric mean of the last `span` ratios telescopes to a
+        # single endpoint ratio, so no per-step ratio history is needed.
+        span = win if k >= win else k
+        if abs_a == 0.0:
+            tail = 0.0
+        elif span == 0:
+            tail = math.inf
+        else:
+            oldest = window[(k - span) % slots]
+            if oldest > 0.0:
+                rho = (abs_a / oldest) ** (1.0 / span)
+                tail = abs_a * rho / (1.0 - rho) if rho < 1.0 else math.inf
+            else:
+                tail = math.inf  # restarted after an exact zero: no usable ratio
+
+        if tail <= tol:
+            confirmations += 1
+            if confirmations >= series._CONFIRMATIONS:
+                verdict = Verdict.CONVERGED
+                terms_used = k + 1
+                break
+        else:
+            confirmations = 0
+            if k >= warmup:
+                if abs_a < block_min:
+                    block_min = abs_a
+                block_fill += 1
+                if block_fill == win:
+                    if block_min < best:
+                        best = block_min
+                        stalled = 0
+                    else:
+                        stalled += 1
+                        if stalled >= win and block_min > tol:
+                            verdict = Verdict.DIVERGENT
+                            terms_used = k + 1
+                            break
+                    block_min = math.inf
+                    block_fill = 0
+                    if k >= next_mark - 1:
+                        next_mark *= 2
+                        marks.append(total + comp)
+                        if series._power_law_divergent(marks[-5:]):
+                            verdict = Verdict.DIVERGENT
+                            terms_used = k + 1
+                            break
+
+    return series.SeriesResult(total + comp, terms_used, tail, verdict)
+
+
+def _outcome(engine, term, cfg):
+    """An engine's result as comparable text, or its exception, with the
+    indices term was called at."""
+    calls = []
+
+    def recorded(k):
+        calls.append(k)
+        return term(k)
+
+    try:
+        r = engine(recorded, cfg)
+    except Exception as exc:
+        return (type(exc), exc.args), calls
+    return (r.value.hex(), r.terms_used, repr(r.tail_estimate), r.verdict.value), calls
+
+
+def _assert_same_as_reference(term, cfg):
+    got, got_calls = _outcome(sum_series, term, cfg)
+    want, want_calls = _outcome(_reference_sum_series, term, cfg)
+    assert got == want
+    assert got_calls == want_calls
+    if isinstance(got[1], int):  # a result: term was called once per term used, in order
+        assert got_calls == list(range(got[1]))
+    return got
+
+
+def _sweep_terms(rng):
+    """One term of each shape, with seeded parameters."""
+    q = rng.uniform(0.05, 0.999)
+    slow = 1.0 - 10.0 ** rng.uniform(-9.0, -2.0)  # ratio nearly 1: the bound is tight
+    p = rng.uniform(0.5, 3.0)
+    gap = rng.randint(2, 90)
+    return {
+        "constant": lambda k: 1.0,
+        "geometric": lambda k: q**k,
+        "slow_geometric": lambda k: slow**k,
+        "algebraic": lambda k: (k + 1.0) ** -p,
+        "alternating": lambda k: (-1.0) ** k * (k + 1.0) ** -p,
+        "oscillating": lambda k: math.sin(k + 1.0) / (k + 1.0),
+        "int_valued": lambda k: 10**9 // (k + 1) ** 2,
+        "restart_after_zero": lambda k: 0.0 if k % gap in (0, 1) else (k + 1.0) ** -2,
+    }
+
+
+SWEEP_TOLS = (5e-324, 1e-310, 1e-12, 1e-6, 1.0, 1.7e308)
+SWEEP_MAX_TERMS = (16, 31, 32, 33, 2**12)
+# near underflow (subnormal terms), plain, and near overflow
+SWEEP_SCALES = (1e-320, 1e-300, 1.0, 1e300, 1e307)
+
+
+@pytest.mark.parametrize("tol", SWEEP_TOLS)
+def test_engine_matches_reference_loop_on_a_seeded_sweep(tol):
+    rng = random.Random(f"series sweep {tol!r}")
+    for shape in _sweep_terms(rng).values():
+        scale = rng.choice(SWEEP_SCALES)
+        for max_terms in SWEEP_MAX_TERMS:
+            cfg = SeriesConfig(tol=tol, max_terms=max_terms)
+            _assert_same_as_reference(shape, cfg)
+            _assert_same_as_reference(lambda k: scale * shape(k), cfg)
+
+
+@pytest.mark.parametrize("digits", range(16, 53))
+def test_engine_matches_reference_where_tol_is_the_tail_itself(digits):
+    # A geometric series whose 32-term ratio is 1 - 2^-digits, with tol set
+    # to the reference's own tail at the last term: the engine's bound is
+    # nearest its rounding there, and must still take the power.  Without
+    # the margin for the power's own rounding error, digits 26-28 differ.
+    q = (1.0 - 2.0**-digits) ** (1.0 / 32.0)
+    for scale in (1.0, 1e-300, 1e300):
+        for last in (40, 100, 300):
+            term = lambda k: scale * q**k
+            probe = _reference_sum_series(term, SeriesConfig(tol=5e-324, max_terms=last + 1))
+            tail = probe.tail_estimate
+            if not 0.0 < tail < math.inf:
+                continue
+            for tol in (tail, math.nextafter(tail, 0.0), math.nextafter(tail, math.inf)):
+                _assert_same_as_reference(term, SeriesConfig(tol=tol, max_terms=last + 3))
+
+
+@pytest.mark.parametrize(
+    "term, cfg, verdict",
+    [
+        (lambda k: 0.5**k, SeriesConfig(tol=1e-9), Verdict.CONVERGED),
+        (lambda k: 1.0, SeriesConfig(tol=1e-6), Verdict.DIVERGENT),
+        (lambda k: 1.0 / (k + 1), SeriesConfig(tol=1e-6), Verdict.DIVERGENT),
+        (lambda k: (k + 1.0) ** -2, SeriesConfig(tol=1e-12, max_terms=3000), Verdict.TRUNCATION_LIMIT),
+    ],
+)
+def test_term_is_called_once_per_term_used_in_index_order(term, cfg, verdict):
+    got = _assert_same_as_reference(term, cfg)
+    assert got[3] == verdict.value
+
+
+@pytest.mark.parametrize("stop", [0, 1, 31, 32, 33, 700])
+def test_a_raising_or_non_finite_term_stops_both_engines_at_the_same_index(stop):
+    def raising(k):
+        if k == stop:
+            raise ZeroDivisionError(f"term {k}")
+        return (k + 1.0) ** -1.5
+
+    def non_finite(k):
+        return math.inf if k == stop else (k + 1.0) ** -1.5
+
+    for term, error in ((raising, ZeroDivisionError), (non_finite, NonFiniteTermError)):
+        got, calls = _outcome(sum_series, term, SeriesConfig(tol=1e-12))
+        assert got[0] is error
+        assert calls == list(range(stop + 1))
+        _assert_same_as_reference(term, SeriesConfig(tol=1e-12))
+
+
+@pytest.mark.parametrize("cfg", [{"tol": 1e-6}, "x", 0, 1e-6, SeriesConfig])
+def test_a_cfg_that_is_not_a_series_config_is_refused_before_any_term(cfg):
+    calls = []
+    with pytest.raises(ValueError, match=r"cfg must be a SeriesConfig or None, got "):
+        sum_series(lambda k: calls.append(k) or 1.0, cfg)
+    assert calls == []
