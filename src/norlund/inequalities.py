@@ -6,16 +6,16 @@ evaluates both sides with symmetric integrals and reports the margin;
 a check "holds" when the margin is no worse than rounding slack scaled
 to the magnitudes involved.  Pointwise hypotheses (nonnegative weight,
 |f| <= g) are verified by sampling the evaluation grids of both sides
-over [a, b], which are exactly the points the integrals read.  A check
-reads f and g at most once per distinct grid point on the telescoped
-route, whatever number of integrals it builds from them.
+over [a, b] (operators.sampled_grid_points), which are exactly the
+points the integrals read.  A check reads f and g at most once per
+distinct grid point on the telescoped route, whatever number of
+integrals it builds from them, through integrals._Integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 from .errors import (
     BadExponentError,
@@ -23,16 +23,8 @@ from .errors import (
     NegativeWeightError,
     NonFiniteValueError,
 )
-from .integrals import IntegralMode, IntegralResult, _require_mode, symmetric_integral
-from .operators import (
-    GridDirection,
-    RealFunction,
-    Samples,
-    StepPair,
-    _require_finite,
-    grid_count,
-    grid_points,
-)
+from .integrals import IntegralMode, IntegralResult, _Integrals, symmetric_integral
+from .operators import RealFunction, StepPair, _require_finite, sampled_grid_points
 from .series import SeriesConfig
 
 __all__ = [
@@ -105,54 +97,6 @@ def _require_interval(a: float, b: float) -> None:
         raise ValueError(f"needs a < b, got a={a!r}, b={b!r}")
 
 
-def sampled_grid_points(
-    a: float, b: float, steps: StepPair, cfg: SeriesConfig | None = None
-) -> List[float]:
-    """The grid points in [a, b] read by the two sides of the integral.
-
-    Forward points ascend from a, backward points descend from b; both
-    endpoint counts come from the alignment witness when it exists.
-    Either walk longer than cfg.max_terms points raises GridBudgetError,
-    and either walk with a step below its endpoints' resolution raises
-    ZeroStepError.
-    """
-    points: List[float] = []
-    walks = ((a, b, steps.alpha, GridDirection.FORWARD), (b, a, steps.beta, GridDirection.BACKWARD))
-    for anchor, target, step, direction in walks:
-        if step > 0.0:
-            count = grid_count(anchor, target, step, direction) + 1
-            points += grid_points(anchor, target, step, direction, count, cfg)
-    return points
-
-
-class _Integrals:
-    """Symmetric integrals on one [a, b] of integrands built from f and g.
-
-    Calling it with an integrand and its values form integrates the
-    integrand.  On a telescoped side, the first integral to reach a
-    direction walks its grid and reads f and g once per distinct grid
-    point into columns that every integral of the check shares, and
-    values(xs, ys) turns a side's columns into the integrand's values by
-    the integrand's own arithmetic on the raw reads.  A side whose reads
-    or values fault is summed by calling the integrand instead.
-    """
-
-    def __init__(self, f, g, a, b, steps, mode, cfg):
-        _require_mode(mode)  # before a hypothesis check reads f or g
-        self.f, self.g = Samples(f), Samples(g)
-        self.args = (a, b, steps, mode, cfg)
-        self.columns = {}  # per grid direction: (xs, ys)
-
-    def __call__(self, integrand, values) -> IntegralResult:
-        def on_grid(direction, walk):
-            if direction not in self.columns:
-                points = walk()
-                self.columns[direction] = (self.f.column(points), self.g.column(points))
-            return values(*self.columns[direction])
-
-        return symmetric_integral(integrand, *self.args, on_grid=on_grid)
-
-
 def _require_exponent(p: float) -> None:
     # An infinite p would make q = p/(p - 1) NaN and |f|^p overflow.
     if not 1.0 < p < math.inf:
@@ -175,12 +119,12 @@ def _holder_pieces(f, g, a, b, steps, p, mode, cfg):
     _require_exponent(p)
     _require_interval(a, b)
     q = p / (p - 1.0)
-    integral = _Integrals(f, g, a, b, steps, mode, cfg)
+    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
     product = integral(
-        lambda t: abs(f(t) * g(t)), lambda xs, ys: [abs(x * y) for x, y in zip(xs, ys)]
+        lambda t: abs(f(t) * g(t)), lambda F, G: [abs(x * y) for x, y in zip(F(), G())]
     )
-    f_power = integral(_abs_power(f, p), lambda xs, ys: [abs(x) ** p for x in xs])
-    g_power = integral(_abs_power(g, q), lambda xs, ys: [abs(y) ** q for y in ys])
+    f_power = integral(_abs_power(f, p), lambda F, G: [abs(x) ** p for x in F()])
+    g_power = integral(_abs_power(g, q), lambda F, G: [abs(y) ** q for y in G()])
     return q, product, f_power, g_power
 
 
@@ -230,13 +174,13 @@ def minkowski_check(
     """Check (int|f+g|^p)^(1/p) <= (int|f|^p)^(1/p) + (int|g|^p)^(1/p)."""
     _require_exponent(p)
     _require_interval(a, b)
-    integral = _Integrals(f, g, a, b, steps, mode, cfg)
+    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
     total = integral(
         _abs_power(lambda t: f(t) + g(t), p),
-        lambda xs, ys: [abs(x + y) ** p for x, y in zip(xs, ys)],
+        lambda F, G: [abs(x + y) ** p for x, y in zip(F(), G())],
     )
-    f_power = integral(_abs_power(f, p), lambda xs, ys: [abs(x) ** p for x in xs])
-    g_power = integral(_abs_power(g, p), lambda xs, ys: [abs(y) ** p for y in ys])
+    f_power = integral(_abs_power(f, p), lambda F, G: [abs(x) ** p for x in F()])
+    g_power = integral(_abs_power(g, p), lambda F, G: [abs(y) ** p for y in G()])
     lhs = _nonneg(total.value) ** (1.0 / p)
     rhs = _nonneg(f_power.value) ** (1.0 / p) + _nonneg(g_power.value) ** (1.0 / p)
     return _report(lhs, rhs, _context(a, b, steps, total, p=p))
@@ -257,7 +201,7 @@ def comparison_check(
     carrying the witness point.
     """
     _require_interval(a, b)
-    integral = _Integrals(f, g, a, b, steps, mode, cfg)
+    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
     points = sampled_grid_points(a, b, steps, cfg)
     xs, ys = integral.f.column_or_calls(points), integral.g.column_or_calls(points)
     for t, x, y in zip(points, xs, ys):
@@ -265,8 +209,8 @@ def comparison_check(
         g_value = float(y)
         if abs(f_value) > g_value:
             raise HypothesisFailedError(t, f_value, g_value)
-    f_integral = integral(f, lambda xs, ys: xs)
-    g_integral = integral(g, lambda xs, ys: ys)
+    f_integral = integral(f, lambda F, G: F())
+    g_integral = integral(g, lambda F, G: G())
     lhs = abs(f_integral.value)
     rhs = g_integral.value
     return _report(lhs, rhs, _context(a, b, steps, g_integral))
@@ -289,7 +233,7 @@ def mvt_constant(
     by convention.
     """
     _require_interval(a, b)
-    integral = _Integrals(f, g, a, b, steps, mode, cfg)
+    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
     points = sampled_grid_points(a, b, steps, cfg)
     for t, y in zip(points, integral.g.column_or_calls(points)):
         g_value = float(y)
@@ -297,9 +241,9 @@ def mvt_constant(
             raise NegativeWeightError(t, g_value)
 
     weighted = integral(
-        lambda t: f(t) * g(t), lambda xs, ys: [x * y for x, y in zip(xs, ys)]
+        lambda t: f(t) * g(t), lambda F, G: [x * y for x, y in zip(F(), G())]
     )
-    weight = integral(g, lambda xs, ys: ys)
+    weight = integral(g, lambda F, G: G())
     f_values = [float(x) for x in integral.f.column_or_calls(points)]
     m = min(f_values)
     M = max(f_values)

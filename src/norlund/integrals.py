@@ -20,14 +20,14 @@ Every telescoped side sums the values an on_grid function gives for its
 grid points.  on_grid receives the side's walk, a function that returns
 the list of points, so a caller that already holds a direction's values
 need not walk its grid again.  A plain integral's on_grid walks the grid
-once and calls f at each point, once.  The checks read f and g at most
-once per distinct grid point: they hand each integral an on_grid
-function that builds the integrand's values from values read once, and
-walk each direction's grid once.  Only when on_grid raises or its values
-do not sum to a finite total does the side walk its grid again and call
-f point by point, up to the first fault, so the fault is raised as f
-itself raises it; a plain integral whose f faults thus calls f again up
-to the fault.  Strict sides always call f.
+once and calls f at each point, once.  The seven verifiers (five checks,
+ftc and ibp) read f and g at most once per distinct grid point through
+_Integrals, which walks each direction's grid once and builds every
+integral's values from columns read once.  Only when on_grid raises or
+its values do not sum to a finite total does the side walk its grid
+again and call f point by point, up to the first fault, so the fault is
+raised as f itself raises it; a plain integral whose f faults thus calls
+f again up to the fault.  Strict sides always call f.
 """
 
 from __future__ import annotations
@@ -36,22 +36,21 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NonFiniteTermError, NonFiniteValueError, NotAlignedError, NotIntegrableError
 from .operators import (
     GridAlignment,
     GridDirection,
     RealFunction,
-    Samples,
     StepPair,
     _finite,
     _require_finite,
     _require_positive,
     forward_difference,
     grid_align,
-    grid_count,
     grid_points,
+    sampled_grid_points,
 )
 from .series import SeriesConfig, SeriesResult, Verdict, _config, sum_series
 
@@ -85,6 +84,78 @@ class IntegralMode(Enum):
 def _require_mode(mode: IntegralMode) -> None:
     if not isinstance(mode, IntegralMode):
         raise ValueError(f"mode must be an IntegralMode, got {mode!r}")
+
+
+class Samples:
+    """A function's raw values by point, each point evaluated at most once.
+
+    Points are keyed by value, except that -0.0 and 0.0 are distinct.  An
+    evaluation that raises stores nothing, so reading its point again
+    evaluates it again.
+    """
+
+    def __init__(self, f: RealFunction):
+        self.f = f
+        self.values = {}
+
+    def column(self, points: Sequence[float]) -> list:
+        """f's raw values at points, in order, evaluating the unread ones."""
+        values, f = self.values, self.f
+        # -0.0 == 0.0 as dict keys, so a zero is keyed by its sign.
+        keys = [t or (math.copysign(1.0, t), "zero") for t in points]
+        return [
+            values[k] if k in values else values.setdefault(k, f(t)) for k, t in zip(keys, points)
+        ]
+
+    def column_or_calls(self, points: Sequence[float]) -> Iterable:
+        """column(points), or, if that raises, f at each point lazily.
+
+        A caller that checks each value as it iterates then meets the
+        first fault in point order, as a loop calling f would.
+        """
+        try:
+            return self.column(points)
+        except Exception:
+            return map(self.f, points)
+
+
+class _Integrals:
+    """Integrals on one [a, b] of integrands built from f and g, values first.
+
+    Calling it with an integrand and its values form integrates the
+    integrand with integrate(integrand, a, b, steps, mode, cfg).  On a
+    telescoped side, values(F, G) builds the integrand's values from
+    F(shift) and G(shift): f's and g's raw values at the side's grid
+    points moved by shift (0.0 by default; g is None when G is unread).
+    Each direction is walked and each (direction, function, shift) column
+    read once per instance.  A side whose reads or values fault is summed
+    by calling the integrand.
+    """
+
+    def __init__(self, integrate, f, g, a, b, steps, mode, cfg):
+        _require_mode(mode)  # before a hypothesis check reads f or g
+        self.integrate = integrate
+        self.f, self.g = Samples(f), Samples(g)
+        self.args = (a, b, steps, mode, cfg)
+        self.points = {}  # per grid direction: the side's grid points
+        self.columns = {}  # per (direction, Samples, shift): the raw values
+
+    def _column(self, samples: Samples, direction: GridDirection, shift: float = 0.0) -> list:
+        key = (direction, samples, shift)
+        if key not in self.columns:
+            points = self.points[direction]
+            # The walk's own points when unshifted: t + 0.0 would turn -0.0 into 0.0.
+            self.columns[key] = samples.column([t + shift for t in points] if shift else points)
+        return self.columns[key]
+
+    def __call__(self, integrand: RealFunction, values) -> IntegralResult:
+        def on_grid(direction, walk):
+            if direction not in self.points:
+                self.points[direction] = walk()
+            column = self._column
+            return values(partial(column, self.f, direction), partial(column, self.g, direction))
+
+        return self.integrate(integrand, *self.args, on_grid=on_grid)
 
 
 @dataclass(frozen=True)
@@ -364,6 +435,12 @@ def antiderivative(
     return accumulated
 
 
+def _quotients(read, alpha: float) -> List[float]:
+    """The forward difference quotients (f(t + alpha) - f(t)) / alpha at
+    a side's grid points, from _Integrals' column reader of f."""
+    return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(read(alpha), read())]
+
+
 def ftc_residuals(
     f: RealFunction,
     a: float,
@@ -385,8 +462,8 @@ def ftc_residuals(
     _require_finite(b, "b")
     if b < a:
         raise ValueError(f"needs b >= a, got a={a!r}, b={b!r}")
-    points = grid_points(a, b, alpha, GridDirection.FORWARD, grid_count(a, b, alpha) + 1, cfg)
-    samples = Samples(f)
+    points = sampled_grid_points(a, b, StepPair(alpha, 0.0), cfg)
+    integral = _Integrals(forward_integral, f, None, a, b, alpha, IntegralMode.AUTO, cfg)
 
     # The accumulated integral at a + k*alpha is alpha times the running
     # sum of f over the k grid points before it, added left to right as
@@ -396,7 +473,7 @@ def ftc_residuals(
     r1 = 0.0
     total = 0.0
     lower = 0.0
-    for x, value in zip(points, samples.column_or_calls(points)):
+    for x, value in zip(points, integral.f.column_or_calls(points)):
         value = _finite(x, value)
         total += value
         upper = alpha * total
@@ -414,15 +491,9 @@ def ftc_residuals(
     def delta(t: float) -> float:
         return forward_difference(f, t, alpha)
 
-    def delta_values(direction: GridDirection, walk: GridWalk) -> List[float]:
-        points = walk()
-        ahead = samples.column([t + alpha for t in points])
-        here = samples.column(points)
-        return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(ahead, here)]
-
-    integral = forward_integral(delta, a, b, alpha, IntegralMode.AUTO, cfg, on_grid=delta_values)
-    fb, fa = samples.column((b, a))
-    r2 = abs(integral.value - (fb - fa))
+    r2_integral = integral(delta, lambda F, G: _quotients(F, alpha))
+    fb, fa = integral.f.column((b, a))
+    r2 = abs(r2_integral.value - (fb - fa))
     return r1, r2
 
 
@@ -444,7 +515,7 @@ def integration_by_parts_residual(
     are equal.
     """
     _require_positive(alpha, "alpha")
-    f_samples, g_samples = Samples(f), Samples(g)
+    integral = _Integrals(forward_integral, f, g, a, b, alpha, IntegralMode.AUTO, cfg)
 
     def f_dg(t: float) -> float:
         return f(t) * forward_difference(g, t, alpha)
@@ -452,24 +523,11 @@ def integration_by_parts_residual(
     def df_g_shift(t: float) -> float:
         return forward_difference(f, t, alpha) * g(t + alpha)
 
-    def f_dg_values(direction: GridDirection, walk: GridWalk) -> List[float]:
-        points = walk()
-        xs = f_samples.column(points)
-        ahead = g_samples.column([t + alpha for t in points])
-        ys = g_samples.column(points)
-        return [x * ((float(y1) - float(y0)) / alpha) for x, y1, y0 in zip(xs, ahead, ys)]
-
-    def df_g_shift_values(direction: GridDirection, walk: GridWalk) -> List[float]:
-        points = walk()
-        ahead = [t + alpha for t in points]
-        here = zip(f_samples.column(ahead), f_samples.column(points), g_samples.column(ahead))
-        return [((float(x1) - float(x0)) / alpha) * y1 for x1, x0, y1 in here]
-
-    lhs = forward_integral(f_dg, a, b, alpha, IntegralMode.AUTO, cfg, on_grid=f_dg_values).value
-    (fb, fa), (gb, ga) = f_samples.column((b, a)), g_samples.column((b, a))
+    lhs = integral(f_dg, lambda F, G: [x * q for x, q in zip(F(), _quotients(G, alpha))]).value
+    (fb, fa), (gb, ga) = integral.f.column((b, a)), integral.g.column((b, a))
     boundary = fb * gb - fa * ga
-    shifted = forward_integral(
-        df_g_shift, a, b, alpha, IntegralMode.AUTO, cfg, on_grid=df_g_shift_values
+    shifted = integral(
+        df_g_shift, lambda F, G: [q * y for q, y in zip(_quotients(F, alpha), G(alpha))]
     )
     rhs = boundary - shifted.value
     return abs(lhs - rhs)

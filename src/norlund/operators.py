@@ -2,7 +2,9 @@
 
 grid_points is the one walk over a step grid: every grid the integrals
 and the checks read comes from it, so the point formula, the term-cap
-budget and the resolution rule live in one place.  A step that must be
+budget and the resolution rule live in one place.  sampled_grid_points
+is the one rule for the points a verifier samples over [a, b]: the
+forward grid from a and the backward grid from b.  A step that must be
 positive is checked by one rule, _require_positive, for the difference
 quotients, the grid arithmetic and the integrals alike: a step at or
 below zero is a ZeroStepError, an infinite or NaN one a ValueError, as
@@ -18,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from .errors import GridBudgetError, NonFiniteValueError, ZeroStepError
 from .series import SeriesConfig, _config
@@ -76,39 +78,6 @@ class GridAlignment:
 
     k1: int
     residual: float
-
-
-class Samples:
-    """A function's raw values by point, each point evaluated at most once.
-
-    Points are keyed by value, except that -0.0 and 0.0 are distinct.  An
-    evaluation that raises stores nothing, so reading its point again
-    evaluates it again.
-    """
-
-    def __init__(self, f: RealFunction):
-        self.f = f
-        self.values = {}
-
-    def column(self, points: Sequence[float]) -> list:
-        """f's raw values at points, in order, evaluating the unread ones."""
-        values, f = self.values, self.f
-        # -0.0 == 0.0 as dict keys, so a zero is keyed by its sign.
-        keys = [t or (math.copysign(1.0, t), "zero") for t in points]
-        return [
-            values[k] if k in values else values.setdefault(k, f(t)) for k, t in zip(keys, points)
-        ]
-
-    def column_or_calls(self, points: Sequence[float]) -> Iterable:
-        """column(points), or, if that raises, f at each point lazily.
-
-        A caller that checks each value as it iterates then meets the
-        first fault in point order, as a loop calling f would.
-        """
-        try:
-            return self.column(points)
-        except Exception:
-            return map(self.f, points)
 
 
 def _finite(t: float, y) -> float:
@@ -248,3 +217,23 @@ def grid_points(
     # anchor + k*(-step) is anchor - k*step bit for bit (IEEE negation is exact).
     signed = step if direction is GridDirection.FORWARD else -step
     return [anchor + k * signed for k in range(count)]
+
+
+def sampled_grid_points(
+    a: float, b: float, steps: StepPair, cfg: SeriesConfig | None = None
+) -> List[float]:
+    """The grid points in [a, b] read by the two sides of the integral.
+
+    Forward points ascend from a, backward points descend from b; both
+    endpoint counts come from the alignment witness when it exists.
+    Either walk longer than cfg.max_terms points raises GridBudgetError,
+    and either walk with a step below its endpoints' resolution raises
+    ZeroStepError.
+    """
+    points: List[float] = []
+    walks = ((a, b, steps.alpha, GridDirection.FORWARD), (b, a, steps.beta, GridDirection.BACKWARD))
+    for anchor, target, step, direction in walks:
+        if step > 0.0:
+            count = grid_count(anchor, target, step, direction) + 1
+            points += grid_points(anchor, target, step, direction, count, cfg)
+    return points

@@ -142,7 +142,12 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     fixed and there is no shared state.
     """
     cfg = _config(cfg)
-    tol = cfg.tol
+    # Tails and block minima are floats, so comparing them with the
+    # largest float not above tol gives the answers tol itself gives,
+    # at a float comparison's cost whatever type tol has.
+    tol = float(min(cfg.tol, sys.float_info.max))
+    if tol > cfg.tol:
+        tol = math.nextafter(tol, 0.0)
     max_terms = cfg.max_terms
     warmup = _WARMUP
     win = _STALL_WINDOW
@@ -150,7 +155,7 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     # rounding on both sides, near_one - r for 1 - r covers up to 16 ulps
     # of error in the power (large beside 1 - rho as r nears 1), and the
     # floor keeps every quantity of a passing test a normal float.
-    bound_tol = max(float(min(tol, sys.float_info.max)) * (1.0 + 2.0**-40) / win, 2.0**-900)
+    bound_tol = max(tol * (1.0 + 2.0**-40) / win, 2.0**-900)
     near_one = 1.0 + 2.0**-44
 
     total = 0.0

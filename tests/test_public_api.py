@@ -1,9 +1,12 @@
 """The package's outer surface: exported names, the console script and the
-README's library example."""
+README's library and CLI examples."""
 
 import contextlib
 import importlib
 import io
+import json
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,3 +70,29 @@ def test_readme_library_example_runs():
     lines = out.getvalue().splitlines()
     assert lines[:2] == ["1.1111111111111112", "IntegralMode.TELESCOPED"]
     assert lines[2].startswith("(SeriesResult(")
+
+
+def test_readme_cli_examples_print_strict_json_alike_in_one_process():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("norlund ")]
+    assert len(commands) == 6, "expected the README's six CLI examples"
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    outputs = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "norlund", *argv[1:], "--json"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        json.loads(proc.stdout, parse_constant=reject)
+        outputs.append(proc.stdout)
+    # The same commands one after another through one main: no state
+    # carries from one command to the next.
+    for argv, expected in zip(commands, outputs):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([*argv[1:], "--json"])
+        assert (code, out.getvalue()) == (0, expected), argv

@@ -1,7 +1,9 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -441,7 +443,29 @@ def _sweep_terms(rng):
     }
 
 
-SWEEP_TOLS = (5e-324, 1e-310, 1e-12, 1e-6, 1.0, 1.7e308)
+class _CountingTol(float):
+    """A float tol that counts the calls of its __ge__, which tail <= tol
+    makes when tol is compared as given."""
+
+    ge_calls = 0
+
+    def __ge__(self, other):
+        _CountingTol.ge_calls += 1
+        return float.__ge__(self, other)
+
+
+# Compared as the largest float not above them; the reference compares as given.
+NON_FLOAT_TOLS = {
+    "np_1e-6": np.float64(1e-6),
+    "fraction_1e-6": Fraction(1, 10**6),
+    "fraction_third": Fraction(1, 3 * 10**5),  # rounds up to a float above it
+    "int_beyond_float": 10**400,
+    "fraction_below_float": Fraction(1, 10**400),  # rounds to 0.0
+    "np_smallest_subnormal": np.float64(5e-324),
+    "float_subclass": _CountingTol(1e-6),
+}
+
+SWEEP_TOLS = (5e-324, 1e-310, 1e-12, 1e-6, 1.0, 1.7e308, *NON_FLOAT_TOLS.values())
 SWEEP_MAX_TERMS = (16, 31, 32, 33, 2**12)
 # near underflow (subnormal terms), plain, and near overflow
 SWEEP_SCALES = (1e-320, 1e-300, 1.0, 1e300, 1e307)
@@ -513,3 +537,25 @@ def test_a_cfg_that_is_not_a_series_config_is_refused_before_any_term(cfg):
     with pytest.raises(ValueError, match=r"cfg must be a SeriesConfig or None, got "):
         sum_series(lambda k: calls.append(k) or 1.0, cfg)
     assert calls == []
+
+
+def test_a_float_subclass_tol_is_not_compared_per_term():
+    cfg = SeriesConfig(tol=_CountingTol(1e-6), max_terms=2**12)
+    term = lambda k: (k + 1.0) ** -2  # noqa: E731
+    _CountingTol.ge_calls = 0
+    reference = _reference_sum_series(term, cfg)
+    assert _CountingTol.ge_calls == reference.terms_used == 2**12  # once per term
+    _CountingTol.ge_calls = 0
+    sum_series(term, cfg)
+    assert _CountingTol.ge_calls == 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_a_tol_next_to_a_float_tail_compares_as_given(scale):
+    # tol a hair below the reference's own tail rounds up to that tail as
+    # a float, so the engine must round it down to compare the same.
+    term = lambda k: scale * 0.9**k  # noqa: E731
+    tail = _reference_sum_series(term, SeriesConfig(tol=5e-324, max_terms=100)).tail_estimate
+    hair = Fraction(1, 10**400)
+    for tol in (Fraction(tail) - hair, Fraction(tail), Fraction(tail) + hair):
+        _assert_same_as_reference(term, SeriesConfig(tol=tol, max_terms=102))

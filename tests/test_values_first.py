@@ -466,6 +466,12 @@ def test_faulting_plain_integral_reads_f_again_up_to_the_fault():
 def test_checks_walk_one_side_grid_per_direction(run, monkeypatch):
     # Every integral of a check shares its direction's grid, so however
     # many integrals the check builds, it walks one grid per direction.
+    walks = side_walks(run, monkeypatch)
+    assert sorted(walks, key=lambda d: d.value) == [GridDirection.BACKWARD, GridDirection.FORWARD]
+
+
+def side_walks(run, monkeypatch):
+    """The direction of each side grid the integrals walk during run."""
     walks = []
     grid_points = integrals.grid_points
 
@@ -475,7 +481,13 @@ def test_checks_walk_one_side_grid_per_direction(run, monkeypatch):
 
     monkeypatch.setattr(integrals, "grid_points", counted_walk)
     calls_of(run)
-    assert sorted(walks, key=lambda d: d.value) == [GridDirection.BACKWARD, GridDirection.FORWARD]
+    return walks
+
+
+def test_ibp_walks_one_forward_side_grid(monkeypatch):
+    # Both of ibp's integrals share the forward grid and its columns.
+    run = lambda f, g: integration_by_parts_residual(f, g, 0.0, 100.0, 1.0)  # noqa: E731
+    assert side_walks(run, monkeypatch) == [GridDirection.FORWARD]
 
 
 def test_checks_on_grids_that_do_not_coincide():
