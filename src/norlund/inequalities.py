@@ -6,10 +6,11 @@ evaluates both sides with symmetric integrals and reports the margin;
 a check "holds" when the margin is no worse than rounding slack scaled
 to the magnitudes involved.  Pointwise hypotheses (nonnegative weight,
 |f| <= g) are verified by sampling the evaluation grids of both sides
-over [a, b] (operators.sampled_grid_points), which are exactly the
-points the integrals read.  A check reads f and g at most once per
-distinct grid point on the telescoped route, whatever number of
-integrals it builds from them, through integrals._Integrals.
+over [a, b] (operators.sampled_grid_points): the points a telescoped
+side reads.  A strict side also reads series points outside [a, b],
+which the samples miss (ROADMAP item 5).  A check reads f and g at most
+once per distinct grid point on the telescoped route, whatever number
+of integrals it builds from them, through integrals._Integrals.
 """
 
 from __future__ import annotations
@@ -103,16 +104,15 @@ def _require_exponent(p: float) -> None:
         raise BadExponentError(p)
 
 
-def _abs_power(f: RealFunction, p: float) -> RealFunction:
-    """t -> |f(t)|^p, raising NonFiniteValueError at a t where it overflows."""
-
-    def power(t: float) -> float:
-        try:
-            return abs(f(t)) ** p
-        except OverflowError:
-            raise NonFiniteValueError(t, math.inf) from None
-
-    return power
+def _powers(p: float, F, G=None) -> list:
+    """|x|^p for F's values x, or |x + y|^p with G's; an overflow, in the
+    reads too, is a NonFiniteValueError at F's point (a column's is None:
+    its side's fault pass raises the fault at one point)."""
+    try:
+        xs = F() if G is None else [x + y for x, y in zip(F(), G())]
+        return [abs(x) ** p for x in xs]
+    except OverflowError:
+        raise NonFiniteValueError(F.t, math.inf) from None
 
 
 def _holder_pieces(f, g, a, b, steps, p, mode, cfg):
@@ -120,11 +120,9 @@ def _holder_pieces(f, g, a, b, steps, p, mode, cfg):
     _require_interval(a, b)
     q = p / (p - 1.0)
     integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
-    product = integral(
-        lambda t: abs(f(t) * g(t)), lambda F, G: [abs(x * y) for x, y in zip(F(), G())]
-    )
-    f_power = integral(_abs_power(f, p), lambda F, G: [abs(x) ** p for x in F()])
-    g_power = integral(_abs_power(g, q), lambda F, G: [abs(y) ** q for y in G()])
+    product = integral(lambda F, G: [abs(x * y) for x, y in zip(F(), G())])
+    f_power = integral(lambda F, G: _powers(p, F))
+    g_power = integral(lambda F, G: _powers(q, G))
     return q, product, f_power, g_power
 
 
@@ -175,12 +173,9 @@ def minkowski_check(
     _require_exponent(p)
     _require_interval(a, b)
     integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
-    total = integral(
-        _abs_power(lambda t: f(t) + g(t), p),
-        lambda F, G: [abs(x + y) ** p for x, y in zip(F(), G())],
-    )
-    f_power = integral(_abs_power(f, p), lambda F, G: [abs(x) ** p for x in F()])
-    g_power = integral(_abs_power(g, p), lambda F, G: [abs(y) ** p for y in G()])
+    total = integral(lambda F, G: _powers(p, F, G))
+    f_power = integral(lambda F, G: _powers(p, F))
+    g_power = integral(lambda F, G: _powers(p, G))
     lhs = _nonneg(total.value) ** (1.0 / p)
     rhs = _nonneg(f_power.value) ** (1.0 / p) + _nonneg(g_power.value) ** (1.0 / p)
     return _report(lhs, rhs, _context(a, b, steps, total, p=p))
@@ -209,8 +204,8 @@ def comparison_check(
         g_value = float(y)
         if abs(f_value) > g_value:
             raise HypothesisFailedError(t, f_value, g_value)
-    f_integral = integral(f, lambda F, G: F())
-    g_integral = integral(g, lambda F, G: G())
+    f_integral = integral(lambda F, G: F())
+    g_integral = integral(lambda F, G: G())
     lhs = abs(f_integral.value)
     rhs = g_integral.value
     return _report(lhs, rhs, _context(a, b, steps, g_integral))
@@ -240,10 +235,8 @@ def mvt_constant(
         if g_value < -_viol_tol(g_value, 0.0):
             raise NegativeWeightError(t, g_value)
 
-    weighted = integral(
-        lambda t: f(t) * g(t), lambda F, G: [x * y for x, y in zip(F(), G())]
-    )
-    weight = integral(g, lambda F, G: G())
+    weighted = integral(lambda F, G: [x * y for x, y in zip(F(), G())])
+    weight = integral(lambda F, G: G())
     f_values = [float(x) for x in integral.f.column_or_calls(points)]
     m = min(f_values)
     M = max(f_values)

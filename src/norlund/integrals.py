@@ -23,11 +23,12 @@ need not walk its grid again.  A plain integral's on_grid walks the grid
 once and calls f at each point, once.  The seven verifiers (five checks,
 ftc and ibp) read f and g at most once per distinct grid point through
 _Integrals, which walks each direction's grid once and builds every
-integral's values from columns read once.  Only when on_grid raises or
-its values do not sum to a finite total does the side walk its grid
-again and call f point by point, up to the first fault, so the fault is
-raised as f itself raises it; a plain integral whose f faults thus calls
-f again up to the fault.  Strict sides always call f.
+integral's values from columns read once.  Each integrand is written
+once, as a values form; strict terms and fault passes run it at one
+point.  Only when on_grid raises or its values do not sum to a finite
+total does the side walk its grid again and call the integrand point by
+point, up to the first fault, so the fault is raised as f itself raises
+it; a plain integral whose f faults thus calls f again up to the fault.
 """
 
 from __future__ import annotations
@@ -119,17 +120,54 @@ class Samples:
             return map(self.f, points)
 
 
+class _Columns:
+    """Reads f for a values form on a telescoped side: F(shift) is f's raw
+    values at the side's grid points moved by shift, each column read
+    once, and F.quotients(alpha) the forward difference quotients there,
+    unchecked: a fault shows in the side's total, and its fault pass
+    raises it.  t is None, as a column has no one point."""
+
+    t = None
+
+    def __init__(self, samples: Samples, points: List[float]):
+        self.samples, self.points, self.by_shift = samples, points, {}
+
+    def __call__(self, shift: float = 0.0) -> list:
+        if shift not in self.by_shift:
+            # The walk's own points when unshifted: t + 0.0 would turn -0.0 into 0.0.
+            moved = [t + shift for t in self.points] if shift else self.points
+            self.by_shift[shift] = self.samples.column(moved)
+        return self.by_shift[shift]
+
+    def quotients(self, alpha: float) -> List[float]:
+        return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(self(alpha), self())]
+
+
+class _Point:
+    """Reads f for a values form at one point t, a strict term's or a fault
+    pass's: F(shift) is [f(t + shift)], F.quotients(alpha) is
+    [forward_difference(f, t, alpha)], each a fresh call of f."""
+
+    def __init__(self, f: RealFunction):
+        self.f, self.t = f, None  # the caller sets t before each read
+
+    def __call__(self, shift: float = 0.0) -> list:
+        # f(t) itself when unshifted: t + 0.0 would turn -0.0 into 0.0.
+        return [self.f(self.t + shift) if shift else self.f(self.t)]
+
+    def quotients(self, alpha: float) -> List[float]:
+        return [forward_difference(self.f, self.t, alpha)]
+
+
 class _Integrals:
     """Integrals on one [a, b] of integrands built from f and g, values first.
 
-    Calling it with an integrand and its values form integrates the
-    integrand with integrate(integrand, a, b, steps, mode, cfg).  On a
-    telescoped side, values(F, G) builds the integrand's values from
-    F(shift) and G(shift): f's and g's raw values at the side's grid
-    points moved by shift (0.0 by default; g is None when G is unread).
-    Each direction is walked and each (direction, function, shift) column
-    read once per instance.  A side whose reads or values fault is summed
-    by calling the integrand.
+    Calling it with a values form integrates the form's integrand with
+    integrate(integrand, a, b, steps, mode, cfg).  values(F, G) returns
+    the integrand's values from readers of f and g (G unread when g is
+    None): _Columns on a telescoped side, each direction walked and each
+    column read once per instance, and _Point at the one point t of a
+    strict term or a fault pass, one reader pair per integral.
     """
 
     def __init__(self, integrate, f, g, a, b, steps, mode, cfg):
@@ -137,24 +175,23 @@ class _Integrals:
         self.integrate = integrate
         self.f, self.g = Samples(f), Samples(g)
         self.args = (a, b, steps, mode, cfg)
-        self.points = {}  # per grid direction: the side's grid points
-        self.columns = {}  # per (direction, Samples, shift): the raw values
+        self.readers = {}  # per grid direction: the side's (F, G) column readers
 
-    def _column(self, samples: Samples, direction: GridDirection, shift: float = 0.0) -> list:
-        key = (direction, samples, shift)
-        if key not in self.columns:
-            points = self.points[direction]
-            # The walk's own points when unshifted: t + 0.0 would turn -0.0 into 0.0.
-            self.columns[key] = samples.column([t + shift for t in points] if shift else points)
-        return self.columns[key]
+    def columns(self, direction: GridDirection, walk: GridWalk) -> Tuple[_Columns, _Columns]:
+        """direction's (F, G) column readers, walking its grid on first use."""
+        if direction not in self.readers:
+            points = walk()
+            self.readers[direction] = (_Columns(self.f, points), _Columns(self.g, points))
+        return self.readers[direction]
 
-    def __call__(self, integrand: RealFunction, values) -> IntegralResult:
-        def on_grid(direction, walk):
-            if direction not in self.points:
-                self.points[direction] = walk()
-            column = self._column
-            return values(partial(column, self.f, direction), partial(column, self.g, direction))
+    def __call__(self, values) -> IntegralResult:
+        F, G = _Point(self.f.f), _Point(self.g.f)  # one pair per integral, moved per term
 
+        def integrand(t: float) -> float:
+            F.t = G.t = t
+            return values(F, G)[0]
+
+        on_grid = lambda direction, walk: values(*self.columns(direction, walk))  # noqa: E731
         return self.integrate(integrand, *self.args, on_grid=on_grid)
 
 
@@ -435,12 +472,6 @@ def antiderivative(
     return accumulated
 
 
-def _quotients(read, alpha: float) -> List[float]:
-    """The forward difference quotients (f(t + alpha) - f(t)) / alpha at
-    a side's grid points, from _Integrals' column reader of f."""
-    return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(read(alpha), read())]
-
-
 def ftc_residuals(
     f: RealFunction,
     a: float,
@@ -464,6 +495,8 @@ def ftc_residuals(
         raise ValueError(f"needs b >= a, got a={a!r}, b={b!r}")
     points = sampled_grid_points(a, b, StepPair(alpha, 0.0), cfg)
     integral = _Integrals(forward_integral, f, None, a, b, alpha, IntegralMode.AUTO, cfg)
+    # Less b, r1's points are r2's telescoped walk; a strict r2 reads none.
+    integral.columns(GridDirection.FORWARD, lambda: points[:-1])
 
     # The accumulated integral at a + k*alpha is alpha times the running
     # sum of f over the k grid points before it, added left to right as
@@ -488,10 +521,7 @@ def ftc_residuals(
             r1 = deviation
         lower = upper
 
-    def delta(t: float) -> float:
-        return forward_difference(f, t, alpha)
-
-    r2_integral = integral(delta, lambda F, G: _quotients(F, alpha))
+    r2_integral = integral(lambda F, G: F.quotients(alpha))
     fb, fa = integral.f.column((b, a))
     r2 = abs(r2_integral.value - (fb - fa))
     return r1, r2
@@ -517,18 +547,10 @@ def integration_by_parts_residual(
     _require_positive(alpha, "alpha")
     integral = _Integrals(forward_integral, f, g, a, b, alpha, IntegralMode.AUTO, cfg)
 
-    def f_dg(t: float) -> float:
-        return f(t) * forward_difference(g, t, alpha)
-
-    def df_g_shift(t: float) -> float:
-        return forward_difference(f, t, alpha) * g(t + alpha)
-
-    lhs = integral(f_dg, lambda F, G: [x * q for x, q in zip(F(), _quotients(G, alpha))]).value
+    lhs = integral(lambda F, G: [x * q for x, q in zip(F(), G.quotients(alpha))]).value
     (fb, fa), (gb, ga) = integral.f.column((b, a)), integral.g.column((b, a))
     boundary = fb * gb - fa * ga
-    shifted = integral(
-        df_g_shift, lambda F, G: [q * y for q, y in zip(_quotients(F, alpha), G(alpha))]
-    )
+    shifted = integral(lambda F, G: [q * y for q, y in zip(F.quotients(alpha), G(alpha))])
     rhs = boundary - shifted.value
     return abs(lhs - rhs)
 

@@ -156,6 +156,18 @@ def test_overflowing_power_raises_non_finite_value(check, p, a, b, t):
     assert err.value.value == math.inf
 
 
+def test_overflowing_power_on_a_strict_term_raises_at_its_point():
+    # [0, 1] is off both grids of step 0.7, so every side is strict, and
+    # |f|^2 of f(0) = 1e200 overflows on the first term of the f power.
+    f = lambda t: 1e200 * math.exp(-t * t)
+    g = lambda t: math.exp(-t * t)
+    with pytest.raises(NonFiniteValueError) as err:
+        holder_check(f, g, 0.0, 1.0, StepPair(0.7, 0.7), 2.0)
+    assert err.value.point == 0.0
+    assert err.value.value == math.inf
+    assert str(err.value) == "function value at t=0.0 is non-finite (inf)"
+
+
 def test_checks_require_increasing_interval():
     with pytest.raises(ValueError):
         holder_check(ONE, ONE, 2.0, 0.0, StepPair(1.0, 1.0), p=2.0)

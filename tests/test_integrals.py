@@ -569,6 +569,31 @@ def test_ftc_non_finite_values_raise_where_they_arise():
     assert err.value.point == 2.0
 
 
+def test_ftc_walks_its_forward_grid_once(monkeypatch):
+    # r1's points, less b, are r2's telescoped walk, so ftc makes one grid.
+    from norlund import integrals, operators
+
+    walks = []
+    grid_points = operators.grid_points
+
+    def counted_walk(*args, **kwargs):
+        walks.append(args)
+        return grid_points(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "grid_points", counted_walk)
+    monkeypatch.setattr(integrals, "grid_points", counted_walk)
+    ftc_residuals(lambda t: 0.3 * t * t + 1.0, 0.0, 100.0, 1.0)
+    assert len(walks) == 1
+
+
+def test_strict_ibp_term_with_a_step_below_t_resolution_raises():
+    # 1e17 + 16 is off the grid of step 3, so both integrals go strict, and
+    # the first term's forward difference cannot move t = 1e17 (ulp 16).
+    message = r"^forward step 3.0 does not move t=1e\+17: it is below t's resolution$"
+    with pytest.raises(ZeroStepError, match=message):
+        integration_by_parts_residual(lambda t: 1.0, lambda t: 2.0, 1e17, 1e17 + 16, 3.0)
+
+
 def test_integration_by_parts_hand_case():
     # f = g = t on [0, 2], step 1: both sides equal 1 exactly
     assert integration_by_parts_residual(lambda t: t, lambda t: t, 0.0, 2.0, 1.0) <= 1e-12
