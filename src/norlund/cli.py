@@ -158,11 +158,10 @@ def _add_mode_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _function(text: str):
-    return functools.partial(expr_mod.evaluate, expr_mod.parse(text))
-
-
-def _series_config(args) -> SeriesConfig:
-    return SeriesConfig(tol=args.tol, max_terms=args.max_terms)
+    tree = expr_mod.parse(text)  # its function of t offers the column form too
+    f = functools.partial(expr_mod.evaluate, tree)
+    f.column = functools.partial(expr_mod.evaluate_column, tree)
+    return f
 
 
 def _integral_diagnostics(result) -> list:
@@ -178,30 +177,22 @@ def _integral_diagnostics(result) -> list:
     return notes
 
 
-def _verdict(holds: bool) -> str:
-    return "ok" if holds else "check_failed"
-
-
 def _cmd_eval(args) -> tuple:
     f = _function(args.expr)
     steps = StepPair(args.alpha, args.beta)
-    result = symmetric_integral(
-        f, args.a, args.b, steps, IntegralMode(args.mode), _series_config(args)
-    )
+    cfg = SeriesConfig(tol=args.tol, max_terms=args.max_terms)
+    result = symmetric_integral(f, args.a, args.b, steps, IntegralMode(args.mode), cfg)
     return result, "ok", _integral_diagnostics(result)
 
 
 def _cmd_diff(args) -> tuple:
     f = _function(args.expr)
     if args.alpha is not None and args.beta is not None:
-        kind = "symmetric"
-        value = symmetric_difference(f, args.t, StepPair(args.alpha, args.beta))
+        kind, value = "symmetric", symmetric_difference(f, args.t, StepPair(args.alpha, args.beta))
     elif args.alpha is not None:
-        kind = "forward"
-        value = forward_difference(f, args.t, args.alpha)
+        kind, value = "forward", forward_difference(f, args.t, args.alpha)
     elif args.beta is not None:
-        kind = "backward"
-        value = backward_difference(f, args.t, args.beta)
+        kind, value = "backward", backward_difference(f, args.t, args.beta)
     else:
         raise ValueError("diff needs --alpha, --beta, or both")
     return {"kind": kind, "value": value}, "ok", []
@@ -214,18 +205,17 @@ def _cmd_check(args) -> tuple:
     outcome = _run_check(args)
     for name in _UNREAD_FLAGS[args.kind]:
         if getattr(args, name) != _CHECK_DEFAULTS[name]:
-            flag = name.replace("_", "-")
-            raise ValueError(f"the {args.kind} check does not use --{flag}")
+            raise ValueError(f"the {args.kind} check does not use --{name.replace('_', '-')}")
     return outcome
 
 
 def _run_check(args) -> tuple:
     f = _function(args.f)
-    cfg = _series_config(args)
+    cfg = SeriesConfig(tol=args.tol, max_terms=args.max_terms)
     if args.kind == "ftc":
         r1, r2 = ftc_residuals(f, args.a, args.b, args.alpha, cfg)
         result = {"r1": r1, "r2": r2, "check_tol": args.check_tol}
-        return result, _verdict(max(r1, r2) <= args.check_tol), []
+        return result, "ok" if max(r1, r2) <= args.check_tol else "check_failed", []
 
     if args.g is None:
         raise ValueError(f"the {args.kind} check needs --g")
@@ -233,7 +223,7 @@ def _run_check(args) -> tuple:
     if args.kind == "ibp":
         residual = integration_by_parts_residual(f, g, args.a, args.b, args.alpha, cfg)
         result = {"residual": residual, "check_tol": args.check_tol}
-        return result, _verdict(residual <= args.check_tol), []
+        return result, "ok" if residual <= args.check_tol else "check_failed", []
 
     steps = StepPair(args.alpha, args.beta)
     mode = IntegralMode(args.mode)
@@ -247,7 +237,7 @@ def _run_check(args) -> tuple:
         report = minkowski_check(f, g, args.a, args.b, steps, args.p, mode, cfg)
     else:
         report = comparison_check(f, g, args.a, args.b, steps, mode, cfg)
-    return report, _verdict(report.holds), []
+    return report, "ok" if report.holds else "check_failed", []
 
 
 # Each command returns the result, status and diagnostics of its report.
@@ -263,12 +253,9 @@ def _emit(report: dict, as_json: bool) -> None:
     if result is not None:
         if not isinstance(result, dict):
             result = _json_default(result)
-        for key, value in result.items():
-            if value is None:
-                continue
-            lines.append(f"{key} = {json.dumps(value, default=_json_default)}")
-    for note in report["diagnostics"]:
-        lines.append(f"note: {note}")
+        lines += [f"{key} = {json.dumps(value, default=_json_default)}"
+                  for key, value in result.items() if value is not None]
+    lines += [f"note: {note}" for note in report["diagnostics"]]
     lines.append(f"status = {report['status']}")
     print("\n".join(lines))
 

@@ -20,6 +20,9 @@ The exponent of "^" may not start with a bare unary minus: write
 exponent part.  Unary functions: abs, exp, ln, sqrt, sin, cos;
 pow(x, y) is the binary power function.
 
+evaluate(e, t) evaluates e at one point; evaluate_column(e, points) at
+many, a node at a time, as the column form integrals.Samples reads.
+
 Parsing, compiling, evaluating and formatting all recurse over the tree,
 so parse refuses an expression nested more than _MAX_DEPTH levels deep,
 in its text or in its tree, with an ExprSyntaxError.
@@ -27,10 +30,12 @@ in its text or in its tree, with an ExprSyntaxError.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from .errors import DomainFaultError, ExprSyntaxError, UnknownIdentifierError
 
@@ -43,6 +48,7 @@ __all__ = [
     "Num",
     "Var",
     "evaluate",
+    "evaluate_column",
     "format",
     "parse",
 ]
@@ -272,7 +278,8 @@ def parse(text: str) -> Expr:
 # faults.  Compilation yields an operand: the variable, a constant, or a
 # closure.  Constant and variable operands are read in place rather than
 # called, and a subtree free of t that evaluates without a fault is
-# replaced by its value.
+# replaced by its value.  A closure's column attribute maps its row's routine
+# over its operands' columns, once per node per column (MonetDB/X100, 2005).
 # ----------------------------------------------------------------------
 
 _VAR, _CONST, _FUNC = range(3)
@@ -282,55 +289,35 @@ def _identity(t: float) -> float:
     return t
 
 
+_identity.column = list  # the variable's column is the points themselves
+
+
 def _closure(operand):
     kind, x = operand
     if kind == _VAR:
         return _identity
-    if kind == _CONST:
-        return lambda t: x
-    return x
+    if kind == _FUNC:
+        return x
+    constant = lambda t: x  # noqa: E731
+    constant.column = lambda ts: [x] * len(ts)
+    return constant
 
 
-def _add(node, left, right):
-    (lk, a), (rk, b) = left, right
-    if lk == _CONST and rk == _VAR:
-        return lambda t: a + t
-    if lk == _VAR and rk == _CONST:
-        return lambda t: t + b
-    f, g = _closure(left), _closure(right)
-    if lk == _CONST:
-        return lambda t: a + g(t)
-    if rk == _CONST:
-        return lambda t: f(t) + b
-    return lambda t: f(t) + g(t)
+# How a closure reads an operand in line, by kind, given the name bound to
+# its payload: the variable and a constant in place, a subtree by a call.
+_READS = {_VAR: "t", _CONST: "{}", _FUNC: "{}(t)"}
 
 
-def _subtract(node, left, right):
-    (lk, a), (rk, b) = left, right
-    if lk == _CONST and rk == _VAR:
-        return lambda t: a - t
-    if lk == _VAR and rk == _CONST:
-        return lambda t: t - b
-    f, g = _closure(left), _closure(right)
-    if lk == _CONST:
-        return lambda t: a - g(t)
-    if rk == _CONST:
-        return lambda t: f(t) - b
-    return lambda t: f(t) - g(t)
+@functools.cache
+def _inline(left_kind: int, op: str, right_kind: int):
+    """The factory of closures that apply op in line to operands of the
+    two kinds, compiled from its text once per combination."""
+    body = _READS[left_kind].format("a") + op + _READS[right_kind].format("b")
+    return eval(f"lambda a, b: lambda t: {body}", {})  # op is one of + - *
 
 
-def _multiply(node, left, right):
-    (lk, a), (rk, b) = left, right
-    if lk == _CONST and rk == _VAR:
-        return lambda t: a * t
-    if lk == _VAR and rk == _CONST:
-        return lambda t: t * b
-    f, g = _closure(left), _closure(right)
-    if lk == _CONST:
-        return lambda t: a * g(t)
-    if rk == _CONST:
-        return lambda t: f(t) * b
-    return lambda t: f(t) * g(t)
+def _arithmetic(node, left, right):  # + - or *, as a hand-written closure would apply it
+    return _inline(left[0], node.op, right[0])(left[1], right[1])
 
 
 def _divide(node, left, right):
@@ -348,6 +335,17 @@ def _divide(node, left, right):
     return divide
 
 
+def _pow(x: float, y: float) -> float:
+    """math.pow, but a zero base raised to a negative power, -inf too, raises
+    ZeroDivisionError (where math.pow(0.0, -inf) is inf), as power does."""
+    if x == 0.0 and y < 0.0:
+        raise ZeroDivisionError("zero raised to a negative power")
+    return math.pow(x, y)
+
+
+_POW_FAULTS = {ValueError: "negative base with non-integer exponent", OverflowError: "power overflows"}
+
+
 def _power(node, base, exponent):
     f, pow = _closure(base), math.pow
     kind, c = exponent
@@ -357,10 +355,8 @@ def _power(node, base, exponent):
             x = f(t)
             try:
                 return pow(x, c)
-            except ValueError:
-                raise DomainFaultError(node, t, "negative base with non-integer exponent") from None
-            except OverflowError:
-                raise DomainFaultError(node, t, "power overflows") from None
+            except (ValueError, OverflowError) as error:
+                raise DomainFaultError(node, t, _POW_FAULTS[type(error)]) from None
 
         return power
 
@@ -369,21 +365,20 @@ def _power(node, base, exponent):
     def power(t):
         x = f(t)
         y = g(t)
-        if x == 0.0 and y < 0.0:
+        if x == 0.0 and y < 0.0:  # _pow's check, in line, as a call costs a frame per point
             raise DomainFaultError(node, t, "zero raised to a negative power")
         try:
             return pow(x, y)
-        except ValueError:
-            raise DomainFaultError(node, t, "negative base with non-integer exponent") from None
-        except OverflowError:
-            raise DomainFaultError(node, t, "power overflows") from None
+        except (ValueError, OverflowError) as error:
+            raise DomainFaultError(node, t, _POW_FAULTS[type(error)]) from None
 
     return power
 
 
-# Each binary node's compiler, by node kind and operator.
-_BINARY = {(Bin, "+"): _add, (Bin, "-"): _subtract, (Bin, "*"): _multiply, (Bin, "/"): _divide,
-           (Bin, "^"): _power, (Call, "pow"): _power}
+# Each binary node's closure compiler and column routine, by node kind and operator.
+_BINARY = {(Bin, "+"): (_arithmetic, operator.add), (Bin, "-"): (_arithmetic, operator.sub),
+           (Bin, "*"): (_arithmetic, operator.mul), (Bin, "/"): (_divide, operator.truediv),
+           (Bin, "^"): (_power, _pow), (Call, "pow"): (_power, _pow)}
 
 
 def _unary(node, name, operand):
@@ -416,14 +411,18 @@ def _compile(e: Expr):
         case Const(name=name):
             return _CONST, _CONSTANTS[name]
         case Neg(operand=x):
-            operands = (_compile(x),)
+            operands, routine = (_compile(x),), operator.neg
             f = _closure(*operands)
             fn = lambda t: -f(t)  # noqa: E731
         case Bin(op=op, left=l, right=r) | Call(name=op, args=(l, r)) if (type(e), op) in _BINARY:
             operands = (_compile(l), _compile(r))
-            fn = _BINARY[type(e), op](e, *operands)
+            compiler, routine = _BINARY[type(e), op]
+            fn = compiler(e, *operands)
+            (bk, x), (ek, y) = operands  # _pow is math.pow but at a zero base and a -inf exponent:
+            if routine is _pow and (bk == _CONST and x != 0.0 or ek == _CONST and y != -math.inf):
+                routine = math.pow  # a constant operand rules that pair out
         case Call(name=name, args=(x,)) if name in _UNARY:
-            operands = (_compile(x),)
+            operands, routine = (_compile(x),), _UNARY[name][0]
             fn = _unary(e, name, *operands)
         case _:
             raise TypeError(f"not an expression node: {e!r}")
@@ -432,20 +431,23 @@ def _compile(e: Expr):
             return _CONST, fn(0.0)  # t is read only to report a fault
         except (DomainFaultError, ValueError):
             pass  # keep the closure, so the fault is raised at the point evaluated
+    columns = [_closure(operand).column for operand in operands]
+    fn.column = lambda ts: list(map(routine, *[column(ts) for column in columns]))
     return _FUNC, fn
 
 
-def evaluate(e: Expr, t: float) -> float:
-    """Evaluate with real semantics; domain faults raise, never return NaN.
+def _compiled(e: Expr):  # e's closure, kept on the root so that later calls run it only
+    run = _closure(_compile(e))
+    object.__setattr__(e, "_compiled", run)
+    return run
 
-    The first call compiles the tree and keeps the result on its root, so
-    later calls on the same tree run the compiled closures only.
-    """
+
+def evaluate(e: Expr, t: float) -> float:
+    """Evaluate with real semantics; domain faults raise, never return NaN."""
     try:
         run = e._compiled
     except AttributeError:
-        run = _closure(_compile(e))
-        object.__setattr__(e, "_compiled", run)
+        run = _compiled(e)
     try:
         value = run(t)
     except ValueError:  # from sin or cos only: ln, sqrt and pow raise faults
@@ -453,6 +455,17 @@ def evaluate(e: Expr, t: float) -> float:
     if not _isfinite(value):
         raise DomainFaultError(e, t, "non-finite result")
     return value
+
+
+def evaluate_column(e: Expr, points: Sequence[float]) -> list:
+    """[evaluate(e, t) for t in points], computed a node at a time with
+    evaluate's float operations.  Where evaluate faults at some point,
+    this raises an ArithmeticError or ValueError that names no point."""
+    values = (getattr(e, "_compiled", None) or _compiled(e)).column(points)
+    # A float sum is finite only if every term is; a sum that overflows is checked term by term.
+    if _isfinite(sum(values)) or all(map(_isfinite, values)):
+        return values
+    raise ArithmeticError("a value that is not finite")
 
 
 def _format_number(v: float) -> str:

@@ -78,11 +78,8 @@ def _report(lhs: float, rhs: float, context: dict) -> InequalityReport:
 
 
 def _context(a, b, steps: StepPair, result: IntegralResult, **extra) -> dict:
-    ctx = {"a": a, "b": b, "alpha": steps.alpha, "beta": steps.beta}
-    ctx.update(extra)
-    ctx["mode_used"] = result.mode_used.value
-    ctx["mixed_modes"] = result.mixed_modes
-    return ctx
+    return {"a": a, "b": b, "alpha": steps.alpha, "beta": steps.beta, **extra,
+            "mode_used": result.mode_used.value, "mixed_modes": result.mixed_modes}
 
 
 def _nonneg(x: float) -> float:
@@ -152,10 +149,11 @@ def cauchy_schwarz_check(
     mode: IntegralMode = IntegralMode.AUTO,
     cfg: SeriesConfig | None = None,
 ) -> InequalityReport:
-    """The p = q = 2 case, with the right side in square-root form."""
+    """The p = q = 2 case, the right side sqrt(xy), or sqrt(x)sqrt(y) if xy overflows."""
     q, product, f_power, g_power = _holder_pieces(f, g, a, b, steps, 2.0, mode, cfg)
     lhs = product.value
-    rhs = math.sqrt(_nonneg(f_power.value) * _nonneg(g_power.value))
+    x, y = _nonneg(f_power.value), _nonneg(g_power.value)
+    rhs = math.sqrt(x * y) if math.isfinite(x * y) else math.sqrt(x) * math.sqrt(y)
     return _report(lhs, rhs, _context(a, b, steps, product, p=2.0, q=q))
 
 
@@ -200,15 +198,12 @@ def comparison_check(
     points = sampled_grid_points(a, b, steps, cfg)
     xs, ys = integral.f.column_or_calls(points), integral.g.column_or_calls(points)
     for t, x, y in zip(points, xs, ys):
-        f_value = float(x)
-        g_value = float(y)
+        f_value, g_value = float(x), float(y)
         if abs(f_value) > g_value:
             raise HypothesisFailedError(t, f_value, g_value)
     f_integral = integral(lambda F, G: F())
     g_integral = integral(lambda F, G: G())
-    lhs = abs(f_integral.value)
-    rhs = g_integral.value
-    return _report(lhs, rhs, _context(a, b, steps, g_integral))
+    return _report(abs(f_integral.value), g_integral.value, _context(a, b, steps, g_integral))
 
 
 def mvt_constant(
@@ -238,8 +233,7 @@ def mvt_constant(
     weighted = integral(lambda F, G: [x * y for x, y in zip(F(), G())])
     weight = integral(lambda F, G: G())
     f_values = [float(x) for x in integral.f.column_or_calls(points)]
-    m = min(f_values)
-    M = max(f_values)
+    m, M = min(f_values), max(f_values)
     if abs(weight.value) <= _viol_tol(weighted.value, weight.value):
         return MvtReport(0.0, m, M, True)
     return MvtReport(weighted.value / weight.value, m, M, False)

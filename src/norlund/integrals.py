@@ -19,16 +19,18 @@ point is read.
 Every telescoped side sums the values an on_grid function gives for its
 grid points.  on_grid receives the side's walk, a function that returns
 the list of points, so a caller that already holds a direction's values
-need not walk its grid again.  A plain integral's on_grid walks the grid
-once and calls f at each point, once.  The seven verifiers (five checks,
-ftc and ibp) read f and g at most once per distinct grid point through
-_Integrals, which walks each direction's grid once and builds every
-integral's values from columns read once.  Each integrand is written
-once, as a values form; strict terms and fault passes run it at one
-point.  Only when on_grid raises or its values do not sum to a finite
-total does the side walk its grid again and call the integrand point by
-point, up to the first fault, so the fault is raised as f itself raises
-it; a plain integral whose f faults thus calls f again up to the fault.
+need not walk its grid again.  f may offer a column form: f.column(points)
+is [f(t) for t in points], or raises if f faults at any of them, as an
+expression's function does (expr.evaluate_column).  A plain integral's
+on_grid walks the grid once and reads f's column form a block at a time,
+else calls f at each point.  The seven verifiers (five checks, ftc and
+ibp) read f and g at most once per distinct grid point through
+_Integrals and Samples.  Each integrand is written once, as a values
+form; strict terms and fault passes run it at one point.  Only when
+on_grid raises or its values do not sum to a finite total does the side
+walk its grid again and call the integrand point by point, up to the
+first fault, so the fault is raised as f itself raises it; a plain
+integral whose f faults thus calls f again up to the fault.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
+from itertools import chain, filterfalse
+from operator import add
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NonFiniteTermError, NonFiniteValueError, NotAlignedError, NotIntegrableError
@@ -87,12 +91,25 @@ def _require_mode(mode: IntegralMode) -> None:
         raise ValueError(f"mode must be an IntegralMode, got {mode!r}")
 
 
+_BLOCK = 1024  # points per call of a column form, so its transient lists stay small
+
+
+def _blocks(points: Sequence[float]) -> Iterable[Sequence[float]]:
+    return (points[i:i + _BLOCK] for i in range(0, len(points), _BLOCK))
+
+
+def _reader(f: RealFunction) -> Callable[[Sequence[float]], Iterable[float]]:
+    """f's column form, or else f called at each point."""
+    return getattr(f, "column", None) or partial(map, f)
+
+
 class Samples:
     """A function's raw values by point, each point evaluated at most once.
 
-    Points are keyed by value, except that -0.0 and 0.0 are distinct.  An
-    evaluation that raises stores nothing, so reading its point again
-    evaluates it again.
+    Points are keyed by value, except that -0.0 and 0.0 are distinct.  The
+    unread points of each block of _BLOCK go to f's column form in one
+    call, if f offers one.  An evaluation that raises stores nothing, so
+    reading its point again evaluates it again.
     """
 
     def __init__(self, f: RealFunction):
@@ -101,12 +118,21 @@ class Samples:
 
     def column(self, points: Sequence[float]) -> list:
         """f's raw values at points, in order, evaluating the unread ones."""
-        values, f = self.values, self.f
-        # -0.0 == 0.0 as dict keys, so a zero is keyed by its sign.
-        keys = [t or (math.copysign(1.0, t), "zero") for t in points]
-        return [
-            values[k] if k in values else values.setdefault(k, f(t)) for k, t in zip(keys, points)
-        ]
+        values, column = self.values, []
+        for block in _blocks(points):
+            # -0.0 == 0.0 as dict keys, so a zero is keyed by its sign and itself.
+            keys = [t or (math.copysign(1.0, t), t) for t in block] if 0.0 in block else block
+            unread = list(dict.fromkeys(filterfalse(values.__contains__, keys) if values else keys))
+            if unread:
+                ts = unread if keys is block else [k[1] if type(k) is tuple else k for k in unread]
+                try:
+                    read = _reader(self.f)(ts)
+                except Exception:  # a column that holds a fault: f point by point, up to it
+                    read = map(self.f, ts)
+                values.update(zip(unread, read))  # stores each value read before a fault
+            fresh = len(unread) == len(keys) and type(read) is list
+            column += read if fresh else map(values.__getitem__, keys)
+        return column
 
     def column_or_calls(self, points: Sequence[float]) -> Iterable:
         """column(points), or, if that raises, f at each point lazily.
@@ -291,10 +317,7 @@ def _grid_total(values: Iterable[float]) -> float:
     Plain float addition, where builtin sum() compensates from Python
     3.12 on, so the telescoped value is the direct finite sum bit for bit.
     """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+    return reduce(add, values, 0.0)
 
 
 def _side(
@@ -336,8 +359,9 @@ def _side(
                 f"grid with step {step!r}"
             )
         walk = partial(grid_points, start, end, step, direction, alignment.k1, cfg)
-        if on_grid is None:  # a plain integral: f at each point
-            on_grid = lambda direction, walk: map(f, walk())  # noqa: E731
+        if on_grid is None:  # a plain integral: f's column form, else f at each point
+            read = _reader(f)
+            on_grid = lambda _, walk: chain.from_iterable(map(read, _blocks(walk())))  # noqa: E731
         # Plain left-to-right accumulation and one trailing multiply keep
         # the result bit-identical to the direct finite sum.
         try:
@@ -382,10 +406,10 @@ def forward_integral(
     Strict value is the difference of the two improper integrals at a
     and b; Telescoped sums the k1 grid values from min(a, b), with the
     sign flipped when a > b.  on_grid(direction, walk) gives f's values
-    at the telescoped grid points, the list walk() returns, by default f
-    at each point.  If they raise or do not sum to a finite total, f is
-    called (again) point by point up to the first fault, which it raises
-    as f does.
+    at the telescoped grid points, the list walk() returns, by default
+    through f's column form, else f at each point.  If they raise or do
+    not sum to a finite total, f is called (again) point by point up to
+    the first fault, which it raises as f does.
     """
     return _side(f, a, b, alpha, GridDirection.FORWARD, mode, cfg, on_grid)
 
@@ -438,10 +462,8 @@ def symmetric_integral(
     bwd = backward_integral(f, a, b, steps.beta, mode, cfg, on_grid=on_grid)
     weight = steps.alpha + steps.beta
     value = (steps.alpha / weight) * fwd.value + (steps.beta / weight) * bwd.value
-    if fwd.mode_used is IntegralMode.STRICT or bwd.mode_used is IntegralMode.STRICT:
-        mode_used = IntegralMode.STRICT
-    else:
-        mode_used = IntegralMode.TELESCOPED
+    strict = IntegralMode.STRICT in (fwd.mode_used, bwd.mode_used)
+    mode_used = IntegralMode.STRICT if strict else IntegralMode.TELESCOPED
     alignment = fwd.alignment if fwd.alignment is not None else bwd.alignment
     return IntegralResult(
         value,
@@ -503,9 +525,7 @@ def ftc_residuals(
     # the telescoped route adds them, so each value is bit-identical to
     # antiderivative(f, a, alpha)(a + k*alpha).  f is read as one column,
     # and the loop raises the first fault in point order.
-    r1 = 0.0
-    total = 0.0
-    lower = 0.0
+    r1 = total = lower = 0.0
     for x, value in zip(points, integral.f.column_or_calls(points)):
         value = _finite(x, value)
         total += value

@@ -157,10 +157,8 @@ def grid_align(
     ordinary outcome, not an error.
     """
     _require_positive(step, "grid step")
-    if direction is GridDirection.FORWARD:
-        ratio = (target - anchor) / step
-    else:
-        ratio = (anchor - target) / step
+    span = target - anchor if direction is GridDirection.FORWARD else anchor - target
+    ratio = span / step
     if not math.isfinite(ratio):
         return None
     k1 = round(ratio)

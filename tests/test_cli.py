@@ -106,6 +106,26 @@ def test_check_cauchy_schwarz(capsys):
     assert report["result"]["holds"] is True
 
 
+def test_cauchy_schwarz_right_side_is_finite_where_the_product_of_its_integrals_overflows(capsys):
+    # int f^2 * int g^2 is about 29.6 * 9.5e306, past the largest float;
+    # the right side is their square roots' product, equal to the left.
+    code = main(["check", "--kind", "cs", "--f=pi", "--g=pow(pow(64.078,pi),27)", "--a", "3",
+                 "--b", "6", "--alpha", "1", "--beta", "0.5", "--json"])
+    result = strict_json(capsys.readouterr().out)["result"]
+    assert code == 0
+    assert result["rhs"] == result["lhs"] == 1.6778271127852545e154
+    assert result["holds"] is True
+
+
+def test_eval_reports_a_zero_base_raised_to_minus_infinity_that_a_quotient_would_hide(capsys):
+    # At t = -2 the exponent overflows to -inf: 0^-inf is a domain fault,
+    # though math.pow returns inf there, whose reciprocal 0 is finite.
+    code = main(["eval", "--expr", "1/pow(0,t*1e308*10)", "--a", "-2", "--b", "-1", "--alpha", "1"])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "DomainFaultError: domain fault at t=-2.0: zero raised to a negative power" in out
+
+
 def test_check_minkowski_cancellation(capsys):
     # expressions starting with '-' need the --flag=value form
     code = main(

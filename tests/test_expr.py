@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norlund import DomainFaultError, ExprSyntaxError, UnknownIdentifierError
-from norlund.expr import Bin, Call, Const, Neg, Num, Var, evaluate, format, parse
+from norlund.cli import _function
+from norlund.expr import Bin, Call, Const, Neg, Num, Var, evaluate, evaluate_column, format, parse
+from norlund.integrals import Samples
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +402,8 @@ def _assert_agrees(tree, t):
 # Every shape the compiler treats apart: each operator with a constant, the
 # variable or a subexpression on either side, constant subtrees that fold
 # and constant subtrees that fault, a constant negative exponent, and pairs
-# of operands that both fault, where the first fault evaluated is raised.
+# of operands that both fault, where the first fault evaluated is raised,
+# and faults that a later operation would mask: 0^-inf is inf, and 1/inf 0.
 _SHAPES = [
     "t+2", "2+t", "t+t", "sin(t)+2", "2+sin(t)", "sin(t)+cos(t)",
     "t-2", "2-t", "t-t", "sin(t)-2", "2-sin(t)", "sin(t)-cos(t)",
@@ -415,6 +418,7 @@ _SHAPES = [
     "ln(t)+sqrt(t)", "ln(t)-sqrt(t)", "ln(t)*sqrt(t)", "ln(t)/sqrt(t)", "ln(t)^sqrt(t)",
     "pow(ln(t),sqrt(t))", "ln(t)+cos(99^99*99^99)",
     "1/(1+2*t^2)", "1.5*t/(1+t^2)", "exp(-0.02*abs(t-50))", "pow(2.2,sin(0.3*t))",
+    "1/(0^t)", "exp(0-pow(0,t*1e308*10))", "1/t^(0-1e308*10)", "1/pow(0*t,0-1e308*10)",
 ]
 _FIXED_POINTS = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 1e-300, 1e300, -1e300,
                  math.inf, -math.inf, math.nan, 0, 3, -2]
@@ -441,6 +445,97 @@ def test_evaluate_agrees_with_tree_walk(rng, depth, t, u):
     tree = _random_tree(rng, depth)
     _assert_agrees(tree, t)
     _assert_agrees(tree, u)  # runs the closures compiled at t
+
+
+# ----------------------------------------------------------------------
+# Column differential: evaluate_column and the CLI's function, read as
+# integrals.Samples reads it, against the tree walk, point by point
+# ----------------------------------------------------------------------
+
+
+def _walk_column(tree, points):
+    """The tree walk's floats at points, or its first fault in point order."""
+    try:
+        return [_reference_evaluate(tree, t) for t in points]
+    except Exception as exc:  # the first fault is the outcome compared
+        return exc
+
+
+def _assert_column_agrees(tree, points):
+    """evaluate_column gives each point the tree walk's float, bit for bit,
+    or raises if the walk faults at any point; and the CLI's function of
+    the tree, read as a column by Samples, gives the same floats or raises
+    the walk's first fault in point order: the same type, and for a domain
+    fault the same reason, point and node."""
+    f = _function(format(tree))
+    tree = f.args[0]  # the tree f evaluates, whose nodes a fault names
+    want = _walk_column(tree, points)
+    if isinstance(want, Exception):
+        with pytest.raises((ArithmeticError, ValueError)):
+            evaluate_column(tree, points)
+    else:
+        got = evaluate_column(tree, points)
+        assert [type(v) for v in got] == [type(v) for v in want], (format(tree), points)
+        assert [v.hex() for v in map(float, got)] == [v.hex() for v in map(float, want)]
+    # Samples keys points by value: an int point shares the value of an equal float.
+    points = [float(t) for t in points]
+    want = _walk_column(tree, points)
+    if not isinstance(want, Exception):
+        got = Samples(f).column(points)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (format(tree), points)
+        return
+    with pytest.raises(type(want)) as err:
+        Samples(f).column(points)
+    assert type(err.value) is type(want), (format(tree), points)
+    if isinstance(want, DomainFaultError):
+        assert (err.value.reason, err.value.t) == (want.reason, want.t), (format(tree), points)
+        assert err.value.node is want.node, (format(tree), points)
+
+
+def _faultless(tree, points):
+    """The points at which the tree walk returns a value."""
+    kept = []
+    for t in points:
+        try:
+            _reference_evaluate(tree, t)
+        except Exception:  # a fault at t: the point is left out
+            continue
+        kept.append(t)
+    return kept
+
+
+def test_evaluate_column_agrees_with_tree_walk_on_every_shape():
+    for text in _SHAPES:
+        tree = parse(text)
+        _assert_column_agrees(tree, _FIXED_POINTS)  # faults, if any, in point order
+        _assert_column_agrees(tree, _FIXED_POINTS[::-1] + _FIXED_POINTS[:4])  # repeated points
+        kept = _faultless(tree, _FIXED_POINTS)
+        _assert_column_agrees(tree, kept + kept[::-1])  # a column the kernels complete
+        _assert_column_agrees(tree, [])
+        for t in _FIXED_POINTS:  # a fault that is a column's only one
+            _assert_column_agrees(tree, [t])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=7),
+       st.lists(_POINTS, max_size=12))
+def test_evaluate_column_agrees_with_tree_walk(rng, depth, points):
+    tree = _random_tree(rng, depth)
+    _assert_column_agrees(tree, points + points[:3])
+    _assert_column_agrees(tree, _faultless(tree, points) * 2)
+
+
+def test_evaluate_column_returns_a_new_list_and_keeps_the_point_types():
+    points = [3, -2, 0.5]
+    column = evaluate_column(parse("t"), points)
+    assert column == points and column is not points
+    assert [type(v) for v in column] == [int, int, float]
+    assert evaluate_column(parse("2+3"), (1.0, 2.0)) == [5.0, 5.0]
+
+
+def test_a_column_with_an_overflowing_sum_of_finite_values_is_not_a_fault():
+    points = [709.0, 709.0, 709.0]
+    assert evaluate_column(parse("exp(t)"), points) == [math.exp(709.0)] * 3
 
 
 # ----------------------------------------------------------------------

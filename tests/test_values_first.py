@@ -1,5 +1,6 @@
-"""Values-first checks: call counts, the grid budget, overflow messages, and
-a seeded differential run against a per-integral reference.
+"""Values-first checks: call counts, the grid budget, overflow messages, a
+seeded differential run against a per-integral reference, and the reads
+and memory of functions that offer a column form.
 
 The reference below is written from scratch: every integral of a check
 calls f and g at each grid point it needs, in the order the checks have
@@ -10,8 +11,10 @@ fault: exception type, point and message.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,7 +39,7 @@ from norlund import (
     mvt_constant,
     symmetric_integral,
 )
-from norlund import integrals
+from norlund import cli, integrals
 from norlund.inequalities import sampled_grid_points
 
 # ----------------------------------------------------------------------
@@ -556,3 +559,140 @@ def test_running_sum_overflow_says_the_accumulated_integral_overflowed():
     assert err.value.point == 2.0
     assert err.value.value == math.inf
     assert str(err.value) == "the accumulated integral from 0.0 to 2.0 overflowed (inf)"
+
+
+# ----------------------------------------------------------------------
+# Column forms: read counts and memory
+# ----------------------------------------------------------------------
+
+
+class Columned:
+    """f with a column form: every point it evaluates is recorded, through
+    a column read or a call, and the two are counted apart."""
+
+    def __init__(self, f):
+        self.f, self.evaluated, self.calls, self.columns = f, [], 0, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        self.evaluated.append(t)
+        return self.f(t)
+
+    def column(self, points):
+        self.columns += 1
+        self.evaluated.extend(points)
+        return [self.f(t) for t in points]
+
+
+def signed(t):
+    """t as a key that tells -0.0 from 0.0."""
+    return t, math.copysign(1.0, t)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f, g: cauchy_schwarz_check(f, g, -50.0, 50.0, ONE),
+        lambda f, g: holder_check(f, g, -50.0, 50.0, StepPair(1.0, 2.0), 3.0),
+        lambda f, g: minkowski_check(f, g, -50.0, 50.0, ONE, 3.0),
+        lambda f, g: comparison_check(f, g, -50.0, 50.0, ONE),
+        lambda f, g: mvt_constant(f, g, -50.0, 50.0, StepPair(1.0, 100.0 / 101.0)),
+        lambda f, g: integration_by_parts_residual(f, g, -50.0, 50.0, 1.0),
+        lambda f, g: ftc_residuals(f, -50.0, 50.0, 0.5),
+    ],
+    ids=["cs", "holder", "minkowski", "comparison", "mvt", "ibp", "ftc"],
+)
+def test_column_forms_evaluate_each_distinct_point_once(run):
+    # The forward, backward and shifted columns of a check share their
+    # points: a column form is handed each distinct point once, in the
+    # order a callable without one is called at them.
+    base_f, base_g = (lambda t: 0.5 + 0.25 * math.sin(t)), (lambda t: 3.0 + math.cos(t))
+    f, g = Columned(base_f), Columned(base_g)
+    run(f, g)
+    plain_f, plain_g = Columned(base_f), Columned(base_g)
+    run(plain_f.__call__, plain_g.__call__)
+    for columned, plain in ((f, plain_f), (g, plain_g)):
+        keys = [signed(t) for t in columned.evaluated]
+        assert len(keys) == len(set(keys))
+        assert keys == [signed(t) for t in plain.evaluated]
+        assert columned.calls == 0
+    assert f.columns > 0
+
+
+def test_column_forms_read_minus_zero_and_zero_separately():
+    f = Columned(lambda t: math.copysign(1.0, t))
+    samples = integrals.Samples(f)
+    assert samples.column([0.0, -0.0, 1.0, -0.0, 0.0]) == [1.0, -1.0, 1.0, -1.0, 1.0]
+    assert samples.column([-0.0, 0.0, 1.0]) == [-1.0, 1.0, 1.0]
+    assert [signed(t) for t in f.evaluated] == [signed(0.0), signed(-0.0), signed(1.0)]
+    assert (f.columns, f.calls) == (1, 0)
+
+
+def test_a_column_that_holds_a_fault_raises_the_first_and_keeps_only_the_points_before_it():
+    points = [0.5 + 0.5 * k for k in range(2 * integrals._BLOCK + 10)]  # three blocks
+    first, later = points[integrals._BLOCK + 7], points[integrals._BLOCK + 20]
+    f = Columned(faulty(lambda t: t, {first.hex(): "raise", later.hex(): "raise"}))
+    samples = integrals.Samples(f)
+    with pytest.raises(DomainFaultError) as err:
+        samples.column(points)
+    assert err.value.t == first
+    before = points.index(first)
+    assert list(samples.values) == points[:before]
+    f.evaluated.clear()
+    with pytest.raises(DomainFaultError) as err:
+        samples.column(points)
+    assert err.value.t == first
+    assert set(f.evaluated).isdisjoint(points[:before])  # read once, kept
+
+
+def test_an_expression_column_raises_the_fault_evaluate_meets_first():
+    f = cli._function("1/((t - 3)*(t - 7))")
+    samples = integrals.Samples(f)
+    points = [9.0, 7.0, 5.0, 3.0, 1.0]
+    with pytest.raises(DomainFaultError) as err:
+        samples.column(points)
+    with pytest.raises(DomainFaultError) as want:
+        [f(t) for t in points]
+    assert err.value.t == 7.0
+    assert (err.value.reason, err.value.node) == (want.value.reason, want.value.node)
+    assert list(samples.values) == [9.0]
+
+
+def test_a_callable_without_a_column_form_is_called_at_each_unread_point_in_order():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if t == 4.0:
+            raise DomainFaultError(None, t, "injected fault")
+        return t
+
+    samples = integrals.Samples(f)
+    assert samples.column([1.0, 2.0, 1.0, -0.0, 0.0, 2.0]) == [1.0, 2.0, 1.0, -0.0, 0.0, 2.0]
+    assert [signed(t) for t in calls] == [signed(1.0), signed(2.0), signed(-0.0), signed(0.0)]
+    calls.clear()
+    with pytest.raises(DomainFaultError):
+        samples.column([3.0, 2.0, 4.0, 5.0])
+    assert calls == [3.0, 4.0]
+    calls.clear()
+    with pytest.raises(DomainFaultError):
+        samples.column([3.0, 4.0])
+    assert calls == [4.0]  # 3.0 was kept from the read that met the fault
+
+
+def test_column_reads_hold_no_more_memory_than_calls():
+    # A forward holder check of 10^5 grid points, its f and g read as
+    # expression columns against plain Python callables.
+    def peak(f, g):
+        f(0.5), g(0.5)  # compiled before the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            holder_check(f, g, 0.0, 25_000.0, StepPair(0.25, 0.0), 3.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    columns = peak(cli._function("1+sin(t)"), cli._function("2+cos(0.5*t)"))
+    calls = peak(lambda t: 1 + math.sin(t), lambda t: 2 + math.cos(0.5 * t))
+    assert columns <= 1.05 * calls
