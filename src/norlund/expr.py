@@ -22,6 +22,9 @@ pow(x, y) is the binary power function.
 
 evaluate(e, t) evaluates e at one point; evaluate_column(e, points) at
 many, a node at a time, as the column form integrals.Samples reads.
+evaluate raises a domain fault as a DomainFaultError naming the node,
+the point and the reason of the first fault in the grammar's order: left
+to right, except that a denominator comes before its numerator.
 
 Parsing, compiling, evaluating and formatting all recurse over the tree,
 so parse refuses an expression nested more than _MAX_DEPTH levels deep,
@@ -90,17 +93,6 @@ class Call:
 Expr = Num | Var | Const | Neg | Bin | Call
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
-# Each unary function's math routine, the exception it raises outside the
-# function's domain and the DomainFaultError reason for it, or None, None;
-# evaluate turns the ValueError of sin or cos at an infinity into a fault.
-_UNARY = {
-    "abs": (abs, None, None),
-    "exp": (math.exp, OverflowError, "exponential overflows"),
-    "ln": (math.log, ValueError, "logarithm of a non-positive value"),
-    "sqrt": (math.sqrt, ValueError, "square root of a negative value"),
-    "sin": (math.sin, None, None),
-    "cos": (math.cos, None, None),
-}
 
 # The one statement of operator precedence, read by the parser and the
 # formatter: a higher number binds tighter.
@@ -226,7 +218,7 @@ class _Parser:
 
     def call(self, name: str, pos: int) -> Expr:
         # The compiler's tables give each function's arity.
-        arity = 1 if name in _UNARY else 2 if (Call, name) in _BINARY else 0
+        arity = 1 if (Call, name) in _UNARY else 2 if (Call, name) in _BINARY else 0
         if not arity:
             raise UnknownIdentifierError(name, pos)
         self.expect("(")
@@ -247,19 +239,8 @@ def _height(e: Expr) -> int:
     height, level = 0, [e]
     while level:
         height += 1
-        level = [child for node in level for child in _children(node)]
+        level = [child for node in level for child in _operator(node)[1]]
     return height
-
-
-def _children(e: Expr) -> tuple:
-    match e:
-        case Neg(operand=x):
-            return (x,)
-        case Bin(left=l, right=r):
-            return l, r
-        case Call(args=args):
-            return args
-    return ()
 
 
 def parse(text: str) -> Expr:
@@ -273,13 +254,16 @@ def parse(text: str) -> Expr:
 
 # ----------------------------------------------------------------------
 # Evaluation.  A tree compiles once into one closure per node (Feeley and
-# Lapalme, "Using closures for code generation", 1987); the closures do the
-# tree's floating-point operations in the tree's order and raise the same
-# faults.  Compilation yields an operand: the variable, a constant, or a
-# closure.  Constant and variable operands are read in place rather than
-# called, and a subtree free of t that evaluates without a fault is
-# replaced by its value.  A closure's column attribute maps its row's routine
-# over its operands' columns, once per node per column (MonetDB/X100, 2005).
+# Lapalme, "Using closures for code generation", 1987); the closures only
+# compute, doing the tree's floating-point operations with their rows'
+# routines, and let a routine's exception out.  Where a closure raises,
+# evaluate calls _fault, which walks the tree again in the grammar's order
+# and raises the DomainFaultError naming the node, the point and the reason.
+# Compilation yields an operand: the variable, a constant, or a closure.
+# Constant and variable operands are read in place rather than called, and
+# a subtree free of t that evaluates without raising is replaced by its
+# value.  A closure's column attribute maps its row's routine over its
+# operands' columns, once per node per column (MonetDB/X100, 2005).
 # ----------------------------------------------------------------------
 
 _VAR, _CONST, _FUNC = range(3)
@@ -309,93 +293,62 @@ _READS = {_VAR: "t", _CONST: "{}", _FUNC: "{}(t)"}
 
 
 @functools.cache
-def _inline(left_kind: int, op: str, right_kind: int):
-    """The factory of closures that apply op in line to operands of the
-    two kinds, compiled from its text once per combination."""
-    body = _READS[left_kind].format("a") + op + _READS[right_kind].format("b")
-    return eval(f"lambda a, b: lambda t: {body}", {})  # op is one of + - *
-
-
-def _arithmetic(node, left, right):  # + - or *, as a hand-written closure would apply it
-    return _inline(left[0], node.op, right[0])(left[1], right[1])
-
-
-def _divide(node, left, right):
-    f, g = _closure(left), _closure(right)
-    kind, b = right
-    if kind == _CONST and b != 0.0:
-        return lambda t: f(t) / b
-
-    def divide(t):
-        denominator = g(t)  # before the numerator, as the grammar's semantics order them
-        if denominator == 0.0:
-            raise DomainFaultError(node, t, "division by zero")
-        return f(t) / denominator
-
-    return divide
+def _inline(text: str, r, kinds: tuple):
+    """The factory of closures that compute a row's text, an expression of
+    a routine r and operands {a} and {b}, reading operands of the given
+    kinds in line.  Each routine gets its own code: sqrt and cos sharing
+    one in sqrt(2+cos(t)) would keep its calls from being specialized."""
+    reads = {name: _READS[kind].format(name) for name, kind in zip("ab", kinds)}
+    return eval(f"lambda a, b=None: lambda t: {text.format(**reads)}", {"r": r})
 
 
 def _pow(x: float, y: float) -> float:
     """math.pow, but a zero base raised to a negative power, -inf too, raises
-    ZeroDivisionError (where math.pow(0.0, -inf) is inf), as power does."""
+    ZeroDivisionError (where math.pow(0.0, -inf) is inf), as the grammar's
+    semantics has it."""
     if x == 0.0 and y < 0.0:
         raise ZeroDivisionError("zero raised to a negative power")
     return math.pow(x, y)
 
 
-_POW_FAULTS = {ValueError: "negative base with non-integer exponent", OverflowError: "power overflows"}
+_POW_FAULTS = {ZeroDivisionError: "zero raised to a negative power",
+               ValueError: "negative base with non-integer exponent", OverflowError: "power overflows"}
+
+# Each operator's row, by node kind and operator: its closure's text, the
+# routine its column maps, and the DomainFaultError reason for each
+# exception that routine raises.  A ValueError of sin or cos, at an
+# infinity, names the tree evaluated instead (see evaluate).
+_UNARY = {
+    (Neg, "-"): ("-{a}", operator.neg, {}),
+    (Call, "abs"): ("r({a})", abs, {}),
+    (Call, "exp"): ("r({a})", math.exp, {OverflowError: "exponential overflows"}),
+    (Call, "ln"): ("r({a})", math.log, {ValueError: "logarithm of a non-positive value"}),
+    (Call, "sqrt"): ("r({a})", math.sqrt, {ValueError: "square root of a negative value"}),
+    (Call, "sin"): ("r({a})", math.sin, {}),
+    (Call, "cos"): ("r({a})", math.cos, {}),
+}
+_BINARY = {
+    (Bin, "+"): ("{a}+{b}", operator.add, {}),
+    (Bin, "-"): ("{a}-{b}", operator.sub, {}),
+    (Bin, "*"): ("{a}*{b}", operator.mul, {}),
+    (Bin, "/"): ("{a}/{b}", operator.truediv, {ZeroDivisionError: "division by zero"}),
+    (Bin, "^"): ("r({a},{b})", _pow, _POW_FAULTS),
+    (Call, "pow"): ("r({a},{b})", _pow, _POW_FAULTS),
+}
 
 
-def _power(node, base, exponent):
-    f, pow = _closure(base), math.pow
-    kind, c = exponent
-    if kind == _CONST and not c < 0.0:  # a zero base cannot meet a negative exponent
-
-        def power(t):
-            x = f(t)
-            try:
-                return pow(x, c)
-            except (ValueError, OverflowError) as error:
-                raise DomainFaultError(node, t, _POW_FAULTS[type(error)]) from None
-
-        return power
-
-    g = _closure(exponent)
-
-    def power(t):
-        x = f(t)
-        y = g(t)
-        if x == 0.0 and y < 0.0:  # _pow's check, in line, as a call costs a frame per point
-            raise DomainFaultError(node, t, "zero raised to a negative power")
-        try:
-            return pow(x, y)
-        except (ValueError, OverflowError) as error:
-            raise DomainFaultError(node, t, _POW_FAULTS[type(error)]) from None
-
-    return power
-
-
-# Each binary node's closure compiler and column routine, by node kind and operator.
-_BINARY = {(Bin, "+"): (_arithmetic, operator.add), (Bin, "-"): (_arithmetic, operator.sub),
-           (Bin, "*"): (_arithmetic, operator.mul), (Bin, "/"): (_divide, operator.truediv),
-           (Bin, "^"): (_power, _pow), (Call, "pow"): (_power, _pow)}
-
-
-def _unary(node, name, operand):
-    """fn(operand), with fn's domain error raised as a DomainFaultError."""
-    f = _closure(operand)
-    fn, error, reason = _UNARY[name]
-    if error is None:
-        return lambda t: fn(f(t))
-
-    def guarded(t):
-        v = f(t)
-        try:
-            return fn(v)
-        except error:
-            raise DomainFaultError(node, t, reason) from None
-
-    return guarded
+def _operator(e: Expr):
+    """e's row, or None for a leaf or an operator of no row, and its operand nodes."""
+    kind = type(e)  # tested by identity: class patterns cost twice as much per node
+    if kind is Bin:
+        key, nodes = (Bin, e.op), (e.left, e.right)
+    elif kind is Call:
+        key, nodes = (Call, e.name), e.args
+    elif kind is Neg:
+        key, nodes = (Neg, "-"), (e.operand,)
+    else:
+        return None, ()
+    return (_UNARY if len(nodes) == 1 else _BINARY).get(key), nodes
 
 
 _isfinite = math.isfinite
@@ -410,30 +363,47 @@ def _compile(e: Expr):
             return _VAR, None
         case Const(name=name):
             return _CONST, _CONSTANTS[name]
-        case Neg(operand=x):
-            operands, routine = (_compile(x),), operator.neg
-            f = _closure(*operands)
-            fn = lambda t: -f(t)  # noqa: E731
-        case Bin(op=op, left=l, right=r) | Call(name=op, args=(l, r)) if (type(e), op) in _BINARY:
-            operands = (_compile(l), _compile(r))
-            compiler, routine = _BINARY[type(e), op]
-            fn = compiler(e, *operands)
-            (bk, x), (ek, y) = operands  # _pow is math.pow but at a zero base and a -inf exponent:
-            if routine is _pow and (bk == _CONST and x != 0.0 or ek == _CONST and y != -math.inf):
-                routine = math.pow  # a constant operand rules that pair out
-        case Call(name=name, args=(x,)) if name in _UNARY:
-            operands, routine = (_compile(x),), _UNARY[name][0]
-            fn = _unary(e, name, *operands)
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
-    if all(kind == _CONST for kind, _ in operands):
+    row, nodes = _operator(e)
+    if row is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    text, routine, _ = row
+    operands = [_compile(x) for x in nodes]
+    kinds, payloads = zip(*operands)
+    if routine is _pow:  # _pow is math.pow but at a zero base and a -inf exponent:
+        (bk, x), (ek, y) = operands  # a constant operand that rules that pair out picks math.pow
+        if bk == _CONST and x != 0.0 or ek == _CONST and y != -math.inf:
+            routine = math.pow
+    fn = _inline(text, routine, kinds)(*payloads)
+    if all(kind == _CONST for kind in kinds):
         try:
-            return _CONST, fn(0.0)  # t is read only to report a fault
-        except (DomainFaultError, ValueError):
-            pass  # keep the closure, so the fault is raised at the point evaluated
+            return _CONST, fn(0.0)  # t is not read
+        except (ArithmeticError, ValueError):
+            pass  # keep the closure, so that evaluate names the fault at the point evaluated
     columns = [_closure(operand).column for operand in operands]
     fn.column = lambda ts: list(map(routine, *[column(ts) for column in columns]))
     return _FUNC, fn
+
+
+def _fault(e: Expr, t: float) -> float:
+    """e's value at t, walked in the grammar's order (a denominator before
+    its numerator) with the rows' routines; the first fault met raises the
+    DomainFaultError naming its node and reason.  evaluate calls it only
+    after e's closure raised, to name the fault."""
+    row, nodes = _operator(e)
+    if row is None:  # a leaf, read as its closure reads it
+        return _closure(_compile(e))(t)
+    _, routine, reasons = row
+    if routine is operator.truediv:  # a zero denominator faults before its numerator is read
+        y = _fault(nodes[1], t)
+        if y == 0.0:
+            raise DomainFaultError(e, t, reasons[ZeroDivisionError])
+        values = _fault(nodes[0], t), y
+    else:
+        values = [_fault(x, t) for x in nodes]
+    try:
+        return routine(*values)
+    except tuple(reasons) as error:
+        raise DomainFaultError(e, t, reasons[type(error)]) from None
 
 
 def _compiled(e: Expr):  # e's closure, kept on the root so that later calls run it only
@@ -450,8 +420,12 @@ def evaluate(e: Expr, t: float) -> float:
         run = _compiled(e)
     try:
         value = run(t)
-    except ValueError:  # from sin or cos only: ln, sqrt and pow raise faults
-        raise DomainFaultError(e, t, "sine or cosine of an infinite value") from None
+    except (ArithmeticError, ValueError):
+        try:
+            _fault(e, t)
+        except ValueError:  # from sin or cos only: every other row names its faults
+            raise DomainFaultError(e, t, "sine or cosine of an infinite value") from None
+        raise
     if not _isfinite(value):
         raise DomainFaultError(e, t, "non-finite result")
     return value

@@ -108,8 +108,10 @@ class Samples:
 
     Points are keyed by value, except that -0.0 and 0.0 are distinct.  The
     unread points of each block of _BLOCK go to f's column form in one
-    call, if f offers one.  An evaluation that raises stores nothing, so
-    reading its point again evaluates it again.
+    call, if f offers one, else to f at each point.  A read that raises
+    lets the exception out: a column form's stores nothing for its block,
+    and f called point by point stores the values before its fault.  A
+    point not stored is evaluated again when read again.
     """
 
     def __init__(self, f: RealFunction):
@@ -125,11 +127,8 @@ class Samples:
             unread = list(dict.fromkeys(filterfalse(values.__contains__, keys) if values else keys))
             if unread:
                 ts = unread if keys is block else [k[1] if type(k) is tuple else k for k in unread]
-                try:
-                    read = _reader(self.f)(ts)
-                except Exception:  # a column that holds a fault: f point by point, up to it
-                    read = map(self.f, ts)
-                values.update(zip(unread, read))  # stores each value read before a fault
+                read = _reader(self.f)(ts)  # a column form that raises stores nothing
+                values.update(zip(unread, read))  # f by map stores each value before its fault
             fresh = len(unread) == len(keys) and type(read) is list
             column += read if fresh else map(values.__getitem__, keys)
         return column
@@ -542,7 +541,7 @@ def ftc_residuals(
         lower = upper
 
     r2_integral = integral(lambda F, G: F.quotients(alpha))
-    fb, fa = integral.f.column((b, a))
+    fb, fa = integral.f.column_or_calls((b, a))
     r2 = abs(r2_integral.value - (fb - fa))
     return r1, r2
 
@@ -568,7 +567,8 @@ def integration_by_parts_residual(
     integral = _Integrals(forward_integral, f, g, a, b, alpha, IntegralMode.AUTO, cfg)
 
     lhs = integral(lambda F, G: [x * q for x, q in zip(F(), G.quotients(alpha))]).value
-    (fb, fa), (gb, ga) = integral.f.column((b, a)), integral.g.column((b, a))
+    fb, fa = integral.f.column_or_calls((b, a))
+    gb, ga = integral.g.column_or_calls((b, a))
     boundary = fb * gb - fa * ga
     shifted = integral(lambda F, G: [q * y for q, y in zip(F.quotients(alpha), G(alpha))])
     rhs = boundary - shifted.value

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norlund import DomainFaultError, ExprSyntaxError, UnknownIdentifierError
+from norlund import expr as expr_module
 from norlund.cli import _function
 from norlund.expr import Bin, Call, Const, Neg, Num, Var, evaluate, evaluate_column, format, parse
 from norlund.integrals import Samples
@@ -403,7 +404,9 @@ def _assert_agrees(tree, t):
 # variable or a subexpression on either side, constant subtrees that fold
 # and constant subtrees that fault, a constant negative exponent, and pairs
 # of operands that both fault, where the first fault evaluated is raised,
-# and faults that a later operation would mask: 0^-inf is inf, and 1/inf 0.
+# faults that a later operation would mask: 0^-inf is inf, and 1/inf 0,
+# and numerators that fault over a zero denominator, where the grammar's
+# order, a denominator first, names the division.
 _SHAPES = [
     "t+2", "2+t", "t+t", "sin(t)+2", "2+sin(t)", "sin(t)+cos(t)",
     "t-2", "2-t", "t-t", "sin(t)-2", "2-sin(t)", "sin(t)-cos(t)",
@@ -419,6 +422,7 @@ _SHAPES = [
     "pow(ln(t),sqrt(t))", "ln(t)+cos(99^99*99^99)",
     "1/(1+2*t^2)", "1.5*t/(1+t^2)", "exp(-0.02*abs(t-50))", "pow(2.2,sin(0.3*t))",
     "1/(0^t)", "exp(0-pow(0,t*1e308*10))", "1/t^(0-1e308*10)", "1/pow(0*t,0-1e308*10)",
+    "ln(t)/(t-t)", "exp(1000*t)/(t-t)", "(1/t)/(t-t)", "sqrt(t)/(t-t)",
 ]
 _FIXED_POINTS = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 1e-300, 1e300, -1e300,
                  math.inf, -math.inf, math.nan, 0, 3, -2]
@@ -429,6 +433,39 @@ def test_evaluate_agrees_with_tree_walk_on_every_shape():
         tree = parse(text)
         for t in _FIXED_POINTS:
             _assert_agrees(tree, t)
+
+
+def test_the_fault_walk_runs_only_after_a_closure_raises(monkeypatch):
+    """Values never pass through expr._fault, and a closure that raises
+    calls it once to name the fault; a non-finite result needs no walk."""
+
+    def refuse(e, t):
+        raise AssertionError(f"_fault called at {t!r}")
+
+    monkeypatch.setattr(expr_module, "_fault", refuse)
+    faults = []  # (text, t, reason); a list, as the points 0, 0.0 and -0.0 are equal
+    for text in _SHAPES:
+        tree = parse(text)
+        for t in _FIXED_POINTS:
+            try:
+                want = _reference_evaluate(tree, t)
+            except DomainFaultError as exc:
+                faults.append((text, t, exc.reason))
+                continue
+            assert float(evaluate(tree, t)).hex() == float(want).hex(), (text, t)
+    calls = []
+    monkeypatch.setattr(expr_module, "_fault", lambda e, t: calls.append((e, t)))
+    for text, t, reason in faults:
+        tree = parse(text)
+        calls.clear()
+        if reason == "non-finite result":
+            with pytest.raises(DomainFaultError):
+                evaluate(tree, t)
+            assert calls == [], (text, t)
+        else:  # the walk names nothing here, so evaluate raises the closure's own exception
+            with pytest.raises((ArithmeticError, ValueError)):
+                evaluate(tree, t)
+            assert calls == [(tree, t)], (text, t)
 
 
 _POINTS = st.one_of(
@@ -464,9 +501,9 @@ def _walk_column(tree, points):
 def _assert_column_agrees(tree, points):
     """evaluate_column gives each point the tree walk's float, bit for bit,
     or raises if the walk faults at any point; and the CLI's function of
-    the tree, read as a column by Samples, gives the same floats or raises
-    the walk's first fault in point order: the same type, and for a domain
-    fault the same reason, point and node."""
+    the tree, read by Samples.column_or_calls, gives the same floats or
+    raises the walk's first fault in point order: the same type, and for
+    a domain fault the same reason, point and node."""
     f = _function(format(tree))
     tree = f.args[0]  # the tree f evaluates, whose nodes a fault names
     want = _walk_column(tree, points)
@@ -481,11 +518,11 @@ def _assert_column_agrees(tree, points):
     points = [float(t) for t in points]
     want = _walk_column(tree, points)
     if not isinstance(want, Exception):
-        got = Samples(f).column(points)
+        got = Samples(f).column_or_calls(points)
         assert [v.hex() for v in got] == [v.hex() for v in want], (format(tree), points)
         return
     with pytest.raises(type(want)) as err:
-        Samples(f).column(points)
+        list(Samples(f).column_or_calls(points))
     assert type(err.value) is type(want), (format(tree), points)
     if isinstance(want, DomainFaultError):
         assert (err.value.reason, err.value.t) == (want.reason, want.t), (format(tree), points)

@@ -628,21 +628,18 @@ def test_column_forms_read_minus_zero_and_zero_separately():
     assert (f.columns, f.calls) == (1, 0)
 
 
-def test_a_column_that_holds_a_fault_raises_the_first_and_keeps_only_the_points_before_it():
+def test_a_column_that_holds_a_fault_raises_the_first_through_column_or_calls():
     points = [0.5 + 0.5 * k for k in range(2 * integrals._BLOCK + 10)]  # three blocks
     first, later = points[integrals._BLOCK + 7], points[integrals._BLOCK + 20]
     f = Columned(faulty(lambda t: t, {first.hex(): "raise", later.hex(): "raise"}))
     samples = integrals.Samples(f)
-    with pytest.raises(DomainFaultError) as err:
-        samples.column(points)
-    assert err.value.t == first
-    before = points.index(first)
-    assert list(samples.values) == points[:before]
-    f.evaluated.clear()
-    with pytest.raises(DomainFaultError) as err:
-        samples.column(points)
-    assert err.value.t == first
-    assert set(f.evaluated).isdisjoint(points[:before])  # read once, kept
+    for _ in range(2):  # a second read meets the same first fault
+        with pytest.raises(DomainFaultError) as err:
+            list(samples.column_or_calls(points))
+        assert (err.value.t, err.value.reason, err.value.node) == (first, "injected fault", None)
+        # The block whose column raised stores nothing; f is then called up to the fault.
+        assert list(samples.values) == points[:integrals._BLOCK]
+    assert f.calls == 2 * (points.index(first) + 1)
 
 
 def test_an_expression_column_raises_the_fault_evaluate_meets_first():
@@ -650,12 +647,28 @@ def test_an_expression_column_raises_the_fault_evaluate_meets_first():
     samples = integrals.Samples(f)
     points = [9.0, 7.0, 5.0, 3.0, 1.0]
     with pytest.raises(DomainFaultError) as err:
-        samples.column(points)
+        list(samples.column_or_calls(points))
     with pytest.raises(DomainFaultError) as want:
         [f(t) for t in points]
     assert err.value.t == 7.0
     assert (err.value.reason, err.value.node) == (want.value.reason, want.value.node)
-    assert list(samples.values) == [9.0]
+    assert samples.values == {}  # the column that raised stores nothing
+
+
+def test_a_faulting_check_calls_f_only_in_its_fault_pass():
+    # The column read raises and stores nothing; the telescoped side's
+    # fault pass then calls f up to the fault, once per point.
+    expression, calls = cli._function("1/(t-3)"), []
+
+    def f(t):
+        calls.append(t)
+        return expression(t)
+
+    f.column = expression.column
+    with pytest.raises(DomainFaultError) as err:
+        cauchy_schwarz_check(f, cli._function("1"), 0.0, 6.0, StepPair(1.0, 1.0))
+    assert (err.value.t, err.value.reason) == (3.0, "division by zero")
+    assert calls == [0.0, 1.0, 2.0, 3.0]  # 8 calls when Samples re-read a faulting column
 
 
 def test_a_callable_without_a_column_form_is_called_at_each_unread_point_in_order():
