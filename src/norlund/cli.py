@@ -6,7 +6,9 @@ one of the identity or inequality verifiers.  Output is key = value
 text or, with --json, a single-line JSON report with the fields
 command, inputs, result, status and diagnostics.  Exit codes: 0 ok,
 1 check failed, 2 error.  All configuration is via flags; numbers are
-printed in shortest round-trip form.
+printed in shortest round-trip form, and a result number that is not
+finite is an error naming its field.  Each check kind is one row of
+_CHECKS: the check flags it reads, beside its library call.
 """
 
 from __future__ import annotations
@@ -33,19 +35,9 @@ from . import expr as expr_mod
 
 __all__ = ["build_parser", "main"]
 
-# The defaults of the check flags that some kinds do not read, and, per
-# check kind in --kind's order, the flags it does not read: each must
-# keep its default.
+# The check flags some kinds do not read, with their defaults: a kind given
+# one it does not read is refused, naming the first in this order.
 _CHECK_DEFAULTS = {"g": None, "beta": 0.0, "p": 2.0, "mode": "auto", "check_tol": 1e-9}
-_UNREAD_FLAGS = {
-    "holder": ("check_tol",),
-    "cs": ("p", "check_tol"),
-    "minkowski": ("check_tol",),
-    "mvt": ("p", "check_tol"),
-    "comparison": ("p", "check_tol"),
-    "ftc": ("g", "beta", "p", "mode"),
-    "ibp": ("beta", "p", "mode"),
-}
 
 # A report's status and the exit code it ends in.
 _EXIT_CODES = {"ok": 0, "check_failed": 1, "error": 2}
@@ -102,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # declared here so that a report's inputs, read from the parsed
     # namespace in declaration order, keep their key order
-    pc.add_argument("--kind", required=True, choices=tuple(_UNREAD_FLAGS))
+    pc.add_argument("--kind", required=True, choices=tuple(_CHECKS))
     _add_mode_flags(pc)
     pc.add_argument(
         "--check-tol",
@@ -198,46 +190,46 @@ def _cmd_diff(args) -> tuple:
     return {"kind": kind, "value": value}, "ok", []
 
 
+# Per check kind, in --kind's order: the check flags it reads and its run,
+# the library call on the parsed flags, f, g (None if unread) and cfg.  A
+# kind that reads check_tol runs to its residuals, any other to a report.
+_CHECKS = {
+    "holder": (("g", "beta", "p", "mode"), lambda args, f, g, cfg: holder_check(
+        f, g, args.a, args.b, StepPair(args.alpha, args.beta), args.p, IntegralMode(args.mode),
+        cfg)),
+    "cs": (("g", "beta", "mode"), lambda args, f, g, cfg: cauchy_schwarz_check(
+        f, g, args.a, args.b, StepPair(args.alpha, args.beta), IntegralMode(args.mode), cfg)),
+    "minkowski": (("g", "beta", "p", "mode"), lambda args, f, g, cfg: minkowski_check(
+        f, g, args.a, args.b, StepPair(args.alpha, args.beta), args.p, IntegralMode(args.mode),
+        cfg)),
+    "mvt": (("g", "beta", "mode"), lambda args, f, g, cfg: mvt_constant(
+        f, g, args.a, args.b, StepPair(args.alpha, args.beta), IntegralMode(args.mode), cfg)),
+    "comparison": (("g", "beta", "mode"), lambda args, f, g, cfg: comparison_check(
+        f, g, args.a, args.b, StepPair(args.alpha, args.beta), IntegralMode(args.mode), cfg)),
+    "ftc": (("check_tol",), lambda args, f, g, cfg: dict(
+        zip(("r1", "r2"), ftc_residuals(f, args.a, args.b, args.alpha, cfg)))),
+    "ibp": (("g", "check_tol"), lambda args, f, g, cfg: {
+        "residual": integration_by_parts_residual(f, g, args.a, args.b, args.alpha, cfg)}),
+}
+
+
 def _cmd_check(args) -> tuple:
-    """The check's result and status.  A flag the kind does not read must
-    keep its default, else ValueError; this is checked after the run, so
+    """The check's result and status.  The first flag the kind does not
+    read that is off its default is a ValueError, raised after the run, so
     that an error in an input the kind does read is reported first."""
-    outcome = _run_check(args)
-    for name in _UNREAD_FLAGS[args.kind]:
-        if getattr(args, name) != _CHECK_DEFAULTS[name]:
-            raise ValueError(f"the {args.kind} check does not use --{name.replace('_', '-')}")
-    return outcome
-
-
-def _run_check(args) -> tuple:
+    reads, run = _CHECKS[args.kind]
     f = _function(args.f)
     cfg = SeriesConfig(tol=args.tol, max_terms=args.max_terms)
-    if args.kind == "ftc":
-        r1, r2 = ftc_residuals(f, args.a, args.b, args.alpha, cfg)
-        result = {"r1": r1, "r2": r2, "check_tol": args.check_tol}
-        return result, "ok" if max(r1, r2) <= args.check_tol else "check_failed", []
-
-    if args.g is None:
+    if "g" in reads and args.g is None:
         raise ValueError(f"the {args.kind} check needs --g")
-    g = _function(args.g)
-    if args.kind == "ibp":
-        residual = integration_by_parts_residual(f, g, args.a, args.b, args.alpha, cfg)
-        result = {"residual": residual, "check_tol": args.check_tol}
-        return result, "ok" if residual <= args.check_tol else "check_failed", []
-
-    steps = StepPair(args.alpha, args.beta)
-    mode = IntegralMode(args.mode)
-    if args.kind == "mvt":
-        report = mvt_constant(f, g, args.a, args.b, steps, mode, cfg)
-    elif args.kind == "holder":
-        report = holder_check(f, g, args.a, args.b, steps, args.p, mode, cfg)
-    elif args.kind == "cs":
-        report = cauchy_schwarz_check(f, g, args.a, args.b, steps, mode, cfg)
-    elif args.kind == "minkowski":
-        report = minkowski_check(f, g, args.a, args.b, steps, args.p, mode, cfg)
-    else:
-        report = comparison_check(f, g, args.a, args.b, steps, mode, cfg)
-    return report, "ok" if report.holds else "check_failed", []
+    outcome = run(args, f, _function(args.g) if "g" in reads else None, cfg)
+    for name, default in _CHECK_DEFAULTS.items():
+        if name not in reads and getattr(args, name) != default:
+            raise ValueError(f"the {args.kind} check does not use --{name.replace('_', '-')}")
+    if "check_tol" not in reads:
+        return outcome, "ok" if outcome.holds else "check_failed", []
+    holds = max(outcome.values()) <= args.check_tol
+    return {**outcome, "check_tol": args.check_tol}, "ok" if holds else "check_failed", []
 
 
 # Each command returns the result, status and diagnostics of its report.
@@ -249,12 +241,9 @@ def _emit(report: dict, as_json: bool) -> None:
         print(json.dumps(report, default=_json_default))
         return
     lines = [f"command = {report['command']}"]
-    result = report["result"]
-    if result is not None:
-        if not isinstance(result, dict):
-            result = _json_default(result)
+    if report["result"] is not None:
         lines += [f"{key} = {json.dumps(value, default=_json_default)}"
-                  for key, value in result.items() if value is not None]
+                  for key, value in report["result"].items() if value is not None]
     lines += [f"note: {note}" for note in report["diagnostics"]]
     lines.append(f"status = {report['status']}")
     print("\n".join(lines))
@@ -265,13 +254,13 @@ def main(argv: list | None = None) -> int:
     inputs = {key: value for key, value in vars(args).items() if key not in ("command", "json")}
     try:
         result, status, diagnostics = _COMMANDS[args.command](args)
+        result = result if isinstance(result, dict) else _json_default(result)
+        for key, value in result.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"the {args.command} result's {key} is not finite ({value!r})")
     except (NorlundError, ValueError) as exc:
         result, status, diagnostics = None, "error", [f"{type(exc).__name__}: {exc}"]
     report = {"command": args.command, "inputs": inputs, "result": result,
               "status": status, "diagnostics": diagnostics}
     _emit(report, args.json)
     return _EXIT_CODES[status]
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -134,15 +134,17 @@ class Samples:
         return column
 
     def column_or_calls(self, points: Sequence[float]) -> Iterable:
-        """column(points), or, if that raises, f at each point lazily.
+        """f's raw values at points, read lazily block by block: a block's
+        column, or, if that raises, f at each of its points.  A caller that
+        checks each value as it iterates then meets the first fault in
+        point order, as a loop calling f would."""
+        return chain.from_iterable(map(self._column_or_calls, _blocks(points)))
 
-        A caller that checks each value as it iterates then meets the
-        first fault in point order, as a loop calling f would.
-        """
+    def _column_or_calls(self, block: Sequence[float]) -> Iterable:
         try:
-            return self.column(points)
+            return self.column(block)
         except Exception:
-            return map(self.f, points)
+            return map(self.f, block)
 
 
 class _Columns:

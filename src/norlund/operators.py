@@ -11,7 +11,8 @@ below zero is a ZeroStepError, an infinite or NaN one a ValueError, as
 is an infinite or NaN endpoint of an integral or a check
 (_require_finite).  A value read at a point is checked by one rule too,
 _finite: a value that is infinite or NaN is a NonFiniteValueError at its
-point.
+point.  The three difference quotients are one rule, _quotient: a zero
+step reads t itself, so -0.0 stays -0.0, and a positive step must move t.
 """
 
 from __future__ import annotations
@@ -101,13 +102,21 @@ def _require_positive(step: float, name: str) -> None:
 
 
 def _moved(t: float, shifted: float, step: float, side: str) -> float:
-    """shifted, the point t + alpha or t - beta; ZeroStepError if a
-    positive step rounds away to leave t unmoved."""
-    if shifted == t and step > 0.0:
+    """shifted, t moved by a positive step; ZeroStepError if it is t."""
+    if shifted == t:
         raise ZeroStepError(
             f"{side} step {step!r} does not move t={t!r}: it is below t's resolution"
         )
     return shifted
+
+
+def _quotient(f: RealFunction, t: float, alpha: float, beta: float) -> float:
+    """(f(t + alpha) - f(t - beta)) / (alpha + beta), f read at the upper
+    point first.  A zero step reads t itself (t + 0.0 would turn -0.0 into
+    0.0); a positive one must move t."""
+    upper = _moved(t, t + alpha, alpha, "forward") if alpha else t
+    lower = _moved(t, t - beta, beta, "backward") if beta else t
+    return (_finite(upper, f(upper)) - _finite(lower, f(lower))) / (alpha + beta)
 
 
 def forward_difference(f: RealFunction, t: float, alpha: float) -> float:
@@ -116,8 +125,7 @@ def forward_difference(f: RealFunction, t: float, alpha: float) -> float:
     The step must be positive and must move t (t + alpha != t).
     """
     _require_positive(alpha, "forward step")
-    upper = _moved(t, t + alpha, alpha, "forward")
-    return (_finite(upper, f(upper)) - _finite(t, f(t))) / alpha
+    return _quotient(f, t, alpha, 0.0)
 
 
 def backward_difference(f: RealFunction, t: float, beta: float) -> float:
@@ -126,8 +134,7 @@ def backward_difference(f: RealFunction, t: float, beta: float) -> float:
     The step must be positive and must move t (t - beta != t).
     """
     _require_positive(beta, "backward step")
-    lower = _moved(t, t - beta, beta, "backward")
-    return (_finite(t, f(t)) - _finite(lower, f(lower))) / beta
+    return _quotient(f, t, 0.0, beta)
 
 
 def symmetric_difference(f: RealFunction, t: float, steps: StepPair) -> float:
@@ -135,12 +142,10 @@ def symmetric_difference(f: RealFunction, t: float, steps: StepPair) -> float:
 
     Reduces to the forward quotient at beta = 0 and to the backward
     quotient at alpha = 0; at alpha = beta = h it is the classical
-    symmetric quotient (f(t + h) - f(t - h)) / (2h).  A zero side is
-    allowed; a positive one must move t.
+    symmetric quotient (f(t + h) - f(t - h)) / (2h).  A zero side reads
+    t itself; a positive one must move t.
     """
-    upper = _moved(t, t + steps.alpha, steps.alpha, "forward")
-    lower = _moved(t, t - steps.beta, steps.beta, "backward")
-    return (_finite(upper, f(upper)) - _finite(lower, f(lower))) / (steps.alpha + steps.beta)
+    return _quotient(f, t, steps.alpha, steps.beta)
 
 
 def grid_align(

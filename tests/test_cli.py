@@ -229,6 +229,26 @@ def test_non_finite_strict_term_names_its_point(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, note",
+    [
+        (["diff", "--expr", "1.7e308*sin(t)", "--t", "1.5707963", "--alpha", "3.14159"],
+         "ValueError: the diff result's value is not finite (-inf)"),
+        # The boundary term 1e400 - 1e400 is NaN.
+        (["check", "--kind", "ibp", "--f", "1e200", "--g", "1e200", "--a", "0", "--b", "3",
+          "--alpha", "1"],
+         "ValueError: the check result's residual is not finite (nan)"),
+    ],
+    ids=["diff", "ibp"],
+)
+def test_a_non_finite_result_is_an_error_naming_its_field(capsys, argv, note):
+    assert main(argv + ["--json"]) == 2
+    report = strict_json(capsys.readouterr().out)
+    assert (report["result"], report["status"], report["diagnostics"]) == (None, "error", [note])
+    assert main(argv) == 2
+    assert capsys.readouterr().out == f"command = {argv[0]}\nnote: {note}\nstatus = error\n"
+
+
 def test_unknown_check_kind_lists_the_kinds_in_order(capsys):
     with pytest.raises(SystemExit) as err:
         main(["check", "--kind", "nope", "--f", "t", "--a", "0", "--b", "1"])

@@ -44,6 +44,12 @@ def test_symmetric_reduces_to_one_sided():
     f = lambda t: t**3 - 2.0 * t
     assert symmetric_difference(f, 1.5, StepPair(0.5, 0.0)) == forward_difference(f, 1.5, 0.5)
     assert symmetric_difference(f, 1.5, StepPair(0.0, 0.5)) == backward_difference(f, 1.5, 0.5)
+    # A zero step reads t itself: at t = -0.0 it must not read f(0.0).
+    sign = lambda t: math.copysign(1.0, t)
+    backward, forward = backward_difference(sign, -0.0, 1.0), forward_difference(sign, -0.0, 1.0)
+    assert (backward, forward) == (0.0, 2.0)
+    assert symmetric_difference(sign, -0.0, StepPair(0.0, 1.0)) == backward
+    assert symmetric_difference(sign, -0.0, StepPair(1.0, 0.0)) == forward
 
 
 def test_forward_equals_shifted_backward_exactly():

@@ -637,9 +637,10 @@ def test_a_column_that_holds_a_fault_raises_the_first_through_column_or_calls():
         with pytest.raises(DomainFaultError) as err:
             list(samples.column_or_calls(points))
         assert (err.value.t, err.value.reason, err.value.node) == (first, "injected fault", None)
-        # The block whose column raised stores nothing; f is then called up to the fault.
+        # The block whose column raised stores nothing; f is then called
+        # from that block's start up to the fault, not at the stored points.
         assert list(samples.values) == points[:integrals._BLOCK]
-    assert f.calls == 2 * (points.index(first) + 1)
+    assert f.calls == 2 * (points.index(first) - integrals._BLOCK + 1)
 
 
 def test_an_expression_column_raises_the_fault_evaluate_meets_first():
