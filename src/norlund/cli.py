@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import sys
 from dataclasses import fields
 from enum import Enum
 
@@ -56,6 +57,12 @@ def _json_default(value):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple:
+    """The full parser and, by command, the parser it hands that command's
+    arguments to."""
     parser = argparse.ArgumentParser(
         prog="norlund",
         description="Two-step symmetric Norlund-sum calculus: integrals, "
@@ -103,13 +110,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest residual accepted by the ftc and ibp checks",
     )
     pc.add_argument("--json", action="store_true")
-    return parser
+    return parser, {"eval": pe, "diff": pd, "check": pc}
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on its first call."""
-    return build_parser()
+def _parsers() -> tuple:
+    """The parsers main uses, built on its first call."""
+    return _build()
+
+
+def _parse(argv: list | None) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, in one pass where it can:
+    a vector that starts with a command goes to that command's parser
+    alone, as the full parser hands it over, and any other vector, or one
+    that leaves arguments unrecognised, to the full parser."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, unrecognised = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not unrecognised:
+            return args
+    return parser.parse_args(argv)
 
 
 def _finite_float(text: str) -> float:
@@ -250,7 +272,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def main(argv: list | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     inputs = {key: value for key, value in vars(args).items() if key not in ("command", "json")}
     try:
         result, status, diagnostics = _COMMANDS[args.command](args)

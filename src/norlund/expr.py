@@ -38,6 +38,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence, Tuple
 
 from .errors import DomainFaultError, ExprSyntaxError, UnknownIdentifierError
@@ -262,7 +263,8 @@ def parse(text: str) -> Expr:
 # Compilation yields an operand: the variable, a constant, or a closure.
 # Constant and variable operands are read in place rather than called, and
 # a subtree free of t that evaluates without raising is replaced by its
-# value.  A closure's column attribute maps its row's routine over its
+# value.  A tree's column kernel is built on its first column read, from
+# the parts each closure keeps: it maps a node's row routine over its
 # operands' columns, once per node per column (MonetDB/X100, 2005).
 # ----------------------------------------------------------------------
 
@@ -273,7 +275,7 @@ def _identity(t: float) -> float:
     return t
 
 
-_identity.column = list  # the variable's column is the points themselves
+_identity.column = list  # a root t's column: a new list, never the caller's own
 
 
 def _closure(operand):
@@ -283,8 +285,20 @@ def _closure(operand):
     if kind == _FUNC:
         return x
     constant = lambda t: x  # noqa: E731
-    constant.column = lambda ts: [x] * len(ts)
+    constant.column = lambda ts: [x] * len(ts)  # a constant root's column
     return constant
+
+
+def _kernel(fn):
+    """The column form of a compiled closure: its row's routine mapped over
+    its operands' columns, where the variable's column is the points
+    themselves and a constant's is repeated as many times, no more, since
+    a node kept only because it faults has constant operands alone."""
+    routine, operands = fn.parts
+    columns = [_kernel(x) if kind == _FUNC else
+               (lambda ts, x=x: repeat(x, len(ts))) if kind == _CONST else _identity
+               for kind, x in operands]
+    return lambda ts: list(map(routine, *[column(ts) for column in columns]))
 
 
 # How a closure reads an operand in line, by kind, given the name bound to
@@ -379,8 +393,7 @@ def _compile(e: Expr):
             return _CONST, fn(0.0)  # t is not read
         except (ArithmeticError, ValueError):
             pass  # keep the closure, so that evaluate names the fault at the point evaluated
-    columns = [_closure(operand).column for operand in operands]
-    fn.column = lambda ts: list(map(routine, *[column(ts) for column in columns]))
+    fn.parts = routine, operands  # what _kernel builds its column form from
     return _FUNC, fn
 
 
@@ -435,7 +448,12 @@ def evaluate_column(e: Expr, points: Sequence[float]) -> list:
     """[evaluate(e, t) for t in points], computed a node at a time with
     evaluate's float operations.  Where evaluate faults at some point,
     this raises an ArithmeticError or ValueError that names no point."""
-    values = (getattr(e, "_compiled", None) or _compiled(e)).column(points)
+    run = getattr(e, "_compiled", None) or _compiled(e)
+    try:
+        column = run.column
+    except AttributeError:  # built on the tree's first column read
+        column = run.column = _kernel(run)
+    values = column(points)
     # A float sum is finite only if every term is; a sum that overflows is checked term by term.
     if _isfinite(sum(values)) or all(map(_isfinite, values)):
         return values

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
 from itertools import chain, filterfalse
-from operator import add
+from operator import add, gt, lt
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NonFiniteTermError, NonFiniteValueError, NotAlignedError, NotIntegrableError
@@ -98,6 +98,14 @@ def _blocks(points: Sequence[float]) -> Iterable[Sequence[float]]:
     return (points[i:i + _BLOCK] for i in range(0, len(points), _BLOCK))
 
 
+def _distinct_nonzero(points: Sequence[float]) -> bool:
+    """Whether points are strictly monotone, so distinct, and hold no zero,
+    which only points whose ends differ in sign can hold."""
+    rest = points[1:]
+    monotone = all(map(lt, points, rest)) or all(map(gt, points, rest))
+    return monotone and (not points or points[0] * points[-1] > 0.0 or 0.0 not in points)
+
+
 def _reader(f: RealFunction) -> Callable[[Sequence[float]], Iterable[float]]:
     """f's column form, or else f called at each point."""
     return getattr(f, "column", None) or partial(map, f)
@@ -112,15 +120,30 @@ class Samples:
     lets the exception out: a column form's stores nothing for its block,
     and f called point by point stores the values before its fault.  A
     point not stored is evaluated again when read again.
+
+    Points are keyed only once a later read could hit them: a first read
+    whose points are strictly monotone, so distinct, and none of them zero
+    goes to f's column form, if f offers one, and is kept as its (points,
+    values), keyed by the next read.  If that column form raises, nothing
+    is stored.
     """
 
     def __init__(self, f: RealFunction):
         self.f = f
         self.values = {}
+        self.first = None  # the first read's (points, values), not yet keyed
 
     def column(self, points: Sequence[float]) -> list:
         """f's raw values at points, in order, evaluating the unread ones."""
-        values, column = self.values, []
+        values = self.values
+        if self.first is not None:
+            values.update(zip(*self.first))
+            self.first = None
+        elif not values and getattr(self.f, "column", None) and _distinct_nonzero(points):
+            read = list(chain.from_iterable(map(self.f.column, _blocks(points))))
+            self.first = points, read
+            return read
+        column = []
         for block in _blocks(points):
             # -0.0 == 0.0 as dict keys, so a zero is keyed by its sign and itself.
             keys = [t or (math.copysign(1.0, t), t) for t in block] if 0.0 in block else block

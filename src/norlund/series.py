@@ -83,10 +83,13 @@ class SeriesConfig:
             )
 
 
+_DEFAULT = SeriesConfig()  # frozen, so one instance serves every call without a cfg
+
+
 def _config(cfg: SeriesConfig | None) -> SeriesConfig:
     """cfg, or the default SeriesConfig for None; anything else is a ValueError."""
     if cfg is None:
-        return SeriesConfig()
+        return _DEFAULT
     if not isinstance(cfg, SeriesConfig):
         raise ValueError(f"cfg must be a SeriesConfig or None, got {cfg!r}")
     return cfg

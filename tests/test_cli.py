@@ -177,18 +177,19 @@ def test_check_hypothesis_failure(capsys):
 
 def test_main_builds_the_parser_at_most_once(monkeypatch, capsys):
     calls = []
-    build = cli.build_parser
+    build = cli._build  # the full parser and each command's own
 
     def counting_build():
         calls.append(None)
         return build()
 
-    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_build", counting_build)
+    cli._parsers.cache_clear()
     main(["eval", "--expr", "t", "--a", "0", "--b", "2", "--alpha", "1"])
     main(["diff", "--expr", "t", "--t", "0", "--alpha", "1", "--json"])
     main(["check", "--kind", "cs", "--f", "1", "--g", "t", "--a", "0", "--b", "3", "--alpha", "1"])
     capsys.readouterr()
-    assert len(calls) <= 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", ["ftc", "ibp"])
@@ -520,3 +521,81 @@ def test_ibp_flag_misuse_with_a_second_misused_flag_names_the_first(capsys):
                  "--p", "5"])
     assert code == 2
     assert "note: ValueError: the ibp check does not use --beta" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# One-pass argument parsing: main against the full parser's two passes
+# ----------------------------------------------------------------------
+
+CS = ["check", "--kind", "cs", "--f", "1", "--g", "t", "--a", "0", "--b", "3", "--alpha", "1"]
+EVAL = ["eval", "--expr", "t", "--a", "0", "--b", "2", "--alpha", "1"]
+ARGV_CORPUS = [
+    EVAL,
+    EVAL + ["--beta", "0.5", "--mode", "telescoped", "--tol", "1e-9", "--max-terms", "100",
+            "--json"],
+    ["diff", "--expr", "t^2", "--t", "2", "--alpha", "1", "--beta", "0.5", "--json"],
+    ["check", "--kind", "holder", "--f", "1", "--g", "t", "--a", "0", "--b", "3", "--alpha", "1",
+     "--beta", "1", "--p", "3"],
+    CS + ["--json"],
+    ["check", "--kind", "minkowski", "--f", "1", "--g", "t", "--a", "0", "--b", "3",
+     "--alpha", "1", "--p", "3", "--json"],
+    ["check", "--kind", "mvt", "--f", "t", "--g", "1", "--a", "0", "--b", "3", "--alpha", "1"],
+    ["check", "--kind", "comparison", "--f", "0.5", "--g", "1", "--a", "0", "--b", "3",
+     "--alpha", "1", "--beta", "1"],
+    ["check", "--kind", "ftc", "--f", "t^2", "--a", "0", "--b", "3", "--alpha", "1",
+     "--check-tol", "1e-6"],
+    ["check", "--kind", "ibp", "--f", "t", "--g", "t^2", "--a", "0", "--b", "3", "--alpha", "1"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["eval", "-h"],
+    ["check", "--help"],
+    EVAL + ["-h"],
+    ["eval", "--expr", "t", "--a", "0", "--b", "2", "--al", "1"],  # an abbreviation
+    ["eval", "--expr", "t", "--a", "0", "--b", "2", "--m", "1"],  # an ambiguous one
+    CS[:-2] + ["--check", "1e-3"],
+    ["eval", "--expr=t", "--a=0", "--b=-2", "--alpha=1"],
+    ["eval", "--", "--expr", "t", "--a", "0", "--b", "2", "--alpha", "1"],
+    EVAL + ["--"],
+    ["--", "eval", "--expr", "t", "--a", "0", "--b", "2"],
+    ["integrate", "--expr", "t"],  # an unknown command
+    ["evl", "--expr", "t"],
+    ["--json", "eval", "--expr", "t", "--a", "0", "--b", "2", "--alpha", "1"],
+    EVAL + ["--gamma", "1"],  # an unknown flag
+    EVAL + ["stray"],  # a stray positional
+    ["stray"] + EVAL,
+    EVAL[:-1] + ["one"],  # a bad float
+    ["diff", "--expr", "-t", "--t", "0", "--alpha", "1"],
+    EVAL + ["--alpha", "0.5"],  # a repeated flag
+    ["check", "--kind", "bogus", "--f", "1", "--a", "0", "--b", "1"],
+    ["eval", "--a", "0", "--b", "1"],  # a required flag missing
+    ["diff", "--expr", "t", "--t", "-1e-3", "--beta", "0.5"],
+]
+
+
+def _main_outcome(argv, capsys):
+    """stdout, stderr and exit code of main(argv), a SystemExit's included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=[" ".join(v) or "empty" for v in ARGV_CORPUS])
+def test_main_parses_as_the_full_parser_does(monkeypatch, capsys, argv):
+    got = _main_outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", _full_parse)
+    assert got == _main_outcome(argv, capsys)
+    monkeypatch.undo()
+    try:
+        want = list(vars(_full_parse(argv)).items())
+    except SystemExit:
+        capsys.readouterr()
+        return
+    assert list(vars(cli._parse(argv)).items()) == want  # a report's inputs keep their key order

@@ -570,6 +570,14 @@ def test_evaluate_column_returns_a_new_list_and_keeps_the_point_types():
     assert evaluate_column(parse("2+3"), (1.0, 2.0)) == [5.0, 5.0]
 
 
+def test_a_tree_builds_its_column_kernel_on_its_first_column_read():
+    tree = parse("1/(1+2*t^2)")
+    values = [evaluate(tree, 0.5), evaluate(tree, 3.0)]
+    assert not hasattr(tree._compiled, "column")  # a tree read only at points builds none
+    assert evaluate_column(tree, [0.5, 3.0]) == values
+    assert evaluate_column(tree, (0.5, 3.0)) == values
+
+
 def test_a_column_with_an_overflowing_sum_of_finite_values_is_not_a_fault():
     points = [709.0, 709.0, 709.0]
     assert evaluate_column(parse("exp(t)"), points) == [math.exp(709.0)] * 3

@@ -78,6 +78,11 @@ def test_max_terms_below_warmup_message():
         SeriesConfig(max_terms=4)
 
 
+def test_no_cfg_means_one_shared_default_config():
+    assert series._config(None) is series._config(None)
+    assert series._config(None) == SeriesConfig()
+
+
 def test_determinism_bit_identical():
     cfg = SeriesConfig(tol=1e-10)
     first = sum_series(lambda k: 0.8**k * math.cos(0.3 * k), cfg)

@@ -694,6 +694,94 @@ def test_a_callable_without_a_column_form_is_called_at_each_unread_point_in_orde
     assert calls == [4.0]  # 3.0 was kept from the read that met the fault
 
 
+# ----------------------------------------------------------------------
+# Points keyed only on a re-read
+# ----------------------------------------------------------------------
+
+
+def test_a_first_monotone_read_is_keyed_by_the_next_read():
+    f = Columned(lambda t: 2.0 * t)
+    samples = integrals.Samples(f)
+    assert samples.column([3.0, 2.0, 1.0]) == [6.0, 4.0, 2.0]
+    assert samples.values == {}  # kept as the read's points and values
+    assert samples.column([4.0, 3.0, 1.0, 0.5]) == [8.0, 6.0, 2.0, 1.0]
+    assert samples.values == {3.0: 6.0, 2.0: 4.0, 1.0: 2.0, 4.0: 8.0, 0.5: 1.0}
+    assert f.evaluated == [3.0, 2.0, 1.0, 4.0, 0.5]
+    assert (f.columns, f.calls) == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "reads",
+    [
+        [[-2.0, -1.0, -0.0], [0.0, 1.0], [-0.0, 0.0, -1.0, 1.0]],
+        [[-1.0, -0.0, 0.0, 1.0], [1.0, 0.0, -0.0, -1.0]],
+        [[1.0, 0.0, -0.0, -1.0], [-0.0, 0.0]],
+    ],
+    ids=["zero-ending-walk", "rising-through-zeros", "falling-through-zeros"],
+)
+def test_a_monotone_walk_through_minus_zero_and_zero_keeps_them_distinct(reads):
+    f = Columned(lambda t: math.copysign(1.0, t) + t)
+    samples = integrals.Samples(f)
+    for points in reads:
+        assert samples.column(points) == [math.copysign(1.0, t) + t for t in points]
+    evaluated = [signed(t) for t in f.evaluated]
+    assert sorted(evaluated) == sorted(set(signed(t) for points in reads for t in points))
+    assert f.calls == 0
+
+
+def test_a_column_form_that_raises_on_a_first_read_stores_nothing():
+    points = [1.0, 2.0, 3.0, 4.0]
+    f = Columned(faulty(lambda t: t, {(3.0).hex(): "raise"}))
+    samples = integrals.Samples(f)
+    for columns in (1, 2):  # a re-read reads f again
+        with pytest.raises(DomainFaultError):
+            samples.column(points)
+        assert (samples.values, samples.first) == ({}, None)
+        assert (f.columns, f.calls) == (columns, 0)
+
+
+def test_a_map_only_f_that_faults_on_a_first_read_keeps_the_values_before_the_fault():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if t == 3.0:
+            raise DomainFaultError(None, t, "injected fault")
+        return 10.0 * t
+
+    samples = integrals.Samples(f)
+    with pytest.raises(DomainFaultError):
+        samples.column([1.0, 2.0, 3.0, 4.0])
+    assert samples.values == {1.0: 10.0, 2.0: 20.0}
+    assert samples.column([2.0, 1.0]) == [20.0, 10.0]
+    assert calls == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f, g: cauchy_schwarz_check(f, g, 1.0, 101.0, StepPair(1.0, 0.0)),
+        lambda f, g: holder_check(f, g, 1.0, 101.0, StepPair(1.0, 2.0), 3.0),
+        lambda f, g: integration_by_parts_residual(f, g, 1.0, 101.0, 1.0),
+        lambda f, g: mvt_constant(f, g, 1.0, 101.0, StepPair(1.0, 0.0)),
+        lambda f, g: mvt_constant(f, g, 1.0, 2049.0, StepPair(1.0, 0.0)),
+        lambda f, g: ftc_residuals(f, 1.0, 51.0, 0.5),
+    ],
+    ids=["forward-cs", "holder", "ibp-shifted", "mvt-sampled", "mvt-sampled-blocks", "ftc"],
+)
+def test_first_reads_kept_unkeyed_still_evaluate_each_distinct_point_once(run):
+    # Grids without a zero, so each function's first read is kept unkeyed.
+    base_f, base_g = (lambda t: 0.5 + 0.25 * math.sin(t)), (lambda t: 3.0 + math.cos(t))
+    f, g = Columned(base_f), Columned(base_g)
+    run(f, g)
+    plain_f, plain_g = Columned(base_f), Columned(base_g)
+    run(plain_f.__call__, plain_g.__call__)
+    for columned, plain in ((f, plain_f), (g, plain_g)):
+        assert len(columned.evaluated) == len(set(columned.evaluated))
+        assert columned.evaluated == plain.evaluated
+        assert columned.calls == 0
+
+
 def test_column_reads_hold_no_more_memory_than_calls():
     # A forward holder check of 10^5 grid points, its f and g read as
     # expression columns against plain Python callables.
