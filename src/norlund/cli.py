@@ -7,8 +7,9 @@ text or, with --json, a single-line JSON report with the fields
 command, inputs, result, status and diagnostics.  Exit codes: 0 ok,
 1 check failed, 2 error.  All configuration is via flags; numbers are
 printed in shortest round-trip form, and a result number that is not
-finite is an error naming its field.  Each check kind is one row of
-_CHECKS: the check flags it reads, beside its library call.
+finite, at any depth, is an error naming its field.  Each check kind
+is one row of _CHECKS: the check flags it reads, beside its library
+call.
 """
 
 from __future__ import annotations
@@ -258,17 +259,27 @@ def _cmd_check(args) -> tuple:
 _COMMANDS = {"eval": _cmd_eval, "diff": _cmd_diff, "check": _cmd_check}
 
 
-def _emit(report: dict, as_json: bool) -> None:
+def _render(report: dict, as_json: bool) -> str:
+    """The report as one JSON line or as key = value text.  A number that
+    is not finite, at any depth, is a ValueError: JSON has no encoding
+    for it."""
+    dumps = functools.partial(json.dumps, default=_json_default, allow_nan=False)
     if as_json:
-        print(json.dumps(report, default=_json_default))
-        return
+        return dumps(report)
     lines = [f"command = {report['command']}"]
     if report["result"] is not None:
-        lines += [f"{key} = {json.dumps(value, default=_json_default)}"
+        lines += [f"{key} = {dumps(value)}"
                   for key, value in report["result"].items() if value is not None]
     lines += [f"note: {note}" for note in report["diagnostics"]]
     lines.append(f"status = {report['status']}")
-    print("\n".join(lines))
+    return "\n".join(lines)
+
+
+def _non_finite(value):
+    """The first number in value's encoding that is infinite or NaN, or None."""
+    found = []
+    json.loads(json.dumps(value, default=_json_default), parse_constant=found.append)
+    return float(found[0]) if found else None
 
 
 def main(argv: list | None = None) -> int:
@@ -277,12 +288,17 @@ def main(argv: list | None = None) -> int:
     try:
         result, status, diagnostics = _COMMANDS[args.command](args)
         result = result if isinstance(result, dict) else _json_default(result)
-        for key, value in result.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"the {args.command} result's {key} is not finite ({value!r})")
     except (NorlundError, ValueError) as exc:
         result, status, diagnostics = None, "error", [f"{type(exc).__name__}: {exc}"]
     report = {"command": args.command, "inputs": inputs, "result": result,
               "status": status, "diagnostics": diagnostics}
-    _emit(report, args.json)
-    return _EXIT_CODES[status]
+    try:
+        text = _render(report, args.json)
+    except ValueError:  # a result number that is not finite: an error naming its field
+        key, value = next((key, x) for key, value in result.items()
+                          if (x := _non_finite(value)) is not None)
+        report.update(result=None, status="error", diagnostics=[
+            f"ValueError: the {args.command} result's {key} is not finite ({value!r})"])
+        text = _render(report, args.json)
+    print(text)
+    return _EXIT_CODES[report["status"]]

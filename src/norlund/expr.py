@@ -38,7 +38,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence, Tuple
 
 from .errors import DomainFaultError, ExprSyntaxError, UnknownIdentifierError
@@ -254,66 +253,22 @@ def parse(text: str) -> Expr:
 
 
 # ----------------------------------------------------------------------
-# Evaluation.  A tree compiles once into one closure per node (Feeley and
-# Lapalme, "Using closures for code generation", 1987); the closures only
-# compute, doing the tree's floating-point operations with their rows'
-# routines, and let a routine's exception out.  Where a closure raises,
-# evaluate calls _fault, which walks the tree again in the grammar's order
-# and raises the DomainFaultError naming the node, the point and the reason.
-# Compilation yields an operand: the variable, a constant, or a closure.
-# Constant and variable operands are read in place rather than called, and
-# a subtree free of t that evaluates without raising is replaced by its
-# value.  A tree's column kernel is built on its first column read, from
-# the parts each closure keeps: it maps a node's row routine over its
-# operands' columns, once per node per column (MonetDB/X100, 2005).
+# Evaluation.  A tree compiles once into one Python expression over t,
+# written while the compiler walks the tree from its rows' texts, with
+# each constant and routine passed in as an argument (c0, c1, ...), so
+# that trees of one shape share one compiled code object, kept in a
+# bounded cache.  From it come a function of t, which evaluate runs, and
+# one list comprehension over the points, which evaluate_column runs: one
+# interpreted loop per column rather than one map per node (MonetDB/X100,
+# 2005, fuses operators the same way).  The code only computes, doing the
+# tree's floating-point operations with its rows' routines, and lets a
+# routine's exception out.  Where it raises, evaluate calls _fault, which
+# walks the tree again in the grammar's order and raises the
+# DomainFaultError naming the node, the point and the reason.  A subtree
+# free of t that evaluates without raising is replaced by its value.
 # ----------------------------------------------------------------------
 
-_VAR, _CONST, _FUNC = range(3)
-
-
-def _identity(t: float) -> float:
-    return t
-
-
-_identity.column = list  # a root t's column: a new list, never the caller's own
-
-
-def _closure(operand):
-    kind, x = operand
-    if kind == _VAR:
-        return _identity
-    if kind == _FUNC:
-        return x
-    constant = lambda t: x  # noqa: E731
-    constant.column = lambda ts: [x] * len(ts)  # a constant root's column
-    return constant
-
-
-def _kernel(fn):
-    """The column form of a compiled closure: its row's routine mapped over
-    its operands' columns, where the variable's column is the points
-    themselves and a constant's is repeated as many times, no more, since
-    a node kept only because it faults has constant operands alone."""
-    routine, operands = fn.parts
-    columns = [_kernel(x) if kind == _FUNC else
-               (lambda ts, x=x: repeat(x, len(ts))) if kind == _CONST else _identity
-               for kind, x in operands]
-    return lambda ts: list(map(routine, *[column(ts) for column in columns]))
-
-
-# How a closure reads an operand in line, by kind, given the name bound to
-# its payload: the variable and a constant in place, a subtree by a call.
-_READS = {_VAR: "t", _CONST: "{}", _FUNC: "{}(t)"}
-
-
-@functools.cache
-def _inline(text: str, r, kinds: tuple):
-    """The factory of closures that compute a row's text, an expression of
-    a routine r and operands {a} and {b}, reading operands of the given
-    kinds in line.  Each routine gets its own code: sqrt and cos sharing
-    one in sqrt(2+cos(t)) would keep its calls from being specialized."""
-    reads = {name: _READS[kind].format(name) for name, kind in zip("ab", kinds)}
-    return eval(f"lambda a, b=None: lambda t: {text.format(**reads)}", {"r": r})
+_SHAPES_KEPT = 256  # compiled shapes cached, the least recently used dropped first
 
 
 def _pow(x: float, y: float) -> float:
@@ -328,26 +283,27 @@ def _pow(x: float, y: float) -> float:
 _POW_FAULTS = {ZeroDivisionError: "zero raised to a negative power",
                ValueError: "negative base with non-integer exponent", OverflowError: "power overflows"}
 
-# Each operator's row, by node kind and operator: its closure's text, the
-# routine its column maps, and the DomainFaultError reason for each
-# exception that routine raises.  A ValueError of sin or cos, at an
-# infinity, names the tree evaluated instead (see evaluate).
+# Each operator's row, by node kind and operator: its text, a Python
+# expression of operands {0} and {1} and routine {r}, the routine itself,
+# and the DomainFaultError reason for each exception that routine raises.
+# A ValueError of sin or cos, at an infinity, names the tree evaluated
+# instead (see evaluate).
 _UNARY = {
-    (Neg, "-"): ("-{a}", operator.neg, {}),
-    (Call, "abs"): ("r({a})", abs, {}),
-    (Call, "exp"): ("r({a})", math.exp, {OverflowError: "exponential overflows"}),
-    (Call, "ln"): ("r({a})", math.log, {ValueError: "logarithm of a non-positive value"}),
-    (Call, "sqrt"): ("r({a})", math.sqrt, {ValueError: "square root of a negative value"}),
-    (Call, "sin"): ("r({a})", math.sin, {}),
-    (Call, "cos"): ("r({a})", math.cos, {}),
+    (Neg, "-"): ("-{0}", operator.neg, {}),
+    (Call, "abs"): ("{r}({0})", abs, {}),
+    (Call, "exp"): ("{r}({0})", math.exp, {OverflowError: "exponential overflows"}),
+    (Call, "ln"): ("{r}({0})", math.log, {ValueError: "logarithm of a non-positive value"}),
+    (Call, "sqrt"): ("{r}({0})", math.sqrt, {ValueError: "square root of a negative value"}),
+    (Call, "sin"): ("{r}({0})", math.sin, {}),
+    (Call, "cos"): ("{r}({0})", math.cos, {}),
 }
 _BINARY = {
-    (Bin, "+"): ("{a}+{b}", operator.add, {}),
-    (Bin, "-"): ("{a}-{b}", operator.sub, {}),
-    (Bin, "*"): ("{a}*{b}", operator.mul, {}),
-    (Bin, "/"): ("{a}/{b}", operator.truediv, {ZeroDivisionError: "division by zero"}),
-    (Bin, "^"): ("r({a},{b})", _pow, _POW_FAULTS),
-    (Call, "pow"): ("r({a},{b})", _pow, _POW_FAULTS),
+    (Bin, "+"): ("{0}+{1}", operator.add, {}),
+    (Bin, "-"): ("{0}-{1}", operator.sub, {}),
+    (Bin, "*"): ("{0}*{1}", operator.mul, {}),
+    (Bin, "/"): ("{0}/{1}", operator.truediv, {ZeroDivisionError: "division by zero"}),
+    (Bin, "^"): ("{r}({0},{1})", _pow, _POW_FAULTS),
+    (Call, "pow"): ("{r}({0},{1})", _pow, _POW_FAULTS),
 }
 
 
@@ -368,43 +324,73 @@ def _operator(e: Expr):
 _isfinite = math.isfinite
 
 
-def _compile(e: Expr):
-    """The operand (kind, payload) that computes e."""
-    match e:
-        case Num(value=v):
-            return _CONST, v
-        case Var():
-            return _VAR, None
-        case Const(name=name):
-            return _CONST, _CONSTANTS[name]
+def _argument(args: list, value) -> str:
+    """The name of value as an argument of the compiled code, appended to args."""
+    args.append(value)
+    return f"c{len(args) - 1}"
+
+
+def _compile(e: Expr, args: list):
+    """(text, value): e as a Python expression over t, reading the constants
+    and routines it appends to args by name; or, for a subtree free of t
+    that evaluates without raising, text None and e's value."""
+    kind = type(e)  # tested by identity, as in _operator
+    if kind is Var:
+        return "t", None
+    if kind is Num:
+        return None, e.value
+    if kind is Const:
+        return None, _CONSTANTS[e.name]
     row, nodes = _operator(e)
     if row is None:
         raise TypeError(f"not an expression node: {e!r}")
     text, routine, _ = row
-    operands = [_compile(x) for x in nodes]
-    kinds, payloads = zip(*operands)
+    texts, values = zip(*[_compile(x, args) for x in nodes])
     if routine is _pow:  # _pow is math.pow but at a zero base and a -inf exponent:
-        (bk, x), (ek, y) = operands  # a constant operand that rules that pair out picks math.pow
-        if bk == _CONST and x != 0.0 or ek == _CONST and y != -math.inf:
+        (bt, et), (x, y) = texts, values  # a constant that rules that pair out picks math.pow
+        if bt is None and x != 0.0 or et is None and y != -math.inf:
             routine = math.pow
-    fn = _inline(text, routine, kinds)(*payloads)
-    if all(kind == _CONST for kind in kinds):
+    if texts.count(None) == len(texts):
         try:
-            return _CONST, fn(0.0)  # t is not read
+            return None, routine(*values)
         except (ArithmeticError, ValueError):
-            pass  # keep the closure, so that evaluate names the fault at the point evaluated
-    fn.parts = routine, operands  # what _kernel builds its column form from
-    return _FUNC, fn
+            pass  # kept, so that evaluate names the fault at the point evaluated
+    reads = [_argument(args, v) if t is None else t if t == "t" else f"({t})"
+             for t, v in zip(texts, values)]
+    r = _argument(args, routine) if "{r}" in text else None
+    return text.format(*reads, r=r), None
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _kernels(text: str, count: int):
+    """The code of a tree's shape: a function of its count arguments that
+    returns its (pointwise, column) functions."""
+    params = ", ".join(f"c{i}" for i in range(count))
+    return eval(f"lambda {params}: (lambda t: {text}, lambda ts: [{text} for t in ts])", {})
+
+
+def _compiled(e: Expr):
+    """e's (pointwise, column) functions, kept on the root so that later
+    calls run them only."""
+    args = []
+    text, value = _compile(e, args)
+    if text is None:  # the whole tree is a constant
+        text = _argument(args, value)
+    run, column = _kernels(text, len(args))(*args)
+    object.__setattr__(e, "_compiled", run)
+    object.__setattr__(e, "_column", column)
+    return run, column
 
 
 def _fault(e: Expr, t: float) -> float:
     """e's value at t, walked in the grammar's order (a denominator before
     its numerator) with the rows' routines; the first fault met raises the
     DomainFaultError naming its node and reason.  evaluate calls it only
-    after e's closure raised, to name the fault."""
+    after e's code raised, to name the fault."""
     row, nodes = _operator(e)
-    if row is None:  # a leaf, read as its closure reads it
-        return _closure(_compile(e))(t)
+    if row is None:  # a leaf: t, or a constant
+        text, value = _compile(e, [])
+        return t if text else value
     _, routine, reasons = row
     if routine is operator.truediv:  # a zero denominator faults before its numerator is read
         y = _fault(nodes[1], t)
@@ -419,18 +405,12 @@ def _fault(e: Expr, t: float) -> float:
         raise DomainFaultError(e, t, reasons[type(error)]) from None
 
 
-def _compiled(e: Expr):  # e's closure, kept on the root so that later calls run it only
-    run = _closure(_compile(e))
-    object.__setattr__(e, "_compiled", run)
-    return run
-
-
 def evaluate(e: Expr, t: float) -> float:
     """Evaluate with real semantics; domain faults raise, never return NaN."""
     try:
         run = e._compiled
     except AttributeError:
-        run = _compiled(e)
+        run = _compiled(e)[0]
     try:
         value = run(t)
     except (ArithmeticError, ValueError):
@@ -445,14 +425,13 @@ def evaluate(e: Expr, t: float) -> float:
 
 
 def evaluate_column(e: Expr, points: Sequence[float]) -> list:
-    """[evaluate(e, t) for t in points], computed a node at a time with
+    """[evaluate(e, t) for t in points], computed in one loop with
     evaluate's float operations.  Where evaluate faults at some point,
     this raises an ArithmeticError or ValueError that names no point."""
-    run = getattr(e, "_compiled", None) or _compiled(e)
     try:
-        column = run.column
-    except AttributeError:  # built on the tree's first column read
-        column = run.column = _kernel(run)
+        column = e._column
+    except AttributeError:
+        column = _compiled(e)[1]
     values = column(points)
     # A float sum is finite only if every term is; a sum that overflows is checked term by term.
     if _isfinite(sum(values)) or all(map(_isfinite, values)):

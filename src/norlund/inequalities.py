@@ -6,16 +6,18 @@ evaluates both sides with symmetric integrals and reports the margin;
 a check "holds" when the margin is no worse than rounding slack scaled
 to the magnitudes involved.  Pointwise hypotheses (nonnegative weight,
 |f| <= g) are verified by sampling the evaluation grids of both sides
-over [a, b] (operators.sampled_grid_points): the points a telescoped
-side reads.  A strict side also reads series points outside [a, b],
-which the samples miss (ROADMAP item 5).  A check reads f and g at most
-once per distinct grid point on the telescoped route, whatever number
-of integrals it builds from them, through integrals._Integrals.
+over [a, b] (operators.sampled_grids): the points a telescoped side
+reads, one grid at a time.  A strict side also reads series points
+outside [a, b], which the samples miss (ROADMAP item 5).  A check reads
+f and g at most once per distinct grid point on the telescoped route,
+whatever number of integrals it builds from them, through
+integrals._Integrals.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,8 +26,8 @@ from .errors import (
     NegativeWeightError,
     NonFiniteValueError,
 )
-from .integrals import IntegralMode, IntegralResult, _Integrals, symmetric_integral
-from .operators import RealFunction, StepPair, _require_finite, sampled_grid_points
+from .integrals import IntegralMode, IntegralResult, _blocks, _Integrals, symmetric_integral
+from .operators import RealFunction, StepPair, _require_finite, sampled_grids
 from .series import SeriesConfig
 
 __all__ = [
@@ -70,6 +72,18 @@ class MvtReport:
         """K lies in [m, M] up to rounding slack, or the report is degenerate."""
         slack = _viol_tol(self.m, self.M)
         return self.degenerate or self.m - slack <= self.K <= self.M + slack
+
+
+def _weights_pass(values) -> bool:
+    """Whether every value in values, a list, passes mvt's weight test,
+    found by one C-level min and max: a number from -1e-9 to the largest
+    float converts to a float g that is not below -_viol_tol(g, 0.0),
+    which is -1e-9 * max(1, |g|).  A NaN that min and max pass over
+    passes the test too."""
+    try:
+        return type(values) is list and min(values) >= -1e-9 and max(values) <= sys.float_info.max
+    except (TypeError, ValueError):  # values that do not compare: the per-point loop decides
+        return False
 
 
 def _report(lhs: float, rhs: float, context: dict) -> InequalityReport:
@@ -195,12 +209,12 @@ def comparison_check(
     """
     _require_interval(a, b)
     integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
-    points = sampled_grid_points(a, b, steps, cfg)
-    xs, ys = integral.f.column_or_calls(points), integral.g.column_or_calls(points)
-    for t, x, y in zip(points, xs, ys):
-        f_value, g_value = float(x), float(y)
-        if abs(f_value) > g_value:
-            raise HypothesisFailedError(t, f_value, g_value)
+    for points in sampled_grids(a, b, steps, cfg):
+        xs, ys = integral.f.column_or_calls(points), integral.g.column_or_calls(points)
+        for t, x, y in zip(points, xs, ys):
+            f_value, g_value = float(x), float(y)
+            if abs(f_value) > g_value:
+                raise HypothesisFailedError(t, f_value, g_value)
     f_integral = integral(lambda F, G: F())
     g_integral = integral(lambda F, G: G())
     return _report(abs(f_integral.value), g_integral.value, _context(a, b, steps, g_integral))
@@ -224,15 +238,18 @@ def mvt_constant(
     """
     _require_interval(a, b)
     integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
-    points = sampled_grid_points(a, b, steps, cfg)
-    for t, y in zip(points, integral.g.column_or_calls(points)):
-        g_value = float(y)
-        if g_value < -_viol_tol(g_value, 0.0):
-            raise NegativeWeightError(t, g_value)
+    grids = sampled_grids(a, b, steps, cfg)
+    for points in grids:
+        for block, values in zip(_blocks(points), integral.g.blocks(points)):
+            if not _weights_pass(values):
+                for t, y in zip(block, values):
+                    g_value = float(y)
+                    if g_value < -_viol_tol(g_value, 0.0):
+                        raise NegativeWeightError(t, g_value)
 
     weighted = integral(lambda F, G: [x * y for x, y in zip(F(), G())])
     weight = integral(lambda F, G: G())
-    f_values = [float(x) for x in integral.f.column_or_calls(points)]
+    f_values = [float(x) for points in grids for x in integral.f.column_or_calls(points)]
     m, M = min(f_values), max(f_values)
     if abs(weight.value) <= _viol_tol(weighted.value, weight.value):
         return MvtReport(0.0, m, M, True)

@@ -36,11 +36,12 @@ integral whose f faults thus calls f again up to the fault.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
 from itertools import chain, filterfalse
-from operator import add, gt, lt
+from operator import add, gt, lt, neg
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NonFiniteTermError, NonFiniteValueError, NotAlignedError, NotIntegrableError
@@ -55,7 +56,7 @@ from .operators import (
     forward_difference,
     grid_align,
     grid_points,
-    sampled_grid_points,
+    sampled_grids,
 )
 from .series import SeriesConfig, SeriesResult, Verdict, _config, sum_series
 
@@ -98,74 +99,132 @@ def _blocks(points: Sequence[float]) -> Iterable[Sequence[float]]:
     return (points[i:i + _BLOCK] for i in range(0, len(points), _BLOCK))
 
 
-def _distinct_nonzero(points: Sequence[float]) -> bool:
-    """Whether points are strictly monotone, so distinct, and hold no zero,
-    which only points whose ends differ in sign can hold."""
-    rest = points[1:]
-    monotone = all(map(lt, points, rest)) or all(map(gt, points, rest))
-    return monotone and (not points or points[0] * points[-1] > 0.0 or 0.0 not in points)
-
-
 def _reader(f: RealFunction) -> Callable[[Sequence[float]], Iterable[float]]:
     """f's column form, or else f called at each point."""
     return getattr(f, "column", None) or partial(map, f)
 
 
+def _ordered(points: Sequence[float], down: bool) -> bool:
+    """Whether points strictly descend, if down, or else strictly ascend."""
+    return all(map(gt if down else lt, points, points[1:]))
+
+
+def _keys(points: Sequence[float]) -> Sequence:
+    """points as dict keys: -0.0 == 0.0 as dict keys, so a zero is keyed
+    by its sign and itself."""
+    return [t or (math.copysign(1.0, t), t) for t in points] if 0.0 in points else points
+
+
 class Samples:
     """A function's raw values by point, each point evaluated at most once.
 
-    Points are keyed by value, except that -0.0 and 0.0 are distinct.  The
-    unread points of each block of _BLOCK go to f's column form in one
-    call, if f offers one, else to f at each point.  A read that raises
-    lets the exception out: a column form's stores nothing for its block,
-    and f called point by point stores the values before its fault.  A
-    point not stored is evaluated again when read again.
-
-    Points are keyed only once a later read could hit them: a first read
-    whose points are strictly monotone, so distinct, and none of them zero
-    goes to f's column form, if f offers one, and is kept as its (points,
-    values), keyed by the next read.  If that column form raises, nothing
-    is stored.
+    -0.0 and 0.0 are distinct points; an int point and an equal float are
+    one, as dict keys are.  A read goes a block of _BLOCK points at a time.
+    An f with a column form keeps what it reads as one run: the distinct
+    points read so far, in the order of the first read that stored any
+    (ascending or descending), with their values.  A block that is a
+    slice of the run, in either order and at any stride, is served by
+    slicing the run, checked by one list comparison; new points ahead of
+    or behind the run may extend it, and only they go to f's column form,
+    in one call, in the block's order.  Any other block, and every block of
+    an f without a column form, takes the keyed path: the run is keyed by
+    point, once, and the block's unread distinct points go to the column
+    form in one call, or to f one at a time.  Once keyed, the run is no
+    longer extended.  A read that raises lets the exception out: a column
+    form's stores nothing for its block, and f called point by point
+    stores the values before its fault.  A point not stored is evaluated
+    again when read again.
     """
 
     def __init__(self, f: RealFunction):
-        self.f = f
-        self.values = {}
-        self.first = None  # the first read's (points, values), not yet keyed
+        self.f, self.read = f, getattr(f, "column", None)
+        self.points, self.run = [], []  # the run's points, monotone, and their values
+        self.down = False  # whether the run descends
+        self.values = {}  # the keyed path's values by point
 
     def column(self, points: Sequence[float]) -> list:
         """f's raw values at points, in order, evaluating the unread ones."""
+        blocks = [self._block(block) for block in _blocks(points)]
+        return blocks[0] if len(blocks) == 1 else list(chain.from_iterable(blocks))
+
+    def _block(self, block: Sequence[float]) -> list:
+        values = self._slice(block if type(block) is list else list(block)) if self.read else None
+        return self._keyed(block) if values is None else values
+
+    def _slice(self, block: list) -> Optional[list]:
+        """The block's values as a slice of the run, its new points read and
+        added to the run; None if the block is no such slice."""
+        points, run = self.points, self.run
+        if not points:  # the run takes its first read's order, so that its later blocks append
+            self.down = len(block) > 1 and block[0] > block[-1]
+        down, flip = self.down, len(block) > 1 and (block[0] > block[-1]) != self.down
+        seq = block[::-1] if flip else block  # in the run's order, if a slice at all
+
+        def find(items, x, start=0, past=False):  # bisection in the run's order
+            return (bisect_right if past else bisect_left)(
+                items, -x if down else x, start, key=neg if down else None)
+
+        # However seq is ordered, bisection leaves each point of before ahead of
+        # points[0] and each point of after behind points[-1], in the run's order.
+        lo = find(seq, points[0]) if points else len(seq)
+        hi = find(seq, points[-1], past=True) if points else len(seq)
+        before, middle, after = seq[:lo], seq[lo:hi], seq[hi:]
+        if not (_ordered(before, down) and _ordered(after, down)):
+            return None
+        values = []
+        if middle:  # run[i], run[i + step], ...: one list comparison checks the points
+            i = find(points, middle[0])
+            step = find(points, middle[1], i + 1) - i if len(middle) > 1 else 1
+            stop = i + step * (len(middle) - 1) + 1
+            z = find(points, 0.0)  # the run's zero, if any, must match by sign too
+            if points[i:stop:step] != middle or i <= z < stop and not (z - i) % step and \
+                    math.copysign(1.0, points[z]) != math.copysign(1.0, middle[(z - i) // step]):
+                return None
+            values = run[i:stop:step]
+            if flip:
+                values.reverse()
+        new = after[::-1] + before[::-1] if flip else before + after  # in the block's order
+        if new:
+            if self.values:  # the keyed path may hold them
+                return None
+            read = self.read(new)  # a column form that raises stores nothing
+            n = len(after) if flip else len(before)  # the new points ahead of the slice
+            first, last = (read[n:][::-1], read[:n][::-1]) if flip else (read[:n], read[n:])
+            points[:0], run[:0] = before, first
+            points += after
+            run += last
+            values = read[:n] + values + read[n:] if values else read
+        return values
+
+    def _keyed(self, block: Sequence[float]) -> list:
         values = self.values
-        if self.first is not None:
-            values.update(zip(*self.first))
-            self.first = None
-        elif not values and getattr(self.f, "column", None) and _distinct_nonzero(points):
-            read = list(chain.from_iterable(map(self.f.column, _blocks(points))))
-            self.first = points, read
-            return read
-        column = []
-        for block in _blocks(points):
-            # -0.0 == 0.0 as dict keys, so a zero is keyed by its sign and itself.
-            keys = [t or (math.copysign(1.0, t), t) for t in block] if 0.0 in block else block
-            unread = list(dict.fromkeys(filterfalse(values.__contains__, keys) if values else keys))
-            if unread:
-                ts = unread if keys is block else [k[1] if type(k) is tuple else k for k in unread]
-                read = _reader(self.f)(ts)  # a column form that raises stores nothing
-                values.update(zip(unread, read))  # f by map stores each value before its fault
-            fresh = len(unread) == len(keys) and type(read) is list
-            column += read if fresh else map(values.__getitem__, keys)
-        return column
+        if not values and self.points:  # the run, keyed once
+            values.update(zip(_keys(self.points), self.run))
+        keys = _keys(block)
+        unread = list(dict.fromkeys(filterfalse(values.__contains__, keys) if values else keys))
+        if unread:
+            ts = unread if keys is block else [k[1] if type(k) is tuple else k for k in unread]
+            read = _reader(self.f)(ts)  # a column form that raises stores nothing
+            values.update(zip(unread, read))  # f by map stores each value before its fault
+            if len(unread) == len(keys) and type(read) is list:
+                return read
+        return list(map(values.__getitem__, keys))
 
     def column_or_calls(self, points: Sequence[float]) -> Iterable:
         """f's raw values at points, read lazily block by block: a block's
         column, or, if that raises, f at each of its points.  A caller that
         checks each value as it iterates then meets the first fault in
         point order, as a loop calling f would."""
-        return chain.from_iterable(map(self._column_or_calls, _blocks(points)))
+        return chain.from_iterable(self.blocks(points))
+
+    def blocks(self, points: Sequence[float]) -> Iterable:
+        """column_or_calls a block at a time: per block of _blocks(points),
+        its values as a list, or f at each point as a lazy map."""
+        return map(self._column_or_calls, _blocks(points))
 
     def _column_or_calls(self, block: Sequence[float]) -> Iterable:
         try:
-            return self.column(block)
+            return self._block(block)
         except Exception:
             return map(self.f, block)
 
@@ -539,7 +598,7 @@ def ftc_residuals(
     _require_finite(b, "b")
     if b < a:
         raise ValueError(f"needs b >= a, got a={a!r}, b={b!r}")
-    points = sampled_grid_points(a, b, StepPair(alpha, 0.0), cfg)
+    [points] = sampled_grids(a, b, StepPair(alpha, 0.0), cfg)
     integral = _Integrals(forward_integral, f, None, a, b, alpha, IntegralMode.AUTO, cfg)
     # Less b, r1's points are r2's telescoped walk; a strict r2 reads none.
     integral.columns(GridDirection.FORWARD, lambda: points[:-1])

@@ -2,13 +2,13 @@
 
 grid_points is the one walk over a step grid: every grid the integrals
 and the checks read comes from it, so the point formula, the term-cap
-budget and the resolution rule live in one place.  sampled_grid_points
-is the one rule for the points a verifier samples over [a, b]: the
-forward grid from a and the backward grid from b.  A step that must be
-positive is checked by one rule, _require_positive, for the difference
-quotients, the grid arithmetic and the integrals alike: a step at or
-below zero is a ZeroStepError, an infinite or NaN one a ValueError, as
-is an infinite or NaN endpoint of an integral or a check
+budget and the resolution rule live in one place.  sampled_grids is
+the one rule for the points a verifier samples over [a, b]: the forward
+grid from a and the backward grid from b, one list each.  A step that
+must be positive is checked by one rule, _require_positive, for the
+difference quotients, the grid arithmetic and the integrals alike: a
+step at or below zero is a ZeroStepError, an infinite or NaN one a
+ValueError, as is an infinite or NaN endpoint of an integral or a check
 (_require_finite).  A value read at a point is checked by one rule too,
 _finite: a value that is infinite or NaN is a NonFiniteValueError at its
 point.  The three difference quotients are one rule, _quotient: a zero
@@ -222,21 +222,19 @@ def grid_points(
     return [anchor + k * signed for k in range(count)]
 
 
-def sampled_grid_points(
+def sampled_grids(
     a: float, b: float, steps: StepPair, cfg: SeriesConfig | None = None
-) -> List[float]:
-    """The grid points in [a, b] read by the two sides of the integral.
+) -> List[List[float]]:
+    """The grid points in [a, b] read by the two sides of the integral,
+    one list per side with a positive step.
 
     Forward points ascend from a, backward points descend from b; both
     endpoint counts come from the alignment witness when it exists.
     Either walk longer than cfg.max_terms points raises GridBudgetError,
     and either walk with a step below its endpoints' resolution raises
-    ZeroStepError.
+    ZeroStepError, before any list is returned.
     """
-    points: List[float] = []
     walks = ((a, b, steps.alpha, GridDirection.FORWARD), (b, a, steps.beta, GridDirection.BACKWARD))
-    for anchor, target, step, direction in walks:
-        if step > 0.0:
-            count = grid_count(anchor, target, step, direction) + 1
-            points += grid_points(anchor, target, step, direction, count, cfg)
-    return points
+    return [grid_points(anchor, target, step, direction,
+                        grid_count(anchor, target, step, direction) + 1, cfg)
+            for anchor, target, step, direction in walks if step > 0.0]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from norlund import SeriesConfig, cli
+from norlund import IntegralMode, IntegralResult, SeriesConfig, SeriesResult, Verdict, cli
 from norlund.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -248,6 +248,23 @@ def test_a_non_finite_result_is_an_error_naming_its_field(capsys, argv, note):
     assert (report["result"], report["status"], report["diagnostics"]) == (None, "error", [note])
     assert main(argv) == 2
     assert capsys.readouterr().out == f"command = {argv[0]}\nnote: {note}\nstatus = error\n"
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_a_nested_non_finite_number_is_an_error_naming_its_field(capsys, monkeypatch, as_json):
+    # A strict series result whose tail estimate is infinite, nested in forward_diag.
+    series = SeriesResult(0.5, 40, math.inf, Verdict.CONVERGED)
+    result = IntegralResult(0.25, IntegralMode.STRICT, forward_diag=(series, series))
+    monkeypatch.setattr(cli, "symmetric_integral", lambda *args, **kwargs: result)
+    argv = ["eval", "--expr", "t", "--a", "0", "--b", "1", "--alpha", "0.3"]
+    assert main(argv + ["--json"] if as_json else argv) == 2
+    out = capsys.readouterr().out
+    note = "ValueError: the eval result's forward_diag is not finite (inf)"
+    if as_json:
+        report = strict_json(out)
+        assert (report["result"], report["status"], report["diagnostics"]) == (None, "error", [note])
+    else:
+        assert out == f"command = eval\nnote: {note}\nstatus = error\n"
 
 
 def test_unknown_check_kind_lists_the_kinds_in_order(capsys):

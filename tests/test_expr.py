@@ -570,12 +570,21 @@ def test_evaluate_column_returns_a_new_list_and_keeps_the_point_types():
     assert evaluate_column(parse("2+3"), (1.0, 2.0)) == [5.0, 5.0]
 
 
-def test_a_tree_builds_its_column_kernel_on_its_first_column_read():
-    tree = parse("1/(1+2*t^2)")
-    values = [evaluate(tree, 0.5), evaluate(tree, 3.0)]
-    assert not hasattr(tree._compiled, "column")  # a tree read only at points builds none
-    assert evaluate_column(tree, [0.5, 3.0]) == values
-    assert evaluate_column(tree, (0.5, 3.0)) == values
+def test_trees_of_one_shape_share_one_compiled_kernel_from_a_bounded_cache():
+    first, second = parse("1/(1+2*t^2)"), parse("3/(2+0.5*t^4)")
+    values = [evaluate(first, 0.5), evaluate(first, 3.0)]
+    assert evaluate_column(first, [0.5, 3.0]) == values
+    assert evaluate_column(second, (0.5,)) == [evaluate(second, 0.5)]
+    assert first._column.__code__ is second._column.__code__
+    assert first._compiled.__code__ is second._compiled.__code__
+    other = parse("1/(1+2*t)")  # another shape: t is read in place, not raised to a power
+    assert evaluate_column(other, [0.5]) == [0.5]
+    assert other._column.__code__ is not first._column.__code__
+    shapes = [op.join("t" * n) for op in "+-*" for n in range(1, 95)]  # 282 shapes
+    assert len(shapes) > expr_module._SHAPES_KEPT
+    for text in shapes:
+        evaluate_column(parse(text), [1.0])
+    assert expr_module._kernels.cache_info().currsize == expr_module._SHAPES_KEPT
 
 
 def test_a_column_with_an_overflowing_sum_of_finite_values_is_not_a_fault():

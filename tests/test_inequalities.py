@@ -319,6 +319,26 @@ def test_mvt_weight_within_rounding_slack_is_accepted():
         mvt_constant(ONE, lambda t: -2e-9, 0.0, 2.0, StepPair(1.0, 1.0))
 
 
+def _weight_at_half(value, column):
+    """g = 1 except g(0.5) = value, with a column form of raw values or without."""
+    g = lambda t: value if t == 0.5 else 1.0  # noqa: E731
+    if column:
+        g.column = lambda points: [g(t) for t in points]
+    return g
+
+
+@pytest.mark.parametrize("column", [False, True], ids=["calls", "column"])
+def test_mvt_weight_minus_infinity_is_non_finite_and_a_small_negative_one_is_negative(column):
+    # _viol_tol(-inf, 0.0) is inf, so -inf passes the weight test and the
+    # integral refuses it; -2e-9 is below -1e-9 and fails it at its point.
+    with pytest.raises(NonFiniteValueError) as err:
+        mvt_constant(IDENT, _weight_at_half(-math.inf, column), 0, 1, StepPair(0.5, 0.5))
+    assert (err.value.point, err.value.value) == (0.5, -math.inf)
+    with pytest.raises(NegativeWeightError) as err:
+        mvt_constant(IDENT, _weight_at_half(-2e-9, column), 0, 1, StepPair(0.5, 0.5))
+    assert (err.value.point, err.value.value) == (0.5, -2e-9)
+
+
 def test_mvt_holds_is_the_bracket_verdict():
     assert mvt_constant(INV_SQUARE, ONE, 1.0, 3.0, StepPair(2.0, 2.0)).holds
     assert mvt_constant(INV_SQUARE, ZERO, 1.0, 3.0, StepPair(2.0, 2.0)).holds

@@ -11,8 +11,12 @@ fault: exception type, point and message.
 
 from __future__ import annotations
 
+import collections
+import functools
 import gc
+import itertools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -40,7 +44,7 @@ from norlund import (
     symmetric_integral,
 )
 from norlund import cli, integrals
-from norlund.inequalities import sampled_grid_points
+from norlund.operators import sampled_grids
 
 # ----------------------------------------------------------------------
 # Per-integral reference
@@ -528,7 +532,7 @@ def test_grid_walks_beyond_max_terms_raise_before_reading_a_point():
     with pytest.raises(GridBudgetError):
         ftc_residuals(f, 0.0, 100.0, 1.0, cfg)
     with pytest.raises(GridBudgetError):
-        sampled_grid_points(0.0, 100.0, ONE, cfg)
+        sampled_grids(0.0, 100.0, ONE, cfg)
     with pytest.raises(GridBudgetError):
         comparison_check(f, f, 0.0, 100.0, ONE, cfg=cfg)
     with pytest.raises(GridBudgetError):
@@ -637,23 +641,33 @@ def test_a_column_that_holds_a_fault_raises_the_first_through_column_or_calls():
         with pytest.raises(DomainFaultError) as err:
             list(samples.column_or_calls(points))
         assert (err.value.t, err.value.reason, err.value.node) == (first, "injected fault", None)
-        # The block whose column raised stores nothing; f is then called
-        # from that block's start up to the fault, not at the stored points.
-        assert list(samples.values) == points[:integrals._BLOCK]
-    assert f.calls == 2 * (points.index(first) - integrals._BLOCK + 1)
+    # The first block is stored and evaluated once; the block whose column
+    # raised stores nothing, so each read hands it to the column form again
+    # and then calls f from its start up to the fault, never the third block.
+    second = points[integrals._BLOCK:2 * integrals._BLOCK]
+    assert f.evaluated == points[:integrals._BLOCK] + (second + second[:8]) * 2
+    assert (f.columns, f.calls) == (3, 2 * 8)
 
 
 def test_an_expression_column_raises_the_fault_evaluate_meets_first():
-    f = cli._function("1/((t - 3)*(t - 7))")
+    expression, evaluated = cli._function("1/((t - 3)*(t - 7))"), []
+
+    def f(t):
+        evaluated.append(t)
+        return expression(t)
+
+    f.column = lambda points: evaluated.extend(points) or expression.column(points)
     samples = integrals.Samples(f)
     points = [9.0, 7.0, 5.0, 3.0, 1.0]
     with pytest.raises(DomainFaultError) as err:
         list(samples.column_or_calls(points))
     with pytest.raises(DomainFaultError) as want:
-        [f(t) for t in points]
+        [expression(t) for t in points]
     assert err.value.t == 7.0
     assert (err.value.reason, err.value.node) == (want.value.reason, want.value.node)
-    assert samples.values == {}  # the column that raised stores nothing
+    assert evaluated == points + [9.0, 7.0]  # the column, then f up to the fault
+    samples.column([9.0])
+    assert evaluated[-1] == 9.0  # the column that raised stored nothing
 
 
 def test_a_faulting_check_calls_f_only_in_its_fault_pass():
@@ -695,19 +709,20 @@ def test_a_callable_without_a_column_form_is_called_at_each_unread_point_in_orde
 
 
 # ----------------------------------------------------------------------
-# Points keyed only on a re-read
+# Reads that slice or extend a run of points
 # ----------------------------------------------------------------------
 
 
-def test_a_first_monotone_read_is_keyed_by_the_next_read():
+def test_a_monotone_read_extending_the_run_hands_only_its_new_points_to_the_column_form():
     f = Columned(lambda t: 2.0 * t)
     samples = integrals.Samples(f)
     assert samples.column([3.0, 2.0, 1.0]) == [6.0, 4.0, 2.0]
-    assert samples.values == {}  # kept as the read's points and values
+    # A slice of the run at stride 2, with a new point at each end.
     assert samples.column([4.0, 3.0, 1.0, 0.5]) == [8.0, 6.0, 2.0, 1.0]
-    assert samples.values == {3.0: 6.0, 2.0: 4.0, 1.0: 2.0, 4.0: 8.0, 0.5: 1.0}
+    assert samples.column([0.5, 1.0, 2.0, 3.0, 4.0]) == [1.0, 2.0, 4.0, 6.0, 8.0]
     assert f.evaluated == [3.0, 2.0, 1.0, 4.0, 0.5]
     assert (f.columns, f.calls) == (2, 0)
+    assert samples.values == {}  # no read needed the keyed path
 
 
 @pytest.mark.parametrize(
@@ -733,10 +748,10 @@ def test_a_column_form_that_raises_on_a_first_read_stores_nothing():
     points = [1.0, 2.0, 3.0, 4.0]
     f = Columned(faulty(lambda t: t, {(3.0).hex(): "raise"}))
     samples = integrals.Samples(f)
-    for columns in (1, 2):  # a re-read reads f again
+    for columns in (1, 2):  # a re-read reads f again, at every point
         with pytest.raises(DomainFaultError):
             samples.column(points)
-        assert (samples.values, samples.first) == ({}, None)
+        assert f.evaluated == points * columns
         assert (f.columns, f.calls) == (columns, 0)
 
 
@@ -770,7 +785,7 @@ def test_a_map_only_f_that_faults_on_a_first_read_keeps_the_values_before_the_fa
     ids=["forward-cs", "holder", "ibp-shifted", "mvt-sampled", "mvt-sampled-blocks", "ftc"],
 )
 def test_first_reads_kept_unkeyed_still_evaluate_each_distinct_point_once(run):
-    # Grids without a zero, so each function's first read is kept unkeyed.
+    # Grids without a zero, where each function's reads extend or slice one run.
     base_f, base_g = (lambda t: 0.5 + 0.25 * math.sin(t)), (lambda t: 3.0 + math.cos(t))
     f, g = Columned(base_f), Columned(base_g)
     run(f, g)
@@ -798,3 +813,176 @@ def test_column_reads_hold_no_more_memory_than_calls():
     columns = peak(cli._function("1+sin(t)"), cli._function("2+cos(0.5*t)"))
     calls = peak(lambda t: 1 + math.sin(t), lambda t: 2 + math.cos(0.5 * t))
     assert columns <= 1.05 * calls
+
+
+# ----------------------------------------------------------------------
+# Samples differential: the run-sharing Samples against the keyed Samples
+# it replaced, kept here verbatim as the reference
+# ----------------------------------------------------------------------
+
+
+def _ref_blocks(points):
+    return (points[i:i + integrals._BLOCK] for i in range(0, len(points), integrals._BLOCK))
+
+
+def _ref_distinct_nonzero(points):
+    """Whether points are strictly monotone, so distinct, and hold no zero,
+    which only points whose ends differ in sign can hold."""
+    rest = points[1:]
+    monotone = all(map(operator.lt, points, rest)) or all(map(operator.gt, points, rest))
+    return monotone and (not points or points[0] * points[-1] > 0.0 or 0.0 not in points)
+
+
+def _ref_reader(f):
+    """f's column form, or else f called at each point."""
+    return getattr(f, "column", None) or functools.partial(map, f)
+
+
+class ReferenceSamples:
+    """A function's raw values by point, each point evaluated at most once.
+
+    Points are keyed by value, except that -0.0 and 0.0 are distinct.  The
+    unread points of each block of _BLOCK go to f's column form in one
+    call, if f offers one, else to f at each point.  A read that raises
+    lets the exception out: a column form's stores nothing for its block,
+    and f called point by point stores the values before its fault.  A
+    point not stored is evaluated again when read again.
+
+    Points are keyed only once a later read could hit them: a first read
+    whose points are strictly monotone, so distinct, and none of them zero
+    goes to f's column form, if f offers one, and is kept as its (points,
+    values), keyed by the next read.  If that column form raises, nothing
+    is stored.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.values = {}
+        self.first = None  # the first read's (points, values), not yet keyed
+
+    def column(self, points):
+        """f's raw values at points, in order, evaluating the unread ones."""
+        values = self.values
+        if self.first is not None:
+            values.update(zip(*self.first))
+            self.first = None
+        elif not values and getattr(self.f, "column", None) and _ref_distinct_nonzero(points):
+            read = list(itertools.chain.from_iterable(map(self.f.column, _ref_blocks(points))))
+            self.first = points, read
+            return read
+        column = []
+        for block in _ref_blocks(points):
+            # -0.0 == 0.0 as dict keys, so a zero is keyed by its sign and itself.
+            keys = [t or (math.copysign(1.0, t), t) for t in block] if 0.0 in block else block
+            unread = list(dict.fromkeys(
+                itertools.filterfalse(values.__contains__, keys) if values else keys))
+            if unread:
+                ts = unread if keys is block else [k[1] if type(k) is tuple else k for k in unread]
+                read = _ref_reader(self.f)(ts)  # a column form that raises stores nothing
+                values.update(zip(unread, read))  # f by map stores each value before its fault
+            fresh = len(unread) == len(keys) and type(read) is list
+            column += read if fresh else map(values.__getitem__, keys)
+        return column
+
+    def column_or_calls(self, points):
+        """f's raw values at points, read lazily block by block: a block's
+        column, or, if that raises, f at each of its points.  A caller that
+        checks each value as it iterates then meets the first fault in
+        point order, as a loop calling f would."""
+        return itertools.chain.from_iterable(map(self._column_or_calls, _ref_blocks(points)))
+
+    def _column_or_calls(self, block):
+        try:
+            return self.column(block)
+        except Exception:
+            return map(self.f, block)
+
+
+def _draw_reads(rng):
+    """A sequence of reads as the verifiers make them: walks of one grid
+    forwards and backwards, strided, shifted by the step, the endpoint pair
+    (b, a), and lists that are no slice of one walk."""
+    anchor = rng.choice((-0.0, 0.0, -1.5, -2.0, 1.0, round(rng.uniform(-3.0, 3.0), 3)))
+    step = rng.choice((0.5, 0.25, 1.0, 0.1, 1.0 / 3.0))
+    count = rng.choice((1, 2, 3, 5, 8, 13, 30, 30, integrals._BLOCK + rng.randrange(1, 40)))
+    if rng.random() < 0.3:  # a walk that ends at the origin, from either side
+        anchor = -count * step if rng.random() < 0.5 else count * step
+    signed = step if rng.random() < 0.5 else -step
+    end = anchor + (count - 1) * signed
+    walk = [anchor + k * signed for k in range(count)]
+    back = [end - k * signed for k in range(count)]  # the walk from its far end
+    if end == 0.0 and rng.random() < 0.5:
+        back[0] = -end  # a walk ending at -0.0 where the other ends at 0.0, or back
+    shapes = (
+        lambda: walk,
+        lambda: back,
+        lambda: walk[::-1],
+        lambda: walk[rng.randrange(3)::rng.randrange(1, 4)],
+        lambda: back[::rng.randrange(1, 4)],
+        lambda: [t + step for t in walk],
+        lambda: [t - step for t in back],
+        lambda: walk[:rng.randrange(1, count + 1)],
+        lambda: [anchor - step * k for k in range(1, 4)][::-1] + walk,
+        lambda: (end, anchor),
+        lambda: walk + back,
+        lambda: rng.sample(walk, len(walk)),
+        lambda: [-0.0, 0.0] + walk[:3],
+    )
+    return [rng.choice(shapes)() for _ in range(rng.randrange(1, 6))]
+
+
+class Recorded:
+    """f that records every point handed to it, by call or by column."""
+
+    def __init__(self, f, column):
+        self.f, self.handed = f, []
+        if column:
+            self.column = self._column
+
+    def __call__(self, t):
+        self.handed.append(t)
+        return self.f(t)
+
+    def _column(self, points):
+        self.handed.extend(points)
+        return [self.f(t) for t in points]
+
+
+def _read_outcome(samples, points, lazily):
+    try:
+        values = list(samples.column_or_calls(points)) if lazily else samples.column(points)
+    except Exception as exc:  # the fault is part of the outcome
+        return ("raise", type(exc), exc.args)
+    return ("ok", [bits(v) for v in values])
+
+
+def test_samples_agrees_with_the_keyed_reference_on_seeded_reads():
+    rng = random.Random(21)
+    base = lambda t: math.copysign(1.0, t) * (1.0 + abs(t))  # noqa: E731  tells -0.0 from 0.0
+    compared = faulted = 0
+    for _ in range(700):
+        reads = _draw_reads(rng)
+        faults = {}
+        if rng.random() < 0.4:
+            pool = [t for points in reads for t in points]
+            for _ in range(rng.randrange(1, 3)):
+                faults[rng.choice(pool).hex()] = rng.choice(("raise", "zerodiv", math.inf, 10**400))
+        f = faulty(base, faults)
+        column = rng.random() < 0.8
+        ours, theirs = Recorded(f, column), Recorded(f, column)
+        got, want = integrals.Samples(ours), ReferenceSamples(theirs)
+        for points in reads:
+            lazily = rng.random() < 0.5
+            outcome = _read_outcome(got, points, lazily)
+            assert outcome == _read_outcome(want, points, lazily), (reads, faults, column)
+            compared += 1
+            faulted += outcome[0] == "raise"
+        # The same points reach f, none more often than the reference hands
+        # it, and, where no read faulted, none twice.
+        handed = collections.Counter(map(signed, ours.handed))
+        reference = collections.Counter(map(signed, theirs.handed))
+        assert handed.keys() == reference.keys(), (reads, faults, column)
+        assert all(handed[key] <= reference[key] for key in handed), (reads, faults, column)
+        if not faults:
+            assert max(handed.values(), default=1) == 1, (reads, column)
+    assert compared > 1500 and faulted > 50
