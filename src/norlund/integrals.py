@@ -104,11 +104,6 @@ def _reader(f: RealFunction) -> Callable[[Sequence[float]], Iterable[float]]:
     return getattr(f, "column", None) or partial(map, f)
 
 
-def _ordered(points: Sequence[float], down: bool) -> bool:
-    """Whether points strictly descend, if down, or else strictly ascend."""
-    return all(map(gt if down else lt, points, points[1:]))
-
-
 def _keys(points: Sequence[float]) -> Sequence:
     """points as dict keys: -0.0 == 0.0 as dict keys, so a zero is keyed
     by its sign and itself."""
@@ -120,27 +115,29 @@ class Samples:
 
     -0.0 and 0.0 are distinct points; an int point and an equal float are
     one, as dict keys are.  A read goes a block of _BLOCK points at a time.
-    An f with a column form keeps what it reads as one run: the distinct
-    points read so far, in the order of the first read that stored any
-    (ascending or descending), with their values.  A block that is a
-    slice of the run, in either order and at any stride, is served by
-    slicing the run, checked by one list comparison; new points ahead of
-    or behind the run may extend it, and only they go to f's column form,
-    in one call, in the block's order.  Any other block, and every block of
-    an f without a column form, takes the keyed path: the run is keyed by
-    point, once, and the block's unread distinct points go to the column
-    form in one call, or to f one at a time.  Once keyed, the run is no
-    longer extended.  A read that raises lets the exception out: a column
-    form's stores nothing for its block, and f called point by point
-    stores the values before its fault.  A point not stored is evaluated
-    again when read again.
+    The values live in one store at a time.  An f with a column form first
+    keeps what it reads as one run: the distinct points read so far, in
+    the order of the first read (ascending or descending), with their
+    values.  A block that is a slice of the run, in either order and at
+    any stride, is served by slicing the run, checked by one list
+    comparison; new points past the run's end extend it, and only they go
+    to f's column form, in one call, in the block's order.  The first
+    block that is no such slice moves the run into a dict keyed by point,
+    for good.  That block, every later one, and every block of an f
+    without a column form then read the dict: the block's unread distinct
+    points go to the column form in one call, or to f one at a time.  A
+    read that raises lets the exception out: a column form's stores
+    nothing for its block, and f called point by point stores the values
+    before its fault.  A point not stored is evaluated again when read
+    again.
     """
 
     def __init__(self, f: RealFunction):
         self.f, self.read = f, getattr(f, "column", None)
-        self.points, self.run = [], []  # the run's points, monotone, and their values
+        # The run's points, monotone, and their values; None while the dict holds the values.
+        self.points, self.run = ([], []) if self.read else (None, None)
         self.down = False  # whether the run descends
-        self.values = {}  # the keyed path's values by point
+        self.values = {}  # the values by point, once the run is keyed
 
     def column(self, points: Sequence[float]) -> list:
         """f's raw values at points, in order, evaluating the unread ones."""
@@ -148,12 +145,17 @@ class Samples:
         return blocks[0] if len(blocks) == 1 else list(chain.from_iterable(blocks))
 
     def _block(self, block: Sequence[float]) -> list:
-        values = self._slice(block if type(block) is list else list(block)) if self.read else None
-        return self._keyed(block) if values is None else values
+        if self.points is not None:
+            values = self._slice(block if type(block) is list else list(block))
+            if values is not None:
+                return values
+            self.values.update(zip(_keys(self.points), self.run))
+            self.points = self.run = None
+        return self._keyed(block)
 
     def _slice(self, block: list) -> Optional[list]:
-        """The block's values as a slice of the run, its new points read and
-        added to the run; None if the block is no such slice."""
+        """The block's values as a slice of the run, its points past the
+        run's end read and appended; None if the block is no such slice."""
         points, run = self.points, self.run
         if not points:  # the run takes its first read's order, so that its later blocks append
             self.down = len(block) > 1 and block[0] > block[-1]
@@ -164,12 +166,10 @@ class Samples:
             return (bisect_right if past else bisect_left)(
                 items, -x if down else x, start, key=neg if down else None)
 
-        # However seq is ordered, bisection leaves each point of before ahead of
-        # points[0] and each point of after behind points[-1], in the run's order.
-        lo = find(seq, points[0]) if points else len(seq)
-        hi = find(seq, points[-1], past=True) if points else len(seq)
-        before, middle, after = seq[:lo], seq[lo:hi], seq[hi:]
-        if not (_ordered(before, down) and _ordered(after, down)):
+        # However seq is ordered, bisection leaves after[0] behind points[-1].
+        hi = find(seq, points[-1], past=True) if points else 0
+        middle, after = seq[:hi], seq[hi:]
+        if not all(map(gt if down else lt, after, after[1:])):  # new points keep the run's order
             return None
         values = []
         if middle:  # run[i], run[i + step], ...: one list comparison checks the points
@@ -183,31 +183,20 @@ class Samples:
             values = run[i:stop:step]
             if flip:
                 values.reverse()
-        new = after[::-1] + before[::-1] if flip else before + after  # in the block's order
-        if new:
-            if self.values:  # the keyed path may hold them
-                return None
-            read = self.read(new)  # a column form that raises stores nothing
-            n = len(after) if flip else len(before)  # the new points ahead of the slice
-            first, last = (read[n:][::-1], read[:n][::-1]) if flip else (read[:n], read[n:])
-            points[:0], run[:0] = before, first
+        if after:
+            read = self.read(after[::-1] if flip else after)  # a column that raises stores nothing
             points += after
-            run += last
-            values = read[:n] + values + read[n:] if values else read
+            run += read[::-1] if flip else read
+            values = (read + values if flip else values + read) if values else read
         return values
 
     def _keyed(self, block: Sequence[float]) -> list:
-        values = self.values
-        if not values and self.points:  # the run, keyed once
-            values.update(zip(_keys(self.points), self.run))
-        keys = _keys(block)
+        values, keys = self.values, _keys(block)
         unread = list(dict.fromkeys(filterfalse(values.__contains__, keys) if values else keys))
         if unread:
             ts = unread if keys is block else [k[1] if type(k) is tuple else k for k in unread]
-            read = _reader(self.f)(ts)  # a column form that raises stores nothing
-            values.update(zip(unread, read))  # f by map stores each value before its fault
-            if len(unread) == len(keys) and type(read) is list:
-                return read
+            # A column form that raises stores nothing; f by map stores each value before its fault.
+            values.update(zip(unread, _reader(self.f)(ts)))
         return list(map(values.__getitem__, keys))
 
     def column_or_calls(self, points: Sequence[float]) -> Iterable:
@@ -249,7 +238,8 @@ class _Columns:
         return self.by_shift[shift]
 
     def quotients(self, alpha: float) -> List[float]:
-        return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(self(alpha), self())]
+        x0s = self()  # first, so that the shifted column extends the run past its end
+        return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(self(alpha), x0s)]
 
 
 class _Point:

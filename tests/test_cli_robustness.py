@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from norlund import cli
 from norlund.cli import main
+from norlund.expr import Bin, Call, Const, Neg, Num, Var
+from norlund.expr import format as format_expr
 
 ROOT = Path(__file__).resolve().parents[1]
 CHAIN = "+".join(["t"] * 1_000)
@@ -126,10 +130,44 @@ NUMBERS = st.one_of(MODEST, MODEST, EDGES)
 # steps and tolerances: mostly valid, so that most draws reach the library
 POSITIVE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 1e-3, 1e-9]), NUMBERS.map(abs),
                      NUMBERS)
-EXPRESSIONS = st.sampled_from(["t", "1", "0", "1/t", "exp(t)", "sqrt(t)", "ln(t)", "t^2",
-                               "sin(t)", "1/(1+t^2)", "exp(-t)", "pow(t, 3)"])
+TEXTS = ["t", "1", "0", "1/t", "exp(t)", "sqrt(t)", "ln(t)", "t^2", "sin(t)", "1/(1+t^2)",
+         "exp(-t)", "pow(t, 3)"]
+# Hypothesis draws the first of a list most often, so the lists below put
+# first what sends a result towards overflow: 1e200, whose square overflows.
+LEAVES = st.one_of(st.just(Var()), st.sampled_from([Const("pi"), Const("e")]),
+                   st.sampled_from([1e200, 0.5, 2.0]).map(Num))
+
+
+def deeper(sub):
+    """Trees of the grammar one operator deeper than sub's, or leaves."""
+    return st.one_of(
+        LEAVES,
+        sub.map(Neg),
+        st.builds(Bin, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(lambda name, x: Call(name, (x,)),
+                  st.sampled_from(("abs", "exp", "ln", "sqrt", "sin", "cos")), sub),
+        st.builds(lambda x, y: Call("pow", (x, y)), sub, sub),
+    )
+
+
+TREES = [LEAVES]  # TREES[depth]: trees at most depth operators deep
+for _ in range(4):
+    TREES.append(deeper(TREES[-1]))
+# a formatted tree of depth at most 4, the shallowest twice as often, or a fixed text
+EXPRESSIONS = st.one_of(
+    st.sampled_from([TREES[0], TREES[0], TREES[1], TREES[1], *TREES[2:]])
+    .flatmap(lambda trees: trees).map(format_expr),
+    st.sampled_from(TEXTS),
+)
 # small enough that no command starts heavy work, invalid ones included
 MAX_TERMS = st.one_of(st.integers(min_value=-2, max_value=300), st.sampled_from([1000, 10**4]))
+RARELY = st.sampled_from([True] + [False] * 7)
+# numbers that every flag accepts
+POINTS = st.sampled_from([1e200, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+STEPS = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+EXPONENTS = st.sampled_from([1.5, 2.0, 3.0])
+TOLS = st.sampled_from([1e-9, 1e-6, 1e-3])
+TERMS = st.sampled_from([300, 2000])
 
 
 def flag(name, value):
@@ -137,37 +175,58 @@ def flag(name, value):
 
 
 @st.composite
-def argument_vectors(draw):
-    command = draw(st.sampled_from(["eval", "diff", "check"]))
+def argument_vectors(draw, operation):
+    """An argument vector for operation: eval, diff or a check kind."""
+    command = operation if operation in ("eval", "diff") else "check"
+    # Half the draws, drawn first, take numbers that every flag accepts, so
+    # that they reach the library with the drawn expressions.
+    valid = not draw(st.booleans())
+    point, step = (POINTS, STEPS) if valid else (NUMBERS, POSITIVE)
+    rarely = st.just(False) if valid else RARELY
     argv = [command]
     if command == "diff":
-        argv += ["--expr", draw(EXPRESSIONS), flag("t", draw(NUMBERS))]
+        argv += [f"--expr={draw(EXPRESSIONS)}", flag("t", draw(point))]
         for name in ("alpha", "beta"):
-            if draw(st.booleans()):
-                argv.append(flag(name, draw(POSITIVE)))
+            if name == "alpha" and valid or draw(st.booleans()):
+                argv.append(flag(name, draw(step)))
     else:
         if command == "eval":
-            argv += ["--expr", draw(EXPRESSIONS)]
+            argv += [f"--expr={draw(EXPRESSIONS)}"]
+            reads = ("beta", "mode")
         else:
-            kind = draw(st.sampled_from(["holder", "cs", "minkowski", "mvt", "comparison",
-                                         "ftc", "ibp"]))
-            argv += ["--kind", kind, "--f", draw(EXPRESSIONS), "--g", draw(EXPRESSIONS),
-                     flag("p", draw(NUMBERS)), flag("check-tol", draw(POSITIVE))]
-        a = draw(NUMBERS)
-        b = draw(st.one_of(NUMBERS, POSITIVE.map(lambda span: a + span)))
-        argv += [flag("a", a), flag("b", b)]
-        argv += [flag(name, draw(POSITIVE)) for name in ("alpha", "beta")]
-        argv.append(flag("tol", draw(st.one_of(st.sampled_from([1e-9, 1e-6, 1e-3]), POSITIVE))))
-        argv += ["--mode", draw(st.sampled_from(["auto", "strict", "telescoped"])),
-                 flag("max-terms", draw(MAX_TERMS))]
+            kind, reads = operation, cli._CHECKS[operation][0]
+            f = draw(EXPRESSIONS)
+            argv += ["--kind", kind, f"--f={f}"]
+            # A flag the kind does not read is refused: draw it only now and then.
+            if "g" in reads or draw(rarely):
+                argv.append(f"--g={draw(st.one_of(st.just(f), EXPRESSIONS))}")
+            if "p" in reads or draw(rarely):
+                argv.append(flag("p", draw(EXPONENTS if valid else NUMBERS)))
+            if "check_tol" in reads or draw(rarely):
+                argv.append(flag("check-tol", draw(TOLS if valid else POSITIVE)))
+        a = draw(point)
+        b = draw(st.one_of(step.map(lambda span: a + span), st.just(a), point))
+        argv += [flag("a", a), flag("b", b), flag("alpha", draw(step))]
+        if "beta" in reads or draw(rarely):
+            argv.append(flag("beta", draw(st.one_of(st.just(0.0), step))))
+        argv.append(flag("tol", draw(TOLS if valid else st.one_of(TOLS, POSITIVE))))
+        if "mode" in reads or draw(rarely):
+            argv += ["--mode", draw(st.sampled_from(["auto", "strict", "telescoped"]))]
+        argv.append(flag("max-terms", draw(TERMS if valid else MAX_TERMS)))
     if draw(st.booleans()):
         argv.append("--json")
     return argv
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argument_vectors())
-def test_cli_ends_in_an_exit_code_for_any_numbers(argv):
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("operation", ["eval", "diff", *cli._CHECKS])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_ends_in_an_exit_code_for_any_numbers(operation, data):
+    argv = data.draw(argument_vectors(operation), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -178,3 +237,10 @@ def test_cli_ends_in_an_exit_code_for_any_numbers(argv):
     assert "Traceback" not in err.getvalue()
     if code != 0 or "--json" in argv:
         assert out.getvalue() or err.getvalue()
+    # Every number printed is strict JSON, with no NaN or Infinity: the whole
+    # report in JSON mode, each value line's value in text mode.
+    if "--json" in argv and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject)
+    for line in out.getvalue().splitlines()[1:-1]:
+        if not line.startswith("note: "):
+            json.loads(line.partition(" = ")[2], parse_constant=_reject)

@@ -421,6 +421,21 @@ def test_mvt_reads_each_grid_point_once():
     assert calls_of(lambda f, g: mvt_constant(f, g, 1.0, 101.0, ONE)) <= 204
 
 
+@pytest.mark.parametrize("column", [False, True], ids=["calls", "column"])
+def test_mvt_weight_that_does_not_compare_raises_the_reference_type_error(column):
+    # A complex weight fails the block's C-level min, so the per-point
+    # loop meets it and float() refuses it, as the reference does.
+    g = lambda t: 1j if t == 1.5 else 1.0  # noqa: E731
+    if column:
+        g.column = lambda points: [g(t) for t in points]
+    f = lambda t: t  # noqa: E731
+    with pytest.raises(TypeError) as want:
+        ref_mvt(f, g, 1.0, 3.0, 0.5, 0.5)
+    with pytest.raises(TypeError) as err:
+        mvt_constant(f, g, 1.0, 3.0, StepPair(0.5, 0.5))
+    assert err.value.args == want.value.args
+
+
 def test_ibp_reads_each_grid_point_once():
     run = lambda f, g: integration_by_parts_residual(f, g, 0.0, 100.0, 1.0)  # noqa: E731
     assert calls_of(run) <= 204
@@ -717,12 +732,55 @@ def test_a_monotone_read_extending_the_run_hands_only_its_new_points_to_the_colu
     f = Columned(lambda t: 2.0 * t)
     samples = integrals.Samples(f)
     assert samples.column([3.0, 2.0, 1.0]) == [6.0, 4.0, 2.0]
-    # A slice of the run at stride 2, with a new point at each end.
+    # A slice of the run at stride 2, with new points past its end.
+    assert samples.column([3.0, 1.0, 0.5, 0.25]) == [6.0, 2.0, 1.0, 0.5]
+    # Reversed, a slice of the run and a new point past its end, in the block's order.
+    assert samples.column([0.125, 0.5, 2.0]) == [0.25, 1.0, 4.0]
+    assert samples.column([0.125, 0.25, 0.5, 1.0, 2.0, 3.0]) == [0.25, 0.5, 1.0, 2.0, 4.0, 6.0]
+    assert f.evaluated == [3.0, 2.0, 1.0, 0.5, 0.25, 0.125]
+    assert (f.columns, f.calls) == (3, 0)
+    assert samples.points == [3.0, 2.0, 1.0, 0.5, 0.25, 0.125]
+    assert samples.values == {}  # no read needed the keyed path
+
+
+def test_a_read_ahead_of_the_run_moves_it_into_the_keyed_path_with_the_same_reads():
+    f = Columned(lambda t: 2.0 * t)
+    samples = integrals.Samples(f)
+    assert samples.column([3.0, 2.0, 1.0]) == [6.0, 4.0, 2.0]
+    # 4.0 lies ahead of the run's start: the run is keyed, and the block's
+    # unread points still go to the column form in one call, in its order.
     assert samples.column([4.0, 3.0, 1.0, 0.5]) == [8.0, 6.0, 2.0, 1.0]
+    assert (samples.points, samples.run) == (None, None)
+    assert samples.values == {3.0: 6.0, 2.0: 4.0, 1.0: 2.0, 4.0: 8.0, 0.5: 1.0}
     assert samples.column([0.5, 1.0, 2.0, 3.0, 4.0]) == [1.0, 2.0, 4.0, 6.0, 8.0]
     assert f.evaluated == [3.0, 2.0, 1.0, 4.0, 0.5]
     assert (f.columns, f.calls) == (2, 0)
-    assert samples.values == {}  # no read needed the keyed path
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, 0.0], ids=["beta-2alpha", "beta-alpha", "beta-0"])
+def test_no_check_on_aligned_grids_reads_a_column_form_through_the_keyed_path(monkeypatch, beta):
+    # Every block of every kind slices each function's run or extends it
+    # past its end: the unshifted column of a difference quotient is read
+    # before the shifted one, so ibp's g never puts a point ahead of its run.
+    calls, keyed = [], integrals.Samples._keyed
+
+    def counted(self, block):
+        if self.read:  # an f with a column form
+            calls.append(list(block))
+        return keyed(self, block)
+
+    monkeypatch.setattr(integrals.Samples, "_keyed", counted)
+    f, g = cli._function("1/(1+t^2)"), cli._function("2+cos(t)")
+    steps = StepPair(0.5, beta)
+    holder_check(f, g, -2.0, 3.0, steps, 3.0)
+    cauchy_schwarz_check(f, g, -2.0, 3.0, steps)
+    minkowski_check(f, g, -2.0, 3.0, steps, 3.0)
+    mvt_constant(f, g, -2.0, 3.0, steps)
+    comparison_check(f, g, -2.0, 3.0, steps)
+    if beta == 0.0:
+        integration_by_parts_residual(f, g, -2.0, 3.0, 0.5)
+        ftc_residuals(f, -2.0, 3.0, 0.5)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
