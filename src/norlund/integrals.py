@@ -21,15 +21,17 @@ grid points.  on_grid receives the side's walk, a function that returns
 the list of points, so a caller that already holds a direction's values
 need not walk its grid again.  f may offer a column form: f.column(points)
 is [f(t) for t in points], or raises if f faults at any of them, as an
-expression's function does (expr.evaluate_column).  A plain integral's
-on_grid walks the grid once and reads f's column form a block at a time,
-else calls f at each point.  The seven verifiers (five checks, ftc and
-ibp) read f and g at most once per distinct grid point through
-_Integrals and Samples.  Each integrand is written once, as a values
-form; strict terms and fault passes run it at one point.  Only when
-on_grid raises or its values do not sum to a finite total does the side
-walk its grid again and call the integrand point by point, up to the
-first fault, so the fault is raised as f itself raises it; a plain
+expression's function does (expr.evaluate_column).  One rule, _reader,
+reads f a block at a time: its column form, or else f at each point, as
+a list, so a read that raises yields nothing.  A plain integral's on_grid
+walks the grid once and reads f through it.  The seven verifiers (five
+checks, ftc and ibp) read f and g at most once per distinct grid point
+through _Integrals and Samples, which read every f by the same rule and
+share a run of points among reads.  Each integrand is written once, as
+a values form; strict terms and fault passes run it at one point.  Only
+when on_grid raises or its values do not sum to a finite total does the
+side walk its grid again and call the integrand point by point, up to
+the first fault, so the fault is raised as f itself raises it; a plain
 integral whose f faults thus calls f again up to the fault.
 """
 
@@ -99,9 +101,9 @@ def _blocks(points: Sequence[float]) -> Iterable[Sequence[float]]:
     return (points[i:i + _BLOCK] for i in range(0, len(points), _BLOCK))
 
 
-def _reader(f: RealFunction) -> Callable[[Sequence[float]], Iterable[float]]:
-    """f's column form, or else f called at each point."""
-    return getattr(f, "column", None) or partial(map, f)
+def _reader(f: RealFunction) -> Callable[[Sequence[float]], list]:
+    """f's column form, or else f called at each point, as a list."""
+    return getattr(f, "column", None) or (lambda points: list(map(f, points)))
 
 
 def _keys(points: Sequence[float]) -> Sequence:
@@ -115,27 +117,25 @@ class Samples:
 
     -0.0 and 0.0 are distinct points; an int point and an equal float are
     one, as dict keys are.  A read goes a block of _BLOCK points at a time.
-    The values live in one store at a time.  An f with a column form first
+    The values live in one store at a time, and every f reads through
+    _reader(f): its column form, or else f at each point.  Samples first
     keeps what it reads as one run: the distinct points read so far, in
     the order of the first read (ascending or descending), with their
     values.  A block that is a slice of the run, in either order and at
     any stride, is served by slicing the run, checked by one list
-    comparison; new points past the run's end extend it, and only they go
-    to f's column form, in one call, in the block's order.  The first
-    block that is no such slice moves the run into a dict keyed by point,
-    for good.  That block, every later one, and every block of an f
-    without a column form then read the dict: the block's unread distinct
-    points go to the column form in one call, or to f one at a time.  A
-    read that raises lets the exception out: a column form's stores
-    nothing for its block, and f called point by point stores the values
-    before its fault.  A point not stored is evaluated again when read
-    again.
+    comparison; new points past the run's end extend it, and only they
+    are read, in one call, in the block's order.  The first block that is
+    no such slice moves the run into a dict keyed by point, for good.
+    That block and every later one then read the dict: the block's unread
+    distinct points are read in one call.  A read that raises lets the
+    exception out and stores nothing for its block.  A point not stored
+    is evaluated again when read again.
     """
 
     def __init__(self, f: RealFunction):
-        self.f, self.read = f, getattr(f, "column", None)
+        self.f, self.read = f, _reader(f)
         # The run's points, monotone, and their values; None while the dict holds the values.
-        self.points, self.run = ([], []) if self.read else (None, None)
+        self.points, self.run = [], []
         self.down = False  # whether the run descends
         self.values = {}  # the values by point, once the run is keyed
 
@@ -184,7 +184,7 @@ class Samples:
             if flip:
                 values.reverse()
         if after:
-            read = self.read(after[::-1] if flip else after)  # a column that raises stores nothing
+            read = self.read(after[::-1] if flip else after)  # a read that raises stores nothing
             points += after
             run += read[::-1] if flip else read
             values = (read + values if flip else values + read) if values else read
@@ -195,8 +195,7 @@ class Samples:
         unread = list(dict.fromkeys(filterfalse(values.__contains__, keys) if values else keys))
         if unread:
             ts = unread if keys is block else [k[1] if type(k) is tuple else k for k in unread]
-            # A column form that raises stores nothing; f by map stores each value before its fault.
-            values.update(zip(unread, _reader(self.f)(ts)))
+            values.update(zip(unread, self.read(ts)))  # a read that raises stores nothing
         return list(map(values.__getitem__, keys))
 
     def column_or_calls(self, points: Sequence[float]) -> Iterable:
@@ -635,15 +634,19 @@ def integration_by_parts_residual(
     the forward difference of f times g shifted one step ahead.  On the
     telescoped route f and g are read at most once per distinct point;
     t + alpha shares a read with the next grid point when the two floats
-    are equal.
+    are equal.  A value of f or g at a or b that is not finite, or a
+    boundary term that overflows, raises NonFiniteValueError.
     """
     _require_positive(alpha, "alpha")
     integral = _Integrals(forward_integral, f, g, a, b, alpha, IntegralMode.AUTO, cfg)
 
     lhs = integral(lambda F, G: [x * q for x, q in zip(F(), G.quotients(alpha))]).value
-    fb, fa = integral.f.column_or_calls((b, a))
-    gb, ga = integral.g.column_or_calls((b, a))
+    fb, fa = map(_finite, (b, a), integral.f.column_or_calls((b, a)))
+    gb, ga = map(_finite, (b, a), integral.g.column_or_calls((b, a)))
     boundary = fb * gb - fa * ga
+    if not math.isfinite(boundary):
+        term = f"the boundary term f(b)*g(b) - f(a)*g(a) from {a!r} to {b!r}"
+        raise NonFiniteValueError(b, boundary, f"{term} overflowed ({boundary!r})")
     shifted = integral(lambda F, G: [q * y for q, y in zip(F.quotients(alpha), G(alpha))])
     rhs = boundary - shifted.value
     return abs(lhs - rhs)

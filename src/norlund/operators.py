@@ -12,7 +12,8 @@ ValueError, as is an infinite or NaN endpoint of an integral or a check
 (_require_finite).  A value read at a point is checked by one rule too,
 _finite: a value that is infinite or NaN is a NonFiniteValueError at its
 point.  The three difference quotients are one rule, _quotient: a zero
-step reads t itself, so -0.0 stays -0.0, and a positive step must move t.
+step reads t itself, so -0.0 stays -0.0, a positive step must move t, and
+a difference or a sum of steps that overflows is halved first.
 """
 
 from __future__ import annotations
@@ -113,10 +114,16 @@ def _moved(t: float, shifted: float, step: float, side: str) -> float:
 def _quotient(f: RealFunction, t: float, alpha: float, beta: float) -> float:
     """(f(t + alpha) - f(t - beta)) / (alpha + beta), f read at the upper
     point first.  A zero step reads t itself (t + 0.0 would turn -0.0 into
-    0.0); a positive one must move t."""
+    0.0); a positive one must move t.  Where the difference or the sum of
+    the steps overflows, the quotient is taken from their halves."""
     upper = _moved(t, t + alpha, alpha, "forward") if alpha else t
     lower = _moved(t, t - beta, beta, "backward") if beta else t
-    return (_finite(upper, f(upper)) - _finite(lower, f(lower))) / (alpha + beta)
+    x, y = _finite(upper, f(upper)), _finite(lower, f(lower))
+    quotient = (x - y) / (alpha + beta)
+    # Steps that sum to at most 1 cannot shrink an overflowing difference.
+    if not math.isfinite(quotient) and alpha + beta > 1.0:
+        quotient = (x / 2 - y / 2) / (alpha / 2 + beta / 2)
+    return quotient
 
 
 def forward_difference(f: RealFunction, t: float, alpha: float) -> float:

@@ -72,6 +72,12 @@ def test_diff_examples(capsys):
     assert code == 0 and "value = 0.0" in out and '"backward"' in out
 
 
+def test_diff_with_steps_whose_sum_overflows(capsys):
+    code = main(["diff", "--expr", "t", "--t", "0", "--alpha", "1e308", "--beta", "1e308"])
+    out = capsys.readouterr().out
+    assert code == 0 and "value = 1.0" in out and '"symmetric"' in out
+
+
 def test_diff_needs_a_step(capsys):
     code = main(["diff", "--expr", "t", "--t", "0"])
     assert code == 2
@@ -233,14 +239,16 @@ def test_non_finite_strict_term_names_its_point(capsys):
 @pytest.mark.parametrize(
     "argv, note",
     [
-        (["diff", "--expr", "1.7e308*sin(t)", "--t", "1.5707963", "--alpha", "3.14159"],
+        # The quotient is about -1.1e311.
+        (["diff", "--expr", "1.7e308*sin(1000*t)", "--t", "0.0015707963",
+          "--alpha", "0.0031415926"],
          "ValueError: the diff result's value is not finite (-inf)"),
-        # The boundary term 1e400 - 1e400 is NaN.
-        (["check", "--kind", "ibp", "--f", "1e200", "--g", "1e200", "--a", "0", "--b", "3",
-          "--alpha", "1"],
-         "ValueError: the check result's residual is not finite (nan)"),
+        # The rhs is about 1.9e308.
+        (["check", "--kind", "minkowski", "--f", "9.5e307", "--g=-9.5e307", "--a", "0",
+          "--b", "1", "--alpha", "1", "--p", "1.0001"],
+         "ValueError: the check result's rhs is not finite (inf)"),
     ],
-    ids=["diff", "ibp"],
+    ids=["diff", "minkowski"],
 )
 def test_a_non_finite_result_is_an_error_naming_its_field(capsys, argv, note):
     assert main(argv + ["--json"]) == 2

@@ -603,6 +603,18 @@ def test_integration_by_parts_zero_function():
     assert integration_by_parts_residual(lambda t: 0.0, lambda t: t * t, 0.0, 3.0, 1.0) == 0.0
 
 
+def test_integration_by_parts_boundary_term_that_overflows_raises():
+    from norlund import NonFiniteValueError
+
+    # f*g is 1e400 at both ends: inf - inf is NaN, where both sides are 0.
+    with pytest.raises(NonFiniteValueError) as err:
+        integration_by_parts_residual(lambda t: 1e200, lambda t: 1e200, 0.0, 1.0, 0.5)
+    assert err.value.point == 1.0 and math.isnan(err.value.value)
+    assert str(err.value) == (
+        "the boundary term f(b)*g(b) - f(a)*g(a) from 0.0 to 1.0 overflowed (nan)"
+    )
+
+
 def test_integration_by_parts_geometric_case():
     # both sides telescope to 1.875 for f = 2^-t, g = t on [0, 4]
     f, g = HALVING, lambda t: t

@@ -110,6 +110,19 @@ def test_non_finite_value_rejected():
         symmetric_difference(lambda t: math.nan, 0.0, StepPair(1.0, 1.0))
 
 
+def test_a_quotient_whose_difference_or_step_sum_overflows_is_taken_from_halves():
+    # alpha + beta is inf, and so is t + alpha - (t - beta).
+    assert symmetric_difference(lambda t: t, 0.0, StepPair(1e308, 1e308)) == 1.0
+    f = lambda t: 1.7e308 * math.sin(t)
+    assert forward_difference(f, 1.5707963, 3.14159) == (
+        f(1.5707963 + 3.14159) / 2 - f(1.5707963) / 2) / (3.14159 / 2)
+    # A quotient that overflows in exact arithmetic too stays infinite.
+    g = lambda t: 1.7e308 * math.sin(1000 * t)
+    assert forward_difference(g, 0.0015707963, 0.0031415926) == -math.inf
+    sign = lambda t: math.copysign(1.0, t)
+    assert symmetric_difference(sign, 0.0, StepPair(5e-324, 5e-324)) == math.inf
+
+
 def test_step_pair_validation():
     assert StepPair(2.0, 0.0).alpha == 2.0
     with pytest.raises(ValueError):
