@@ -19,9 +19,9 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields
 from enum import Enum
 
+from ._record import Record
 from .errors import NorlundError
 from .inequalities import (
     cauchy_schwarz_check,
@@ -48,13 +48,15 @@ _EXIT_CODES = {"ok": 0, "check_failed": 1, "error": 2}
 def _json_default(value):
     """The JSON encoding of what json does not encode itself.
 
-    An enum becomes its value and a dataclass its fields in declaration
+    An enum becomes its value and a record its fields in declaration
     order; json encodes what they hold, so one json.dumps call encodes a
     whole report.  Anything else raises TypeError.
     """
     if isinstance(value, Enum):
         return value.value
-    return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, Record):
+        return {name: getattr(value, name) for name in value.__match_args__}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,9 +37,9 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from collections.abc import Sequence
 
+from ._record import Record
 from .errors import DomainFaultError, ExprSyntaxError, UnknownIdentifierError
 
 __all__ = [
@@ -57,37 +57,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """The single variable t."""
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     name: str  # "pi" or "e"
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(Record):
+    operand: Expr
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(Record):
     op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+    left: Expr
+    right: Expr
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     name: str
-    args: Tuple["Expr", ...]
+    args: tuple[Expr, ...]
 
 
 Expr = Num | Var | Const | Neg | Bin | Call

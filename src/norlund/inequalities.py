@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (
     BadExponentError,
     HypothesisFailedError,
@@ -47,8 +47,7 @@ def _viol_tol(lhs: float, rhs: float) -> float:
     return 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Record):
     """Both sides of one inequality instance and the verdict."""
 
     lhs: float
@@ -58,8 +57,7 @@ class InequalityReport:
     context: dict
 
 
-@dataclass(frozen=True)
-class MvtReport:
+class MvtReport(Record):
     """Mean value constant K and the sampled extrema bracketing it."""
 
     K: float

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from functools import partial, reduce
 from itertools import chain, filterfalse
 from operator import add, gt, lt, neg
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import NonFiniteTermError, NonFiniteValueError, NotAlignedError, NotIntegrableError
 from .operators import (
     GridAlignment,
@@ -79,7 +79,7 @@ __all__ = [
 
 # on_grid(direction, walk): the integrand's values at the points of a
 # telescoped side, in order; walk() returns the list of them.
-GridWalk = Callable[[], List[float]]
+GridWalk = Callable[[], list[float]]
 GridValues = Callable[[GridDirection, GridWalk], Iterable[float]]
 
 
@@ -153,7 +153,7 @@ class Samples:
             self.points = self.run = None
         return self._keyed(block)
 
-    def _slice(self, block: list) -> Optional[list]:
+    def _slice(self, block: list) -> list | None:
         """The block's values as a slice of the run, its points past the
         run's end read and appended; None if the block is no such slice."""
         points, run = self.points, self.run
@@ -226,7 +226,7 @@ class _Columns:
 
     t = None
 
-    def __init__(self, samples: Samples, points: List[float]):
+    def __init__(self, samples: Samples, points: list[float]):
         self.samples, self.points, self.by_shift = samples, points, {}
 
     def __call__(self, shift: float = 0.0) -> list:
@@ -236,7 +236,7 @@ class _Columns:
             self.by_shift[shift] = self.samples.column(moved)
         return self.by_shift[shift]
 
-    def quotients(self, alpha: float) -> List[float]:
+    def quotients(self, alpha: float) -> list[float]:
         x0s = self()  # first, so that the shifted column extends the run past its end
         return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(self(alpha), x0s)]
 
@@ -253,7 +253,7 @@ class _Point:
         # f(t) itself when unshifted: t + 0.0 would turn -0.0 into 0.0.
         return [self.f(self.t + shift) if shift else self.f(self.t)]
 
-    def quotients(self, alpha: float) -> List[float]:
+    def quotients(self, alpha: float) -> list[float]:
         return [forward_difference(self.f, self.t, alpha)]
 
 
@@ -275,7 +275,7 @@ class _Integrals:
         self.args = (a, b, steps, mode, cfg)
         self.readers = {}  # per grid direction: the side's (F, G) column readers
 
-    def columns(self, direction: GridDirection, walk: GridWalk) -> Tuple[_Columns, _Columns]:
+    def columns(self, direction: GridDirection, walk: GridWalk) -> tuple[_Columns, _Columns]:
         """direction's (F, G) column readers, walking its grid on first use."""
         if direction not in self.readers:
             points = walk()
@@ -293,8 +293,7 @@ class _Integrals:
         return self.integrate(integrand, *self.args, on_grid=on_grid)
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(Record):
     """Value of one integral plus per-route diagnostics.
 
     mode_used is always a resolved mode (never Auto).  Strict sides
@@ -307,9 +306,9 @@ class IntegralResult:
     value: float
     mode_used: IntegralMode
     mixed_modes: bool = False
-    forward_diag: Optional[Tuple[SeriesResult, SeriesResult]] = None
-    backward_diag: Optional[Tuple[SeriesResult, SeriesResult]] = None
-    alignment: Optional[GridAlignment] = None
+    forward_diag: tuple[SeriesResult, SeriesResult] | None = None
+    backward_diag: tuple[SeriesResult, SeriesResult] | None = None
+    alignment: GridAlignment | None = None
 
 
 def _improper(
@@ -518,7 +517,8 @@ def symmetric_integral(
 ) -> IntegralResult:
     """Two-sided integral: the convex combination of forward and backward.
 
-    value = alpha/(alpha+beta) * forward + beta/(alpha+beta) * backward.
+    value = alpha/(alpha+beta) * forward + beta/(alpha+beta) * backward,
+    the weights taken from the halved steps where alpha + beta overflows.
     A zero step skips its side entirely and returns the other side's
     result unchanged.  In Auto mode the two sides resolve independently;
     mode_used then records the stricter resolution and mixed_modes flags
@@ -532,8 +532,11 @@ def symmetric_integral(
 
     fwd = forward_integral(f, a, b, steps.alpha, mode, cfg, on_grid=on_grid)
     bwd = backward_integral(f, a, b, steps.beta, mode, cfg, on_grid=on_grid)
-    weight = steps.alpha + steps.beta
-    value = (steps.alpha / weight) * fwd.value + (steps.beta / weight) * bwd.value
+    alpha, beta = steps.alpha, steps.beta
+    if math.isinf(alpha + beta):  # halved, as operators._quotient halves an overflowing sum
+        alpha, beta = alpha / 2, beta / 2
+    weight = alpha + beta
+    value = (alpha / weight) * fwd.value + (beta / weight) * bwd.value
     strict = IntegralMode.STRICT in (fwd.mode_used, bwd.mode_used)
     mode_used = IntegralMode.STRICT if strict else IntegralMode.TELESCOPED
     alignment = fwd.alignment if fwd.alignment is not None else bwd.alignment
@@ -572,7 +575,7 @@ def ftc_residuals(
     b: float,
     alpha: float,
     cfg: SeriesConfig | None = None,
-) -> Tuple[float, float]:
+) -> tuple[float, float]:
     """Residuals of the two fundamental-theorem identities on [a, b].
 
     r1 is the largest deviation of the forward difference of the

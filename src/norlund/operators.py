@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable, List, Optional
 
+from ._record import Record
 from .errors import GridBudgetError, NonFiniteValueError, ZeroStepError
 from .series import SeriesConfig, _config
 
@@ -48,8 +48,7 @@ RealFunction = Callable[[float], float]
 EPS_GRID = 1e-9
 
 
-@dataclass(frozen=True)
-class StepPair:
+class StepPair(Record):
     """The step sizes (alpha, beta) of the two-sided calculus.
 
     Both steps are nonnegative and at least one is positive.  A zero
@@ -74,8 +73,7 @@ class GridDirection(Enum):
     BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class GridAlignment:
+class GridAlignment(Record):
     """Witness that target = anchor +/- k1*step, up to EPS_GRID step units."""
 
     k1: int
@@ -160,7 +158,7 @@ def grid_align(
     target: float,
     step: float,
     direction: GridDirection = GridDirection.FORWARD,
-) -> Optional[GridAlignment]:
+) -> GridAlignment | None:
     """Match target onto the half-infinite grid starting at anchor.
 
     Returns the step count k1 and the signed residual in step units, or
@@ -206,7 +204,7 @@ def grid_points(
     direction: GridDirection,
     count: int,
     cfg: SeriesConfig | None = None,
-) -> List[float]:
+) -> list[float]:
     """The first count points of the grid from anchor towards target.
 
     Before making a point it checks step as grid_align does, then raises
@@ -231,7 +229,7 @@ def grid_points(
 
 def sampled_grids(
     a: float, b: float, steps: StepPair, cfg: SeriesConfig | None = None
-) -> List[List[float]]:
+) -> list[list[float]]:
     """The grid points in [a, b] read by the two sides of the integral,
     one list per side with a positive step.
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable
 
+from ._record import Record
 from .errors import NonFiniteTermError
 
 __all__ = ["SeriesConfig", "SeriesResult", "Verdict", "sum_series"]
@@ -57,8 +57,7 @@ class Verdict(Enum):
     DIVERGENT = "divergent"
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
+class SeriesConfig(Record):
     """Stopping controls for :func:`sum_series`.
 
     tol is the absolute remainder bound the tail estimate must reach for
@@ -95,8 +94,7 @@ def _config(cfg: SeriesConfig | None) -> SeriesConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(Record):
     """Value and diagnostics of one summation."""
 
     value: float

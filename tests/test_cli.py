@@ -78,6 +78,21 @@ def test_diff_with_steps_whose_sum_overflows(capsys):
     assert code == 0 and "value = 1.0" in out and '"symmetric"' in out
 
 
+def test_eval_and_check_with_steps_whose_sum_overflows(capsys):
+    # Each side is one grid point: 1e308 * 1e-10 forward and backward alike.
+    grid = ["--a", "0", "--b", "1e308", "--alpha", "1e308", "--json"]
+    assert main(["eval", "--expr", "1e-10", *grid, "--beta", "0"]) == 0
+    side = strict_json(capsys.readouterr().out)["result"]["value"]
+    assert side == 1e308 * 1e-10
+    assert main(["eval", "--expr", "1e-10", *grid, "--beta", "1e308"]) == 0
+    assert strict_json(capsys.readouterr().out)["result"]["value"] == side
+    assert main(["check", "--kind", "cs", "--f", "1e-10", "--g", "1e-10", *grid,
+                 "--beta", "1e308"]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["result"]["lhs"] == pytest.approx(1e288, rel=1e-12)
+    assert report["result"]["rhs"] == pytest.approx(1e288, rel=1e-12)
+
+
 def test_diff_needs_a_step(capsys):
     code = main(["diff", "--expr", "t", "--t", "0"])
     assert code == 2

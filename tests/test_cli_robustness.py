@@ -111,6 +111,21 @@ def test_the_cli_imports_only_the_standard_library():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    # -S keeps site hooks from importing them first; the package's own path is put back.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "before = set(sys.modules)\n"
+        "import norlund.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ----------------------------------------------------------------------
 # Fuzzing every numeric flag
 # ----------------------------------------------------------------------
