@@ -19,6 +19,9 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, n) for n in self.__match_args__)
 
+    def __reduce__(self):  # pickle and copy rebuild from the fields, never an instance's caches
+        return type(self), self._values()
+
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
 

@@ -6,11 +6,11 @@ evaluates both sides with symmetric integrals and reports the margin;
 a check "holds" when the margin is no worse than rounding slack scaled
 to the magnitudes involved.  Pointwise hypotheses (nonnegative weight,
 |f| <= g) are verified by sampling the evaluation grids of both sides
-over [a, b] (operators.sampled_grids): the points a telescoped side
-reads, one grid at a time.  A strict side also reads series points
-outside [a, b], which the samples miss (ROADMAP item 5).  A check reads
-f and g at most once per distinct grid point on the telescoped route,
-whatever number of integrals it builds from them, through
+over [a, b] (integrals._Integrals.sampled): the grids the telescoped
+sides then read, each walked once.  A strict side also reads series
+points outside [a, b], which the samples miss (ROADMAP item 5).  A check
+reads f and g at most once per distinct grid point on the telescoped
+route, whatever number of integrals it builds from them, through
 integrals._Integrals.
 """
 
@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteValueError,
 )
 from .integrals import IntegralMode, IntegralResult, _blocks, _Integrals, symmetric_integral
-from .operators import RealFunction, StepPair, _require_finite, sampled_grids
+from .operators import RealFunction, StepPair, _require_finite
 from .series import SeriesConfig
 
 __all__ = [
@@ -207,7 +207,7 @@ def comparison_check(
     """
     _require_interval(a, b)
     integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
-    for points in sampled_grids(a, b, steps, cfg):
+    for points in integral.sampled(steps):
         xs, ys = integral.f.column_or_calls(points), integral.g.column_or_calls(points)
         for t, x, y in zip(points, xs, ys):
             f_value, g_value = float(x), float(y)
@@ -236,7 +236,7 @@ def mvt_constant(
     """
     _require_interval(a, b)
     integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
-    grids = sampled_grids(a, b, steps, cfg)
+    grids = integral.sampled(steps)
     for points in grids:
         for block, values in zip(_blocks(points), integral.g.blocks(points)):
             if not _weights_pass(values):

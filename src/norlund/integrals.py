@@ -27,12 +27,14 @@ a list, so a read that raises yields nothing.  A plain integral's on_grid
 walks the grid once and reads f through it.  The seven verifiers (five
 checks, ftc and ibp) read f and g at most once per distinct grid point
 through _Integrals and Samples, which read every f by the same rule and
-share a run of points among reads.  Each integrand is written once, as
-a values form; strict terms and fault passes run it at one point.  Only
-when on_grid raises or its values do not sum to a finite total does the
-side walk its grid again and call the integrand point by point, up to
-the first fault, so the fault is raised as f itself raises it; a plain
-integral whose f faults thus calls f again up to the fault.
+share a run of points among reads, and walk each side once: comparison,
+mvt and ftc sample the grids _Integrals.sampled walks for their sides.
+Each integrand is written once, as a values form; strict terms and fault
+passes run it at one point.  Only when on_grid raises or its values do
+not sum to a finite total does the side walk its grid again and call the
+integrand point by point, up to the first fault, so the fault is raised
+as f itself raises it; a plain integral whose f faults thus calls f
+again up to the fault.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from .operators import (
     _require_positive,
     forward_difference,
     grid_align,
+    grid_count,
     grid_points,
-    sampled_grids,
 )
 from .series import SeriesConfig, SeriesResult, Verdict, _config, sum_series
 
@@ -281,6 +283,21 @@ class _Integrals:
             points = walk()
             self.readers[direction] = (_Columns(self.f, points), _Columns(self.g, points))
         return self.readers[direction]
+
+    def sampled(self, steps: StepPair) -> list[list[float]]:
+        """The grid points in [a, b] a check samples, one list per side
+        with a positive step: grid_count + 1 points forward from a and
+        backward from b, both walked before either is returned, so that a
+        budget or resolution error comes before any read.  Less its far
+        endpoint, each is its side's telescoped walk; a strict side reads none."""
+        a, b, *_, cfg = self.args
+        walks = zip((a, b), (b, a), (steps.alpha, steps.beta), GridDirection)  # forward, backward
+        grids = {direction: grid_points(anchor, target, step, direction,
+                                        grid_count(anchor, target, step, direction) + 1, cfg)
+                 for anchor, target, step, direction in walks if step > 0.0}
+        for direction, points in grids.items():
+            self.columns(direction, lambda: points[:-1])
+        return list(grids.values())
 
     def __call__(self, values) -> IntegralResult:
         F, G = _Point(self.f.f), _Point(self.g.f)  # one pair per integral, moved per term
@@ -590,10 +607,8 @@ def ftc_residuals(
     _require_finite(b, "b")
     if b < a:
         raise ValueError(f"needs b >= a, got a={a!r}, b={b!r}")
-    [points] = sampled_grids(a, b, StepPair(alpha, 0.0), cfg)
     integral = _Integrals(forward_integral, f, None, a, b, alpha, IntegralMode.AUTO, cfg)
-    # Less b, r1's points are r2's telescoped walk; a strict r2 reads none.
-    integral.columns(GridDirection.FORWARD, lambda: points[:-1])
+    [points] = integral.sampled(StepPair(alpha, 0.0))
 
     # The accumulated integral at a + k*alpha is alpha times the running
     # sum of f over the k grid points before it, added left to right as

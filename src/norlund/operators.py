@@ -2,9 +2,7 @@
 
 grid_points is the one walk over a step grid: every grid the integrals
 and the checks read comes from it, so the point formula, the term-cap
-budget and the resolution rule live in one place.  sampled_grids is
-the one rule for the points a verifier samples over [a, b]: the forward
-grid from a and the backward grid from b, one list each.  A step that
+budget and the resolution rule live in one place.  A step that
 must be positive is checked by one rule, _require_positive, for the
 difference quotients, the grid arithmetic and the integrals alike: a
 step at or below zero is a ZeroStepError, an infinite or NaN one a
@@ -225,21 +223,3 @@ def grid_points(
     # anchor + k*(-step) is anchor - k*step bit for bit (IEEE negation is exact).
     signed = step if direction is GridDirection.FORWARD else -step
     return [anchor + k * signed for k in range(count)]
-
-
-def sampled_grids(
-    a: float, b: float, steps: StepPair, cfg: SeriesConfig | None = None
-) -> list[list[float]]:
-    """The grid points in [a, b] read by the two sides of the integral,
-    one list per side with a positive step.
-
-    Forward points ascend from a, backward points descend from b; both
-    endpoint counts come from the alignment witness when it exists.
-    Either walk longer than cfg.max_terms points raises GridBudgetError,
-    and either walk with a step below its endpoints' resolution raises
-    ZeroStepError, before any list is returned.
-    """
-    walks = ((a, b, steps.alpha, GridDirection.FORWARD), (b, a, steps.beta, GridDirection.BACKWARD))
-    return [grid_points(anchor, target, step, direction,
-                        grid_count(anchor, target, step, direction) + 1, cfg)
-            for anchor, target, step, direction in walks if step > 0.0]

@@ -273,6 +273,17 @@ def test_a_compiled_tree_keeps_its_equality_hash_and_repr():
     assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
 
 
+def test_an_evaluated_tree_copies_and_pickles_without_its_compiled_caches():
+    tree = expr.parse("sin(t)+2*t^2")
+    expr.evaluate(tree, 1.0)
+    expr.evaluate_column(tree, [1.0, 2.0])
+    assert {"_compiled", "_column"} <= set(vars(tree))
+    for round_trip in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        back = round_trip(tree)
+        assert back == tree and set(vars(back)) == set(tree.__match_args__)
+        assert expr.evaluate(back, 1.5) == expr.evaluate(tree, 1.5)
+
+
 @pytest.mark.parametrize("record, args", SAMPLES, ids=IDS)
 def test_the_json_encoding_is_the_field_tuple(record, args):
     mine, theirs = _pair(record, args)

@@ -42,8 +42,7 @@ from norlund import (
     mvt_constant,
     symmetric_integral,
 )
-from norlund import cli, integrals
-from norlund.operators import sampled_grids
+from norlund import cli, integrals, operators
 
 # ----------------------------------------------------------------------
 # Per-integral reference
@@ -477,42 +476,83 @@ def test_faulting_plain_integral_reads_f_again_up_to_the_fault():
     assert calls[0] == 100 + 8
 
 
+BOTH_SIDES = [GridDirection.BACKWARD, GridDirection.FORWARD]
+
+
 @pytest.mark.parametrize(
-    "run",
+    "run, sides",
     [
-        lambda f, g: cauchy_schwarz_check(f, g, 0.0, 100.0, ONE),
-        lambda f, g: holder_check(f, g, 0.0, 100.0, ONE, 3.0),
-        lambda f, g: minkowski_check(f, g, 0.0, 100.0, ONE, 3.0),
-        lambda f, g: comparison_check(lambda t: 0.1 * f(t), g, 0.0, 100.0, ONE),
-        lambda f, g: mvt_constant(f, g, 0.0, 100.0, ONE),
+        (lambda f, g: cauchy_schwarz_check(f, g, 0.0, 100.0, ONE), BOTH_SIDES),
+        (lambda f, g: holder_check(f, g, 0.0, 100.0, ONE, 3.0), BOTH_SIDES),
+        (lambda f, g: minkowski_check(f, g, 0.0, 100.0, ONE, 3.0), BOTH_SIDES),
+        (lambda f, g: comparison_check(lambda t: 0.1 * f(t), g, 0.0, 100.0, ONE), BOTH_SIDES),
+        (lambda f, g: mvt_constant(f, g, 0.0, 100.0, ONE), BOTH_SIDES),
+        (lambda f, g: ftc_residuals(f, 0.0, 100.0, 1.0), [GridDirection.FORWARD]),
+        (lambda f, g: integration_by_parts_residual(f, g, 0.0, 100.0, 1.0),
+         [GridDirection.FORWARD]),
     ],
-    ids=["cs", "holder", "minkowski", "comparison", "mvt"],
+    ids=["cs", "holder", "minkowski", "comparison", "mvt", "ftc", "ibp"],
 )
-def test_checks_walk_one_side_grid_per_direction(run, monkeypatch):
-    # Every integral of a check shares its direction's grid, so however
-    # many integrals the check builds, it walks one grid per direction.
+def test_checks_walk_one_side_grid_per_direction(run, sides, monkeypatch):
+    # Every integral of a verifier shares its direction's grid, and the
+    # grids comparison, mvt and ftc sample are their sides' walks, so
+    # however many integrals a verifier builds, it walks each side once.
     walks = side_walks(run, monkeypatch)
-    assert sorted(walks, key=lambda d: d.value) == [GridDirection.BACKWARD, GridDirection.FORWARD]
+    assert sorted(walks, key=lambda d: d.value) == sides
 
 
 def side_walks(run, monkeypatch):
-    """The direction of each side grid the integrals walk during run."""
+    """The direction of each grid walked during run, by any caller."""
     walks = []
-    grid_points = integrals.grid_points
+    grid_points = operators.grid_points
 
     def counted_walk(anchor, target, step, direction, count, cfg=None):
         walks.append(direction)
         return grid_points(anchor, target, step, direction, count, cfg)
 
+    monkeypatch.setattr(operators, "grid_points", counted_walk)
     monkeypatch.setattr(integrals, "grid_points", counted_walk)
     calls_of(run)
     return walks
 
 
-def test_ibp_walks_one_forward_side_grid(monkeypatch):
-    # Both of ibp's integrals share the forward grid and its columns.
-    run = lambda f, g: integration_by_parts_residual(f, g, 0.0, 100.0, 1.0)  # noqa: E731
-    assert side_walks(run, monkeypatch) == [GridDirection.FORWARD]
+def side_walk(a, b, step, direction):
+    """The points _side walks for direction's telescoped grid on [a, b],
+    or None when the side resolves to the strict route."""
+    walked = []
+
+    def on_grid(_, walk):
+        walked.append(walk())
+        return [0.0] * len(walked[0])
+
+    integrate = forward_integral if direction is GridDirection.FORWARD else backward_integral
+    integrate(lambda t: 0.0, a, b, step, on_grid=on_grid)
+    return walked[0] if walked else None
+
+
+def test_sampled_grids_less_the_far_endpoint_are_the_side_walks_bit_for_bit():
+    # comparison, mvt and ftc read the grids _Integrals.sampled walks as
+    # their sides' walks, so each must be _side's own walk to the bit.
+    rng = random.Random(1025)
+    cases = [draw_case(rng) for _ in range(300)]
+    cases += [(a, a, alpha, 0.0) for a in (-0.0, 0.0, 0.3, -7.1) for alpha in (0.1, 0.3, 1.0)]
+    aligned = 0
+    for a, b, alpha, beta in cases:
+        steps = StepPair(alpha, beta)
+        integrate = symmetric_integral if a < b else forward_integral
+        integral = integrals._Integrals(
+            integrate, math.sin, math.cos, a, b, steps if a < b else alpha, IntegralMode.AUTO, None
+        )
+        grids = integral.sampled(steps)
+        directions = [d for d, step in zip(GridDirection, (alpha, beta)) if step > 0.0]
+        assert len(grids) == len(directions)
+        for direction, points in zip(directions, grids):
+            walk = side_walk(a, b, alpha if direction is GridDirection.FORWARD else beta, direction)
+            if walk is not None:
+                aligned += 1
+                assert [t.hex() for t in points[:-1]] == [t.hex() for t in walk], (a, b, steps)
+                assert integral.readers[direction][0].points == points[:-1]
+    assert aligned > 400
 
 
 def test_checks_on_grids_that_do_not_coincide():
@@ -549,8 +589,6 @@ def test_grid_walks_beyond_max_terms_raise_before_reading_a_point():
         forward_integral(f, 0.0, 100.0, 1.0, IntegralMode.TELESCOPED, cfg)
     with pytest.raises(GridBudgetError):
         ftc_residuals(f, 0.0, 100.0, 1.0, cfg)
-    with pytest.raises(GridBudgetError):
-        sampled_grids(0.0, 100.0, ONE, cfg)
     with pytest.raises(GridBudgetError):
         comparison_check(f, f, 0.0, 100.0, ONE, cfg=cfg)
     with pytest.raises(GridBudgetError):
