@@ -292,6 +292,9 @@ def main(argv: list | None = None) -> int:
         result = result if isinstance(result, dict) else _json_default(result)
     except (NorlundError, ValueError) as exc:
         result, status, diagnostics = None, "error", [f"{type(exc).__name__}: {exc}"]
+    except MemoryError:  # --max-terms bounds points and terms, not bytes: an error, not a failure
+        budget = f" within the --max-terms {args.max_terms} budget" if "max_terms" in inputs else ""
+        result, status, diagnostics = None, "error", [f"MemoryError: out of memory{budget}"]
     report = {"command": args.command, "inputs": inputs, "result": result,
               "status": status, "diagnostics": diagnostics}
     try:

@@ -8,10 +8,11 @@ to the magnitudes involved.  Pointwise hypotheses (nonnegative weight,
 |f| <= g) are verified by sampling the evaluation grids of both sides
 over [a, b] (integrals._Integrals.sampled): the grids the telescoped
 sides then read, each walked once.  A strict side also reads series
-points outside [a, b], which the samples miss (ROADMAP item 5).  A check
-reads f and g at most once per distinct grid point on the telescoped
-route, whatever number of integrals it builds from them, through
-integrals._Integrals.
+points outside [a, b], which the samples miss (ROADMAP item 5).  Each
+check writes its integrands once, as rows over f's and g's values at a
+point, such as abs(x*y) and abs(x)**p; integrals._Integrals compiles
+them into one fused loop per telescoped side, which reads f and g at
+most once per distinct grid point, and a pointwise function per row.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ import math
 import sys
 
 from ._record import Record
-from .errors import (
-    BadExponentError,
-    HypothesisFailedError,
-    NegativeWeightError,
-    NonFiniteValueError,
-)
+from .errors import BadExponentError, HypothesisFailedError, NegativeWeightError
 from .integrals import IntegralMode, IntegralResult, _blocks, _Integrals, symmetric_integral
 from .operators import RealFunction, StepPair, _require_finite
 from .series import SeriesConfig
@@ -113,26 +109,13 @@ def _require_exponent(p: float) -> None:
         raise BadExponentError(p)
 
 
-def _powers(p: float, F, G=None) -> list:
-    """|x|^p for F's values x, or |x + y|^p with G's; an overflow, in the
-    reads too, is a NonFiniteValueError at F's point (a column's is None:
-    its side's fault pass raises the fault at one point)."""
-    try:
-        xs = F() if G is None else [x + y for x, y in zip(F(), G())]
-        return [abs(x) ** p for x in xs]
-    except OverflowError:
-        raise NonFiniteValueError(F.t, math.inf) from None
-
-
 def _holder_pieces(f, g, a, b, steps, p, mode, cfg):
     _require_exponent(p)
     _require_interval(a, b)
     q = p / (p - 1.0)
-    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
-    product = integral(lambda F, G: [abs(x * y) for x, y in zip(F(), G())])
-    f_power = integral(lambda F, G: _powers(p, F))
-    g_power = integral(lambda F, G: _powers(q, G))
-    return q, product, f_power, g_power
+    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg,
+                          ("abs(x*y)", "abs(x)**p", "abs(y)**q"), p=p, q=q)
+    return (q, *map(integral, range(3)))
 
 
 def holder_check(
@@ -182,10 +165,9 @@ def minkowski_check(
     """Check (int|f+g|^p)^(1/p) <= (int|f|^p)^(1/p) + (int|g|^p)^(1/p)."""
     _require_exponent(p)
     _require_interval(a, b)
-    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
-    total = integral(lambda F, G: _powers(p, F, G))
-    f_power = integral(lambda F, G: _powers(p, F))
-    g_power = integral(lambda F, G: _powers(p, G))
+    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg,
+                          ("abs(x+y)**p", "abs(x)**p", "abs(y)**p"), p=p)
+    total, f_power, g_power = map(integral, range(3))
     lhs = _nonneg(total.value) ** (1.0 / p)
     rhs = _nonneg(f_power.value) ** (1.0 / p) + _nonneg(g_power.value) ** (1.0 / p)
     return _report(lhs, rhs, _context(a, b, steps, total, p=p))
@@ -206,15 +188,14 @@ def comparison_check(
     carrying the witness point.
     """
     _require_interval(a, b)
-    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
+    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg, ("x", "y"))
     for points in integral.sampled(steps):
         xs, ys = integral.f.column_or_calls(points), integral.g.column_or_calls(points)
         for t, x, y in zip(points, xs, ys):
             f_value, g_value = float(x), float(y)
             if abs(f_value) > g_value:
                 raise HypothesisFailedError(t, f_value, g_value)
-    f_integral = integral(lambda F, G: F())
-    g_integral = integral(lambda F, G: G())
+    f_integral, g_integral = map(integral, range(2))
     return _report(abs(f_integral.value), g_integral.value, _context(a, b, steps, g_integral))
 
 
@@ -235,7 +216,7 @@ def mvt_constant(
     by convention.
     """
     _require_interval(a, b)
-    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg)
+    integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg, ("x*y", "y"))
     grids = integral.sampled(steps)
     for points in grids:
         for block, values in zip(_blocks(points), integral.g.blocks(points)):
@@ -245,8 +226,7 @@ def mvt_constant(
                     if g_value < -_viol_tol(g_value, 0.0):
                         raise NegativeWeightError(t, g_value)
 
-    weighted = integral(lambda F, G: [x * y for x, y in zip(F(), G())])
-    weight = integral(lambda F, G: G())
+    weighted, weight = map(integral, range(2))
     f_values = [float(x) for points in grids for x in integral.f.column_or_calls(points)]
     m, M = min(f_values), max(f_values)
     if abs(weight.value) <= _viol_tol(weighted.value, weight.value):

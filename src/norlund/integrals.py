@@ -16,25 +16,21 @@ more than cfg.max_terms points, the term cap of any sum, and
 ZeroStepError for a step below the endpoints' resolution, before any
 point is read.
 
-Every telescoped side sums the values an on_grid function gives for its
-grid points.  on_grid receives the side's walk, a function that returns
-the list of points, so a caller that already holds a direction's values
-need not walk its grid again.  f may offer a column form: f.column(points)
-is [f(t) for t in points], or raises if f faults at any of them, as an
-expression's function does (expr.evaluate_column).  One rule, _reader,
-reads f a block at a time: its column form, or else f at each point, as
-a list, so a read that raises yields nothing.  A plain integral's on_grid
-walks the grid once and reads f through it.  The seven verifiers (five
-checks, ftc and ibp) read f and g at most once per distinct grid point
-through _Integrals and Samples, which read every f by the same rule and
-share a run of points among reads, and walk each side once: comparison,
-mvt and ftc sample the grids _Integrals.sampled walks for their sides.
-Each integrand is written once, as a values form; strict terms and fault
-passes run it at one point.  Only when on_grid raises or its values do
-not sum to a finite total does the side walk its grid again and call the
-integrand point by point, up to the first fault, so the fault is raised
-as f itself raises it; a plain integral whose f faults thus calls f
-again up to the fault.
+Every telescoped side adds its integrand's values at its grid points
+through an on_grid function: given the side's walk, a function that
+returns the list of points, it returns the side's total, added left to
+right.  f may offer a column form: f.column(points) is [f(t) for t in
+points], or raises if f faults at any of them (expr.evaluate_column).
+One rule, _reader, reads f a block at a time: its column form, or else f
+at each point, so a read that raises yields nothing.  A plain integral's
+on_grid walks the grid once and reads f through it.  The seven verifiers
+(five checks, ftc and ibp) write each integrand once, as a row that
+_Integrals compiles, and read f and g through Samples at most once per
+distinct grid point, walking each side once.  Only when on_grid raises
+or its total is not finite does the side walk its grid again and call
+the integrand point by point, up to the first fault, so the fault is
+raised as f itself raises it; a plain integral whose f faults thus calls
+f again up to the fault.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, filterfalse
 from operator import add, gt, lt, neg
 
@@ -79,10 +75,10 @@ __all__ = [
 ]
 
 
-# on_grid(direction, walk): the integrand's values at the points of a
-# telescoped side, in order; walk() returns the list of them.
+# on_grid(direction, walk): the sum of the integrand's values at the points
+# of a telescoped side, added left to right; walk() returns the list of them.
 GridWalk = Callable[[], list[float]]
-GridValues = Callable[[GridDirection, GridWalk], Iterable[float]]
+GridTotal = Callable[[GridDirection, GridWalk], float]
 
 
 class IntegralMode(Enum):
@@ -219,95 +215,121 @@ class Samples:
             return map(self.f, block)
 
 
-class _Columns:
-    """Reads f for a values form on a telescoped side: F(shift) is f's raw
-    values at the side's grid points moved by shift, each column read
-    once, and F.quotients(alpha) the forward difference quotients there,
-    unchecked: a fault shows in the side's total, and its fault pass
-    raises it.  t is None, as a column has no one point."""
-
-    t = None
-
-    def __init__(self, samples: Samples, points: list[float]):
-        self.samples, self.points, self.by_shift = samples, points, {}
-
-    def __call__(self, shift: float = 0.0) -> list:
-        if shift not in self.by_shift:
-            # The walk's own points when unshifted: t + 0.0 would turn -0.0 into 0.0.
-            moved = [t + shift for t in self.points] if shift else self.points
-            self.by_shift[shift] = self.samples.column(moved)
-        return self.by_shift[shift]
-
-    def quotients(self, alpha: float) -> list[float]:
-        x0s = self()  # first, so that the shifted column extends the run past its end
-        return [(float(x1) - float(x0)) / alpha for x1, x0 in zip(self(alpha), x0s)]
+# A row's reads of f and g at its point t, by name, in the order the row
+# first names them: x and y are f(t) and g(t), x1 and y1 f and g at t + h,
+# and dx and dy their forward difference quotients with step h.
+_READS = {
+    "x": "f(t)", "y": "g(t)", "x1": "f(t + h)", "y1": "g(t + h)",
+    "dx": "forward_difference(f, t, h)", "dy": "forward_difference(g, t, h)",
+}
 
 
-class _Point:
-    """Reads f for a values form at one point t, a strict term's or a fault
-    pass's: F(shift) is [f(t + shift)], F.quotients(alpha) is
-    [forward_difference(f, t, alpha)], each a fresh call of f."""
+def _reads(row: str) -> list[str]:
+    """The names of _READS that row reads, in the order it first names them."""
+    words = "".join(c if c.isalnum() else " " for c in row).split()
+    return [n for n in dict.fromkeys(words) if n in _READS]
 
-    def __init__(self, f: RealFunction):
-        self.f, self.t = f, None  # the caller sets t before each read
 
-    def __call__(self, shift: float = 0.0) -> list:
-        # f(t) itself when unshifted: t + 0.0 would turn -0.0 into 0.0.
-        return [self.f(self.t + shift) if shift else self.f(self.t)]
+def _compiled(lines: list[str]):
+    """The function the source lines define, its globals this module's."""
+    namespace = {}
+    exec("\n".join(lines), globals(), namespace)
+    return namespace.popitem()[1]
 
-    def quotients(self, alpha: float) -> list[float]:
-        return [forward_difference(self.f, self.t, alpha)]
+
+@cache
+def _loop(rows: tuple[str, ...], constants: tuple[str, ...]):
+    """The columns a check's fused loop reads, and the loop, which adds
+    float(row) into row i's total from 0.0, left to right, over blocks of
+    column slices; its quotients are unchecked, so a fault shows in a total."""
+    named = {n for row in rows for n in _reads(row)}
+    quotients = [q for q in ("dx", "dy") if q in named]
+    # The columns the loop reads: unshifted before shifted, f before g.
+    columns = tuple(c for c in ("x", "y", "x1", "y1") if c in named or f"d{c[0]}" in quotients)
+    sums = [f"s{i}" for i in range(len(rows))]
+    return columns, _compiled([
+        f"def loop(blocks, {', '.join(constants)}):",
+        f"    {' = '.join(sums)} = 0.0",
+        "    for block in blocks:",
+        f"        for {', '.join(columns)}, in zip(*block):",
+        *(f"            {q} = (float({q[1]}1) - float({q[1]})) / h" for q in quotients),
+        *(f"            {s} += float({row})" for s, row in zip(sums, rows)),
+        f"    return {', '.join(sums)},",
+    ])
+
+
+@cache
+def _pointwise(row: str, constants: tuple[str, ...]):
+    """A function of f, g and the constants giving row's pointwise function,
+    whose reads call f and g afresh; in a power row an OverflowError, in
+    the reads too, is a NonFiniteValueError(t, inf)."""
+    body = [f"{n} = {_READS[n]}" for n in _reads(row)] + [f"return {row}"]
+    if "**" in row:
+        body = ["try:", *("    " + line for line in body), "except OverflowError:",
+                "    raise NonFiniteValueError(t, math.inf) from None"]
+    return _compiled([f"def pointwise(f, g, {', '.join(constants)}):", "    def at(t):",
+                      *("        " + line for line in body), "    return at"])
 
 
 class _Integrals:
-    """Integrals on one [a, b] of integrands built from f and g, values first.
-
-    Calling it with a values form integrates the form's integrand with
-    integrate(integrand, a, b, steps, mode, cfg).  values(F, G) returns
-    the integrand's values from readers of f and g (G unread when g is
-    None): _Columns on a telescoped side, each direction walked and each
-    column read once per instance, and _Point at the one point t of a
-    strict term or a fault pass, one reader pair per integral.
+    """Integrals on one [a, b] of a check's rows, each a Python expression
+    over the values _READS names and the constants, passed by name (h is
+    the step of a shift), which reach the compiled code only as arguments.
+    Calling it with i integrates row i by integrate(integrand, a, b, steps,
+    mode, cfg).  A telescoped side's fused loop, run on its first integral,
+    gives every row's total, each NaN where the loop raises, so the row's
+    fault pass runs; strict terms and fault passes call the pointwise code.
     """
 
-    def __init__(self, integrate, f, g, a, b, steps, mode, cfg):
+    def __init__(self, integrate, f, g, a, b, steps, mode, cfg, rows, **constants):
         _require_mode(mode)  # before a hypothesis check reads f or g
         self.integrate = integrate
         self.f, self.g = Samples(f), Samples(g)
         self.args = (a, b, steps, mode, cfg)
-        self.readers = {}  # per grid direction: the side's (F, G) column readers
-
-    def columns(self, direction: GridDirection, walk: GridWalk) -> tuple[_Columns, _Columns]:
-        """direction's (F, G) column readers, walking its grid on first use."""
-        if direction not in self.readers:
-            points = walk()
-            self.readers[direction] = (_Columns(self.f, points), _Columns(self.g, points))
-        return self.readers[direction]
+        self.rows, self.constants = rows, constants
+        self.points = {}  # by row: its pointwise function, once compiled
+        self.walks, self.totals = {}, {}  # by direction: a sampled side's points, each row's total
 
     def sampled(self, steps: StepPair) -> list[list[float]]:
         """The grid points in [a, b] a check samples, one list per side
         with a positive step: grid_count + 1 points forward from a and
-        backward from b, both walked before either is returned, so that a
-        budget or resolution error comes before any read.  Less its far
-        endpoint, each is its side's telescoped walk; a strict side reads none."""
+        backward from b, both walked before any read.  Less its far
+        endpoint, each is its side's walk; a strict side reads none."""
         a, b, *_, cfg = self.args
         walks = zip((a, b), (b, a), (steps.alpha, steps.beta), GridDirection)  # forward, backward
         grids = {direction: grid_points(anchor, target, step, direction,
                                         grid_count(anchor, target, step, direction) + 1, cfg)
                  for anchor, target, step, direction in walks if step > 0.0}
         for direction, points in grids.items():
-            self.columns(direction, lambda: points[:-1])
+            self.walks[direction] = points[:-1]
         return list(grids.values())
 
-    def __call__(self, values) -> IntegralResult:
-        F, G = _Point(self.f.f), _Point(self.g.f)  # one pair per integral, moved per term
+    def side(self, direction: GridDirection, walk: GridWalk) -> tuple[float, ...]:
+        """Each row's total on direction's side; on first use, the fused
+        loop over the columns read at its sampled points, or at its walk."""
+        if direction not in self.totals:
+            points = self.walks.pop(direction) if direction in self.walks else walk()
+            names, loop = _loop(self.rows, tuple(self.constants))
+            try:
+                # The walk's own points when unshifted: t + 0.0 would turn -0.0 into 0.0.
+                moved = [t + self.constants["h"] for t in points] if "h" in self.constants else None
+                columns = [(self.f if c[0] == "x" else self.g).column(moved if c[1:] else points)
+                           for c in names]
+                self.totals[direction] = loop(zip(*map(_blocks, columns)), **self.constants)
+            except Exception:
+                self.totals[direction] = (math.nan,) * len(self.rows)
+        return self.totals[direction]
 
-        def integrand(t: float) -> float:
-            F.t = G.t = t
-            return values(F, G)[0]
+    def at(self, i: int, t: float):
+        """Row i's raw value at t, its pointwise function compiled on first use."""
+        if i not in self.points:
+            pointwise = _pointwise(self.rows[i], tuple(self.constants))
+            self.points[i] = pointwise(self.f.f, self.g.f, **self.constants)
+        return self.points[i](t)
 
-        on_grid = lambda direction, walk: values(*self.columns(direction, walk))  # noqa: E731
-        return self.integrate(integrand, *self.args, on_grid=on_grid)
+    def __call__(self, i: int) -> IntegralResult:
+        on_grid = lambda direction, walk: self.side(direction, walk)[i]  # noqa: E731
+        return self.integrate(partial(self.at, i), *self.args, on_grid=on_grid)
 
 
 class IntegralResult(Record):
@@ -391,14 +413,6 @@ def _check_converged(s: SeriesResult, x: float, side: str) -> None:
         )
 
 
-# Per direction: the step's name and the IntegralResult slot for its
-# strict diagnostics.
-_SIDES = {
-    GridDirection.FORWARD: ("alpha", "forward_diag"),
-    GridDirection.BACKWARD: ("beta", "backward_diag"),
-}
-
-
 def _grid_total(values: Iterable[float]) -> float:
     """values[0] + values[1] + ..., added left to right.
 
@@ -416,25 +430,26 @@ def _side(
     direction: GridDirection,
     mode: IntegralMode,
     cfg: SeriesConfig | None,
-    on_grid: GridValues | None,
+    on_grid: GridTotal | None,
 ) -> IntegralResult:
     """One side of the symmetric integral, walking its grid in direction.
 
     The forward grid ascends from min(a, b), the backward grid descends
-    from max(a, b).  Telescoped sums on_grid's values at the grid points,
+    from max(a, b).  Telescoped takes on_grid's total of the grid values,
     falling back on f as forward_integral says.  Strict is the difference
     of the improper integrals of f at the two endpoints, taken towards
     the side's infinity.  A value that is not a finite float raises
     NonFiniteValueError at b.
     """
-    step_name, diag_slot = _SIDES[direction]
+    forward = direction is GridDirection.FORWARD
+    # The step's name, and the IntegralResult slot for the strict diagnostics.
+    step_name, diag_slot = ("alpha", "forward_diag") if forward else ("beta", "backward_diag")
     side = direction.value
     _require_mode(mode)
     _require_positive(step, step_name)
     _require_finite(a, "a")
     _require_finite(b, "b")
     lo, hi = (a, b) if a < b else (b, a)
-    forward = direction is GridDirection.FORWARD
     start, end = (lo, hi) if forward else (hi, lo)
     alignment = grid_align(start, end, step, direction)
     if mode is IntegralMode.AUTO:
@@ -449,11 +464,12 @@ def _side(
         walk = partial(grid_points, start, end, step, direction, alignment.k1, cfg)
         if on_grid is None:  # a plain integral: f's column form, else f at each point
             read = _reader(f)
-            on_grid = lambda _, walk: chain.from_iterable(map(read, _blocks(walk())))  # noqa: E731
+            on_grid = lambda _, walk: _grid_total(  # noqa: E731
+                map(float, chain.from_iterable(map(read, _blocks(walk())))))
         # Plain left-to-right accumulation and one trailing multiply keep
         # the result bit-identical to the direct finite sum.
         try:
-            total = _grid_total(map(float, on_grid(direction, walk)))
+            total = on_grid(direction, walk)
         except Exception:
             total = math.nan  # the pass below, which calls f, raises the fault
         # A total that is not finite holds a fault or an overflow: calling
@@ -487,17 +503,17 @@ def forward_integral(
     mode: IntegralMode = IntegralMode.AUTO,
     cfg: SeriesConfig | None = None,
     *,
-    on_grid: GridValues | None = None,
+    on_grid: GridTotal | None = None,
 ) -> IntegralResult:
     """Forward integral of f from a to b with step alpha.
 
     Strict value is the difference of the two improper integrals at a
     and b; Telescoped sums the k1 grid values from min(a, b), with the
-    sign flipped when a > b.  on_grid(direction, walk) gives f's values
-    at the telescoped grid points, the list walk() returns, by default
-    through f's column form, else f at each point.  If they raise or do
-    not sum to a finite total, f is called (again) point by point up to
-    the first fault, which it raises as f does.
+    sign flipped when a > b.  on_grid(direction, walk) gives the total of
+    f's values at the points walk() returns, by default read through f's
+    column form, else f at each point.  If it raises or is not finite, f
+    is called (again) point by point up to the first fault, raised as f
+    raises it.
     """
     return _side(f, a, b, alpha, GridDirection.FORWARD, mode, cfg, on_grid)
 
@@ -510,14 +526,14 @@ def backward_integral(
     mode: IntegralMode = IntegralMode.AUTO,
     cfg: SeriesConfig | None = None,
     *,
-    on_grid: GridValues | None = None,
+    on_grid: GridTotal | None = None,
 ) -> IntegralResult:
     """Backward integral of f from a to b with step beta.
 
     Strict value is the difference of the improper integrals up to b and
     up to a; Telescoped sums the k1 grid values walking down from
-    max(a, b), with the sign flipped when a > b.  on_grid gives f's
-    values on the telescoped route, as in forward_integral.
+    max(a, b), with the sign flipped when a > b.  on_grid gives the
+    telescoped total, as in forward_integral.
     """
     return _side(f, a, b, beta, GridDirection.BACKWARD, mode, cfg, on_grid)
 
@@ -530,7 +546,7 @@ def symmetric_integral(
     mode: IntegralMode = IntegralMode.AUTO,
     cfg: SeriesConfig | None = None,
     *,
-    on_grid: GridValues | None = None,
+    on_grid: GridTotal | None = None,
 ) -> IntegralResult:
     """Two-sided integral: the convex combination of forward and backward.
 
@@ -539,8 +555,7 @@ def symmetric_integral(
     A zero step skips its side entirely and returns the other side's
     result unchanged.  In Auto mode the two sides resolve independently;
     mode_used then records the stricter resolution and mixed_modes flags
-    a mix.  on_grid gives f's values on telescoped sides, as in
-    forward_integral.
+    a mix.  on_grid gives telescoped totals, as in forward_integral.
     """
     if steps.beta == 0.0:
         return forward_integral(f, a, b, steps.alpha, mode, cfg, on_grid=on_grid)
@@ -607,7 +622,8 @@ def ftc_residuals(
     _require_finite(b, "b")
     if b < a:
         raise ValueError(f"needs b >= a, got a={a!r}, b={b!r}")
-    integral = _Integrals(forward_integral, f, None, a, b, alpha, IntegralMode.AUTO, cfg)
+    integral = _Integrals(forward_integral, f, None, a, b, alpha, IntegralMode.AUTO, cfg,
+                          ("dx",), h=alpha)
     [points] = integral.sampled(StepPair(alpha, 0.0))
 
     # The accumulated integral at a + k*alpha is alpha times the running
@@ -621,20 +637,16 @@ def ftc_residuals(
         total += value
         upper = alpha * total
         if not math.isfinite(upper):
-            raise NonFiniteValueError(
-                x + alpha,
-                upper,
-                f"the accumulated integral from {a!r} to {x + alpha!r} overflowed ({upper!r})",
-            )
+            message = f"the accumulated integral from {a!r} to {x + alpha!r} overflowed ({upper!r})"
+            raise NonFiniteValueError(x + alpha, upper, message)
         deviation = abs((upper - lower) / alpha - value)
         if deviation > r1:
             r1 = deviation
         lower = upper
 
-    r2_integral = integral(lambda F, G: F.quotients(alpha))
+    r2 = integral(0).value
     fb, fa = integral.f.column_or_calls((b, a))
-    r2 = abs(r2_integral.value - (fb - fa))
-    return r1, r2
+    return r1, abs(r2 - (fb - fa))
 
 
 def integration_by_parts_residual(
@@ -656,18 +668,16 @@ def integration_by_parts_residual(
     boundary term that overflows, raises NonFiniteValueError.
     """
     _require_positive(alpha, "alpha")
-    integral = _Integrals(forward_integral, f, g, a, b, alpha, IntegralMode.AUTO, cfg)
-
-    lhs = integral(lambda F, G: [x * q for x, q in zip(F(), G.quotients(alpha))]).value
+    integral = _Integrals(forward_integral, f, g, a, b, alpha, IntegralMode.AUTO, cfg,
+                          ("x*dy", "dx*y1"), h=alpha)
+    lhs = integral(0).value
     fb, fa = map(_finite, (b, a), integral.f.column_or_calls((b, a)))
     gb, ga = map(_finite, (b, a), integral.g.column_or_calls((b, a)))
     boundary = fb * gb - fa * ga
     if not math.isfinite(boundary):
         term = f"the boundary term f(b)*g(b) - f(a)*g(a) from {a!r} to {b!r}"
         raise NonFiniteValueError(b, boundary, f"{term} overflowed ({boundary!r})")
-    shifted = integral(lambda F, G: [q * y for q, y in zip(F.quotients(alpha), G(alpha))])
-    rhs = boundary - shifted.value
-    return abs(lhs - rhs)
+    return abs(lhs - (boundary - integral(1).value))
 
 
 def zero_extension(

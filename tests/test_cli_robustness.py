@@ -37,6 +37,25 @@ def test_eval_on_an_unbounded_grid_is_an_error():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_a_command_out_of_memory_is_an_error_naming_the_budget(monkeypatch, capsys, as_json):
+    # Exit 1 means a check failed; running out of memory is an error, exit 2.
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "check", exhausted)
+    argv = ["check", "--kind", "holder", "--f", "t", "--g", "t", "--a", "0", "--b", "2e7",
+            "--alpha", "1", "--max-terms", "30000000"]
+    assert main(argv + ["--json"] * as_json) == 2
+    note = "MemoryError: out of memory within the --max-terms 30000000 budget"
+    out = capsys.readouterr().out
+    if as_json:
+        report = json.loads(out)
+        assert (report["status"], report["result"], report["diagnostics"]) == ("error", None, [note])
+    else:
+        assert out.splitlines() == ["command = check", f"note: {note}", "status = error"]
+
+
 def test_traced_entry_points_resolve_on_a_fresh_import():
     # bench/spans.py is read, not changed: every binding it wraps must exist.
     script = (

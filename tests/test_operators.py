@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,16 @@ def test_a_quotient_whose_difference_or_step_sum_overflows_is_taken_from_halves(
     assert symmetric_difference(sign, 0.0, StepPair(5e-324, 5e-324)) == math.inf
 
 
+def test_a_step_sum_between_one_and_two_still_halves_an_overflowing_difference():
+    # The difference 3.4e308 overflows; its halves over the halved steps do
+    # not, and for steps that sum to 1.95 the quotient is finite in exact
+    # arithmetic, so the halved quotient must be its correctly rounded value.
+    sign = lambda t: math.copysign(1.7e308, t)  # noqa: E731
+    exact = (Fraction(1.7e308) - Fraction(-1.7e308)) / (Fraction(0.975) + Fraction(0.975))
+    assert float(exact) == 1.7435897435897435e308
+    assert symmetric_difference(sign, 0.0, StepPair(0.975, 0.975)) == float(exact)
+
+
 def test_step_pair_validation():
     assert StepPair(2.0, 0.0).alpha == 2.0
     with pytest.raises(ValueError):
@@ -139,6 +150,16 @@ def test_grid_align_examples():
     trivial = grid_align(0.0, 0.0, 0.7)
     assert trivial is not None and trivial.k1 == 0
     assert grid_align(0.0, 1.0, 0.3) is None
+
+
+def test_grid_align_slack_is_a_billionth_of_a_step():
+    # Offsets from the grid point 10 in step units, exactly: inside and
+    # outside EPS_GRID = 1e-9.
+    inside, outside = 10.0 + 5e-10, 10.0 + 2e-9
+    assert Fraction(inside) - 10 < Fraction(1e-9) < Fraction(outside) - 10
+    hit = grid_align(0.0, inside, 1.0)
+    assert hit is not None and hit.k1 == 10
+    assert grid_align(0.0, outside, 1.0) is None
 
 
 def test_grid_align_rejects_points_behind_anchor():

@@ -18,6 +18,7 @@ import math
 import operator
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -338,6 +339,49 @@ def test_values_first_matches_per_integral_reference():
     assert 100 <= faults <= compared - 300  # both outcomes are well represented
 
 
+EXACT = (  # values that float() rounds only after a row combines them
+    lambda t: Fraction(t).limit_denominator(7) + Fraction(1, 3),
+    lambda t: int(math.floor(3.0 * t)) - 1,
+    lambda t: Fraction(2, 3) * int(4.0 * t) - 5,
+    lambda t: 2**60 + int(t),  # a product above 2**53 rounds once, as float(row)
+    lambda t: 1.5 + math.sin(t),
+)
+
+
+def test_fused_rows_match_the_reference_on_ints_fractions_and_overflowing_powers():
+    # A fused loop adds float(row) of the raw values, where the reference
+    # rounds each integrand's value, and a power that overflows, which
+    # raises in the loop, must still fault at the reference's point.
+    rng = random.Random(2026)
+    compared, overflows = 0, 0
+    for _ in range(80):
+        a, b, alpha, beta = draw_case(rng)
+        f, g = draw_functions(rng, a, b, alpha, beta)
+        if rng.random() < 0.8:
+            f, g = (faulty(rng.choice(EXACT), {}) for _ in range(2))
+        p = rng.choice((1.5, 3.0, 40.0, 700.0))
+        for name, (library, reference) in library_cases(f, g, a, b, alpha, beta, p).items():
+            got, want = outcome(library), outcome(reference)
+            assert got == want, (name, a, b, alpha, beta, p)
+            compared += 1
+            overflows += want[:2] == ("raise", "NonFiniteValueError") and "(inf)" in want[2]
+    assert compared >= 600
+    assert overflows >= 40
+
+
+@pytest.mark.parametrize("kind", ["holder", "cs", "minkowski"])
+def test_a_power_that_overflows_on_one_side_faults_there_after_the_other_side(kind):
+    # f is large only at the half-integers, which only the backward grid
+    # holds, so 3e200**2 and 3**700 overflow on the backward side alone.
+    big, p = (3e200, 2.0) if kind == "cs" else (3, 700.0)
+    f = lambda t: big if t % 1.0 else Fraction(1, 2)  # noqa: E731
+    g = lambda t: 1.25  # noqa: E731
+    library, reference = library_cases(f, g, 0.0, 6.0, 1.0, 0.5, p)[kind]
+    got, want = outcome(library), outcome(reference)
+    assert got == want
+    assert want[:2] == ("raise", "NonFiniteValueError") and want[3] == (5.5).hex()
+
+
 DECAYING = (
     lambda t: math.exp(-t * t),
     lambda t: 0.5 * math.exp(-(t - 1.0) ** 2) + 1e-3 * math.exp(-t * t),
@@ -523,7 +567,7 @@ def side_walk(a, b, step, direction):
 
     def on_grid(_, walk):
         walked.append(walk())
-        return [0.0] * len(walked[0])
+        return 0.0
 
     integrate = forward_integral if direction is GridDirection.FORWARD else backward_integral
     integrate(lambda t: 0.0, a, b, step, on_grid=on_grid)
@@ -540,9 +584,8 @@ def test_sampled_grids_less_the_far_endpoint_are_the_side_walks_bit_for_bit():
     for a, b, alpha, beta in cases:
         steps = StepPair(alpha, beta)
         integrate = symmetric_integral if a < b else forward_integral
-        integral = integrals._Integrals(
-            integrate, math.sin, math.cos, a, b, steps if a < b else alpha, IntegralMode.AUTO, None
-        )
+        integral = integrals._Integrals(integrate, math.sin, math.cos, a, b,
+                                        steps if a < b else alpha, IntegralMode.AUTO, None, ("x",))
         grids = integral.sampled(steps)
         directions = [d for d, step in zip(GridDirection, (alpha, beta)) if step > 0.0]
         assert len(grids) == len(directions)
@@ -551,7 +594,7 @@ def test_sampled_grids_less_the_far_endpoint_are_the_side_walks_bit_for_bit():
             if walk is not None:
                 aligned += 1
                 assert [t.hex() for t in points[:-1]] == [t.hex() for t in walk], (a, b, steps)
-                assert integral.readers[direction][0].points == points[:-1]
+                assert integral.walks[direction] == points[:-1]
     assert aligned > 400
 
 
