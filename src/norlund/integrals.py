@@ -1,13 +1,15 @@
 """Forward, backward and two-sided symmetric Norlund-sum integrals.
 
 Each integral has two evaluation routes.  Strict follows the defining
-difference of infinite series, running one tolerance-controlled sum per
-endpoint; it reports NotIntegrable when any of those series fails to
-converge, even if a finite evaluation would have been available.
-Telescoped uses the exact finite sum alpha * (f(a) + f(a+alpha) + ...)
-that exists once the far endpoint lies on the evaluation grid.  Auto
-resolves to Telescoped whenever the relevant endpoint is grid-aligned
-and to Strict otherwise.
+difference of infinite series: it reads each endpoint's series until it
+converges or settles, and reports NotIntegrable when either does not,
+even if a finite evaluation would have been available.  Its value is
+the two sums' difference where both reached tol, else the grid's finite
+sum where the far endpoint is on the grid, else the sum to tol of one
+series, the endpoint terms' difference.  Telescoped uses the exact
+finite sum alpha * (f(a) + f(a+alpha) + ...) that exists once the far
+endpoint lies on the evaluation grid.  Auto resolves to Telescoped
+whenever the relevant endpoint is grid-aligned and to Strict otherwise.
 
 Reversed endpoints are handled by antisymmetry in every mode, and the
 empty interval integrates to exactly zero.  Every telescoped grid comes
@@ -237,6 +239,13 @@ def _compiled(lines: list[str]):
     return namespace.popitem()[1]
 
 
+def _columns(rows: tuple[str, ...]) -> tuple[str, ...]:
+    """The columns rows read: unshifted before shifted, f before g; a
+    quotient reads both of its function's columns."""
+    named = {n for row in rows for n in _reads(row)}
+    return tuple(c for c in ("x", "y", "x1", "y1") if c in named or f"d{c[0]}" in named)
+
+
 @cache
 def _loop(rows: tuple[str, ...], constants: tuple[str, ...]):
     """The columns a check's fused loop reads, and the loop, which adds
@@ -244,8 +253,7 @@ def _loop(rows: tuple[str, ...], constants: tuple[str, ...]):
     column slices; its quotients are unchecked, so a fault shows in a total."""
     named = {n for row in rows for n in _reads(row)}
     quotients = [q for q in ("dx", "dy") if q in named]
-    # The columns the loop reads: unshifted before shifted, f before g.
-    columns = tuple(c for c in ("x", "y", "x1", "y1") if c in named or f"d{c[0]}" in quotients)
+    columns = _columns(rows)
     sums = [f"s{i}" for i in range(len(rows))]
     return columns, _compiled([
         f"def loop(blocks, {', '.join(constants)}):",
@@ -277,8 +285,9 @@ class _Integrals:
     the step of a shift), which reach the compiled code only as arguments.
     Calling it with i integrates row i by integrate(integrand, a, b, steps,
     mode, cfg).  A telescoped side's fused loop, run on its first integral,
-    gives every row's total, each NaN where the loop raises, so the row's
-    fault pass runs; strict terms and fault passes call the pointwise code.
+    gives every row's total, each NaN where the row cannot be summed from
+    the columns read, so the row's fault pass runs; strict terms and fault
+    passes call the pointwise code.
     """
 
     def __init__(self, integrate, f, g, a, b, steps, mode, cfg, rows, **constants):
@@ -306,19 +315,34 @@ class _Integrals:
 
     def side(self, direction: GridDirection, walk: GridWalk) -> tuple[float, ...]:
         """Each row's total on direction's side; on first use, the fused
-        loop over the columns read at its sampled points, or at its walk."""
+        loop over the columns read at its sampled points, or at its walk.
+        Where a read or the loop raises, a row whose columns were read is
+        summed by its own loop, and a row that cannot be is NaN."""
         if direction not in self.totals:
             points = self.walks.pop(direction) if direction in self.walks else walk()
-            names, loop = _loop(self.rows, tuple(self.constants))
+            columns = {}
             try:
                 # The walk's own points when unshifted: t + 0.0 would turn -0.0 into 0.0.
                 moved = [t + self.constants["h"] for t in points] if "h" in self.constants else None
-                columns = [(self.f if c[0] == "x" else self.g).column(moved if c[1:] else points)
-                           for c in names]
-                self.totals[direction] = loop(zip(*map(_blocks, columns)), **self.constants)
+                for c in _columns(self.rows):
+                    samples = self.f if c[0] == "x" else self.g
+                    columns[c] = samples.column(moved if c[1:] else points)
+                self.totals[direction] = self._totals(self.rows, columns)
             except Exception:
-                self.totals[direction] = (math.nan,) * len(self.rows)
+                self.totals[direction] = tuple(self._total(row, columns) for row in self.rows)
         return self.totals[direction]
+
+    def _totals(self, rows: tuple[str, ...], columns: dict) -> tuple[float, ...]:
+        names, loop = _loop(rows, tuple(self.constants))
+        return loop(zip(*(_blocks(columns[c]) for c in names)), **self.constants)
+
+    def _total(self, row: str, columns: dict) -> float:
+        if not columns.keys() >= set(_columns((row,))):
+            return math.nan  # a read raised before the row's columns: its fault pass raises it
+        try:
+            return self._totals((row,), columns)[0]
+        except Exception:
+            return math.nan
 
     def at(self, i: int, t: float):
         """Row i's raw value at t, its pointwise function compiled on first use."""
@@ -336,8 +360,9 @@ class IntegralResult(Record):
     """Value of one integral plus per-route diagnostics.
 
     mode_used is always a resolved mode (never Auto).  Strict sides
-    carry their pair of series results, ordered (series at a, series at
-    b); telescoped sides carry the alignment witness.  For a symmetric
+    carry their pair of endpoint series results, ordered (series at a,
+    series at b), each converged or settled; telescoped sides carry the
+    alignment witness.  For a symmetric
     integral whose two sides resolved differently, mixed_modes is set
     and mode_used records the stricter of the two.
     """
@@ -351,18 +376,27 @@ class IntegralResult(Record):
 
 
 def _improper(
-    f: RealFunction, x: float, step: float, direction: GridDirection, cfg: SeriesConfig | None
+    f: RealFunction, x: float, step: float, direction: GridDirection, cfg: SeriesConfig | None,
+    *, minus: float | None = None, settle: bool = False,
 ) -> SeriesResult:
-    """step * sum of f(x + k*step) forwards, f(x - k*step) backwards.
+    """step * sum of f(x + k*step) forwards, f(x - k*step) backwards, less
+    f at the same steps from minus where given; settle lets it settle.
 
-    A term that is not finite raises NonFiniteValueError at its point.
+    A term that is not finite raises NonFiniteValueError at its point, or
+    at minus's where f is finite at x's.
     """
     # x + k*(-step) is x - k*step bit for bit (IEEE negation is exact).
     signed = step if direction is GridDirection.FORWARD else -step
+    if minus is None:
+        term = lambda k: step * f(x + k * signed)  # noqa: E731
+    else:
+        term = lambda k: step * (f(x + k * signed) - f(minus + k * signed))  # noqa: E731
     try:
-        return sum_series(lambda k: step * f(x + k * signed), cfg)
+        return sum_series(term, cfg, _settle=settle)
     except NonFiniteTermError as exc:
         t = x + exc.index * signed
+        if minus is not None and math.isfinite(f(t)):
+            t = minus + exc.index * signed
         message = f"the {direction.value} series term at t={t!r} is non-finite ({exc.value!r})"
         raise NonFiniteValueError(t, exc.value, message) from None
 
@@ -403,12 +437,11 @@ def backward_integral_from_minus_infinity(
     return _finite_improper(f, x, beta, GridDirection.BACKWARD, cfg)
 
 
-def _check_converged(s: SeriesResult, x: float, side: str) -> None:
-    if s.verdict is not Verdict.CONVERGED:
+def _check_converged(s: SeriesResult, series: str) -> None:
+    if s.verdict is not Verdict.CONVERGED and s.verdict is not Verdict.SETTLED:
         raise NotIntegrableError(
-            f"{side} series at endpoint {x!r} did not converge: verdict "
-            f"{s.verdict.value} after {s.terms_used} terms "
-            f"(tail estimate {s.tail_estimate!r})",
+            f"{series} did not converge: verdict {s.verdict.value} after "
+            f"{s.terms_used} terms (tail estimate {s.tail_estimate!r})",
             diagnostics=s,
         )
 
@@ -438,8 +471,8 @@ def _side(
     from max(a, b).  Telescoped takes on_grid's total of the grid values,
     falling back on f as forward_integral says.  Strict is the difference
     of the improper integrals of f at the two endpoints, taken towards
-    the side's infinity.  A value that is not a finite float raises
-    NonFiniteValueError at b.
+    the side's infinity, as the module docstring says.  A value that is
+    not a finite float raises NonFiniteValueError at b.
     """
     forward = direction is GridDirection.FORWARD
     # The step's name, and the IntegralResult slot for the strict diagnostics.
@@ -482,11 +515,23 @@ def _side(
             value = -value
         result = IntegralResult(value, IntegralMode.TELESCOPED, alignment=alignment)
     else:
-        s_a = _improper(f, a, step, direction, cfg)
-        _check_converged(s_a, a, side)
-        s_b = _improper(f, b, step, direction, cfg)
-        _check_converged(s_b, b, side)
-        value = s_a.value - s_b.value if forward else s_b.value - s_a.value
+        s_a = _improper(f, a, step, direction, cfg, settle=True)
+        _check_converged(s_a, f"{side} series at endpoint {a!r}")
+        s_b = _improper(f, b, step, direction, cfg, settle=True)
+        _check_converged(s_b, f"{side} series at endpoint {b!r}")
+        # Both series converge, so unless both reached tol, the side is the
+        # sum of their difference: the grid's finite sum where it telescopes,
+        # else a series whose terms decay a power faster than theirs.
+        if s_a.verdict is s_b.verdict is Verdict.CONVERGED:
+            value = s_a.value - s_b.value if forward else s_b.value - s_a.value
+        elif alignment is not None and alignment.k1 <= _config(cfg).max_terms:
+            walk = grid_points(start, end, step, direction, alignment.k1, cfg)
+            value = math.copysign(step, b - a) * _grid_total(_finite(t, f(t)) for t in walk)
+        else:
+            x, minus = (a, b) if forward else (b, a)
+            d = _improper(f, x, step, direction, cfg, minus=minus)
+            _check_converged(d, f"{side} difference series from {a!r} to {b!r}")
+            value = d.value
         result = IntegralResult(value, IntegralMode.STRICT, **{diag_slot: (s_a, s_b)})
     if not math.isfinite(value):
         raise NonFiniteValueError(

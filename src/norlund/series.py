@@ -1,18 +1,17 @@
 """Tolerance-controlled summation of infinite series.
 
 The engine sums term(0) + term(1) + ... in strict index order with
-Kahan-Neumaier compensated accumulation.  Stopping is heuristic: recent
-terms are treated as roughly geometric, with the common ratio estimated
-by a geometric mean over a sliding window, and the implied remainder
-bound is compared against the requested tolerance.  Its fractional
-power is taken only when the lower bound 32 |a_k| r / (1 - r) on it,
-r = |a_k/a_{k-32}|, cannot exceed the tolerance; the reported tail
-estimate is still the exact formula's value.  Two heuristics
-declare divergence: terms that plateau above the tolerance (the stall
-rule), and dyadic block sums that shrink like a power law k^-p with
-p <= 1 (the condensation rule).  Exhausting the term cap yields a
-truncation verdict.  The partial sum is reported under every verdict so
-callers can attach diagnostics.
+Kahan-Neumaier compensated accumulation.  Stopping is heuristic: the
+remainder is the larger of a geometric and an algebraic (k^-p) model of
+the terms in a sliding window, compared against the requested
+tolerance; the geometric model's fractional power, and the algebraic
+model, are computed only where the geometric one might pass.  Two
+heuristics declare divergence: terms that plateau above the tolerance
+(the stall rule), and dyadic block sums that shrink like a power law
+k^-p with p <= 1 (the condensation rule).  Exhausting the term cap
+yields a truncation verdict; a series that may settle ends once its
+block sums show p > 1.  The partial sum is reported under every verdict
+so callers can attach diagnostics.
 """
 
 from __future__ import annotations
@@ -48,11 +47,16 @@ _FIRST_MARK = 256
 # (k + 1)^-1.02 extrapolates to about 1.02 and converges.
 _EXPONENT_SLACK = 0.01
 
+# A settling series' exponents may move by at most this share of p - 1
+# between marks: a geometric decay's exponent moves by half of it.
+_SETTLE_DRIFT = 0.125
+
 
 class Verdict(Enum):
-    """Outcome of one series summation."""
+    """Outcome of one series summation; only a series let settle is settled."""
 
     CONVERGED = "converged"
+    SETTLED = "settled"
     TRUNCATION_LIMIT = "truncation_limit"
     DIVERGENT = "divergent"
 
@@ -103,20 +107,22 @@ class SeriesResult(Record):
     verdict: Verdict
 
 
-def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) -> SeriesResult:
+def sum_series(
+    term: Callable[[int], float], cfg: SeriesConfig | None = None, *, _settle: bool = False
+) -> SeriesResult:
     """Sum the series term(0) + term(1) + ... under cfg's stopping rules.
 
     Terms must evaluate to finite floats; a NaN or infinity raises
     NonFiniteTermError (any exception the callable itself raises simply
-    propagates).  The tail estimate treats the recent terms as geometric:
-    with rho the geometric-mean ratio |a_k/a_{k-1}| over the last
-    _STALL_WINDOW (32) steps, the remainder after a_k is taken to be
-    |a_k| * rho / (1 - rho), infinite when rho >= 1.  The power rho =
-    r^(1/32), r = |a_k/a_{k-32}|, is taken only when the lower bound
-    32 |a_k| r / (1 - r) on that remainder cannot exceed tol; results
-    are those of taking it on every term, and tail_estimate is the exact
-    value for the last term.  A cfg that is neither a SeriesConfig nor
-    None is a ValueError.
+    propagates).  The series converges once the remainder after a_k,
+    the larger of _tail's two estimates over the last _STALL_WINDOW (32)
+    terms, is within tol at _CONFIRMATIONS terms in a row.  The
+    geometric estimate's power r^(1/32), r = |a_k/a_{k-32}|, is taken
+    only when the lower bound 32 |a_k| r / (1 - r) on it cannot exceed
+    tol, and the algebraic estimate only when the geometric one is
+    within tol; results are those of taking both on every term, and
+    tail_estimate is the larger for the last term.  A cfg that is
+    neither a SeriesConfig nor None is a ValueError.
 
     Divergence is declared by either of two heuristics, both checked once
     per _STALL_WINDOW terms that miss tol, so neither adds per-term work:
@@ -139,6 +145,12 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     condensation rule one whose terms decay like k^-p with p within
     _EXPONENT_SLACK of 1.
 
+    _settle is internal to the strict integrals, which need to know only
+    that an endpoint series converges: it lets a condensation mark end
+    the series as settled, claiming no tail within tol, where the four
+    blocks have one sign and the exponents show p > 1 (_settles; a
+    power law with an offset settles after 4,112 terms).
+
     Identical inputs produce bit-identical results: summation order is
     fixed and there is no shared state.
     """
@@ -152,10 +164,11 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
     max_terms = cfg.max_terms
     warmup = _WARMUP
     win = _STALL_WINDOW
-    # The bound of _geometric_tail with margins: 1 + 2^-40 covers the
-    # rounding on both sides, near_one - r for 1 - r covers up to 16 ulps
-    # of error in the power (large beside 1 - rho as r nears 1), and the
-    # floor keeps every quantity of a passing test a normal float.
+    # The bound of _tail's geometric estimate with margins: 1 + 2^-40
+    # covers the rounding on both sides, near_one - r for 1 - r covers up
+    # to 16 ulps of error in the power (large beside 1 - rho as r nears
+    # 1), and the floor keeps every quantity of a passing test a normal
+    # float.
     bound_tol = max(tol * (1.0 + 2.0**-40) / win, 2.0**-900)
     near_one = 1.0 + 2.0**-44
 
@@ -198,13 +211,13 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
         if oldest > 0.0:
             r = abs_a / oldest
             if r < 1.0 and abs_a * r <= bound_tol * (near_one - r):
-                tail = _geometric_tail(window, k)
+                tail = _tail(window, k)
             else:
                 tail = inf  # above tol: no need to know by how much
         else:  # the warmup, or a restart after an exact zero
-            tail = _geometric_tail(window, k)
+            tail = _tail(window, k)
 
-        if tail <= tol:
+        if tail <= tol and _tail(window, k, algebraic=True) <= tol:
             confirmations += 1
             if confirmations >= _CONFIRMATIONS:
                 verdict = Verdict.CONVERGED
@@ -231,22 +244,36 @@ def sum_series(term: Callable[[int], float], cfg: SeriesConfig | None = None) ->
                     if k >= next_mark - 1:
                         next_mark *= 2
                         marks.append(total + comp)
-                        if _power_law_divergent(marks[-5:]):
+                        p = _exponents(marks[-5:])
+                        if p is not None and _power_law_divergent(p):
                             verdict = Verdict.DIVERGENT
                             terms_used = k + 1
                             break
+                        if p is not None and _settle and _settles(p):
+                            verdict = Verdict.SETTLED
+                            terms_used = k + 1
+                            break
 
-    return SeriesResult(total + comp, terms_used, _geometric_tail(window, terms_used - 1), verdict)
+    return SeriesResult(total + comp, terms_used, _tail(window, terms_used - 1, True), verdict)
 
 
-def _geometric_tail(window: list, k: int) -> float:
-    """The remainder after a_k, |a_k| rho / (1 - rho), from sum_series's
-    ring buffer of |a|: the geometric mean rho of the last span ratios
-    telescopes to r^(1/span), r = |a_k/a_{k-span}|.  It is infinite when
-    rho >= 1 or there is no usable ratio (k = 0, or a restart after an
-    exact zero).  For span = 32 and r < 1, rho (1 - r) = (1 - rho)(rho
-    + rho^2 + ... + rho^32) >= 32 r (1 - rho), so the remainder is at
-    least 32 |a_k| r / (1 - r).
+def _tail(window: list, k: int, algebraic: bool = False) -> float:
+    """The remainder after a_k from sum_series's ring buffer of |a|, by the
+    geometric model, or the larger of both models if algebraic.  Both read
+    |a_k| and the |a| span terms back (span = 32, or k while k < 32), and
+    are infinite where there is no usable ratio (k = 0, or a restart
+    after an exact zero).
+
+    Geometric: |a_k| rho / (1 - rho), infinite when rho >= 1; the
+    geometric mean rho of the last span ratios telescopes to r^(1/span),
+    r = |a_k/a_{k-span}|.  For span = 32 and r < 1, rho (1 - r) = (1 -
+    rho)(rho + rho^2 + ... + rho^32) >= 32 r (1 - rho), so the remainder
+    is at least 32 |a_k| r / (1 - r).
+
+    Algebraic: terms C n^-p at positions n = k + 1 leave about |a_k| n /
+    (p - 1), infinite when p <= 1.  A geometric decay fits a p that grows
+    with n, which keeps this near |a_k| / ln(1/rho), above the geometric
+    estimate.
     """
     slots = len(window)
     span = min(k, slots - 1)
@@ -257,31 +284,49 @@ def _geometric_tail(window: list, k: int) -> float:
     if span == 0 or not oldest > 0.0:
         return math.inf
     rho = (abs_a / oldest) ** (1.0 / span)
-    return abs_a * rho / (1.0 - rho) if rho < 1.0 else math.inf
+    tail = abs_a * rho / (1.0 - rho) if rho < 1.0 else math.inf
+    if algebraic:  # terms that do not fall fit p <= 0, as does a fall that underflows
+        n, fall = k + 1.0, oldest / abs_a
+        p = math.log(fall) / math.log(n / (n - span)) if fall > 1.0 else 0.0
+        tail = max(tail, abs_a * n / (p - 1.0) if p > 1.0 else math.inf)
+    return tail
 
 
-def _power_law_divergent(sums: list) -> bool:
-    """Whether the four block sums between five dyadic marks' partial
-    sums decay like a power law k^-p with p <= 1.
+def _exponents(sums: list) -> list | None:
+    """The local exponents p of the three pairs of neighbouring blocks
+    between five dyadic marks' partial sums, or None before five marks or
+    when the blocks differ in sign.  A block spanning [n, 2n) of terms
+    C k^-p sums to about C' n^(1 - p), so p = 1 - log2(B_next / B)."""
+    if len(sums) < 5:
+        return None
+    blocks = [hi - lo for lo, hi in zip(sums, sums[1:])]
+    if not (all(b > 0.0 for b in blocks) or all(b < 0.0 for b in blocks)):
+        return None
+    logs = [math.log2(abs(b)) for b in blocks]
+    return [1.0 - (hi - lo) for lo, hi in zip(logs, logs[1:])]
 
-    A block spanning [n, 2n) of terms C k^-p sums to about
-    C' n^(1 - p), so p = 1 - log2(B_next / B) between neighbouring
-    blocks.  The exponents of the last two pairs must be at most 1 and
-    their increments must shrink, which a geometric decay never shows.
-    The increments of an offset power law (k + c)^-p shrink about
+
+def _power_law_divergent(p: list) -> bool:
+    """Whether three block exponents read a power law k^-p with p <= 1.
+
+    The exponents of the last two pairs must be at most 1 and their
+    increments must shrink, which a geometric decay never shows.  The
+    increments of an offset power law (k + c)^-p shrink about
     geometrically, so their sum extrapolates the exponent the blocks
     tend to; it must be at most 1 + _EXPONENT_SLACK, which keeps
     convergent series such as (k + 100)^-1.05 out.
     """
-    if len(sums) < 5:
-        return False
-    blocks = [hi - lo for lo, hi in zip(sums, sums[1:])]
-    if not (all(b > 0.0 for b in blocks) or all(b < 0.0 for b in blocks)):
-        return False
-    logs = [math.log2(abs(b)) for b in blocks]
-    p = [1.0 - (hi - lo) for lo, hi in zip(logs, logs[1:])]
     step, last_step = p[1] - p[0], p[2] - p[1]
     if not (p[1] <= 1.0 and p[2] <= 1.0 and abs(last_step) < abs(step)):
         return False
     ratio = last_step / step
     return p[2] + last_step * ratio / (1.0 - ratio) <= 1.0 + _EXPONENT_SLACK
+
+
+def _settles(p: list) -> bool:
+    """Whether three block exponents show a convergent power law: the last
+    two above 1 and rising, both increments within _SETTLE_DRIFT of p - 1.
+    One that falls towards 1 (1/(k ln k)) or jumps (a geometric decay, or
+    one giving way to a slower tail) does not settle."""
+    drift = _SETTLE_DRIFT * (p[2] - 1.0)
+    return p[1] > 1.0 and p[1] < p[2] and p[2] - p[1] <= drift and abs(p[1] - p[0]) <= drift

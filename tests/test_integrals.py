@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from norlund import (
     IntegralMode,
+    NonFiniteValueError,
     NotAlignedError,
     NotIntegrableError,
     SeriesConfig,
@@ -403,6 +404,124 @@ def test_backward_integral_strict_agrees_with_telescoped():
     cfg = SeriesConfig(tol=1e-6)
     strict = backward_integral(INV_SQUARE, 1.0, 3.0, 2.0, IntegralMode.STRICT, cfg)
     assert abs(strict.value - 2.0 / 9.0) <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# The strict route: each endpoint series read until it is shown
+# convergent, then the grid's finite sum or the difference series
+# ----------------------------------------------------------------------
+
+
+def _recorded(f):
+    points = []
+
+    def recorded(t):
+        points.append(t)
+        return f(t)
+
+    return recorded, points
+
+
+# Reads of f at most, off the grid: both endpoint series settle at 4,112
+# terms, and the difference series reads two points a term.
+OFF_GRID_READS = {1e-4: 9_000, 1e-6: 12_500, 1e-7: 21_000, 1e-9: 130_000}
+
+
+@pytest.mark.parametrize("tol", list(OFF_GRID_READS))
+@pytest.mark.parametrize("far", [4.75, 4.3], ids=["off-grid", "on-grid"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_strict_side_of_a_telescoping_integrand_is_within_tol(direction, far, tol):
+    # h/(t(t+h)) = 1/t - 1/(t+h), so the forward series at x sums to 1/x
+    # and the side to 1/a - 1/b; 1/(t(t-h)) mirrors it on negative t.
+    cfg, h = SeriesConfig(tol=tol), 1.0
+    if direction == "forward":
+        a, b = 1.3, far
+        f, reads = _recorded(lambda t: 1.0 / (t * (t + h)))
+        integral = forward_integral
+    else:
+        a, b = -far, -1.3
+        f, reads = _recorded(lambda t: 1.0 / (t * (t - h)))
+        integral = backward_integral
+    r = integral(f, a, b, h, IntegralMode.STRICT, cfg)
+    assert abs(r.value - (1.0 / a - 1.0 / b)) <= tol
+    diag = r.forward_diag if direction == "forward" else r.backward_diag
+    assert [(s.verdict, s.terms_used) for s in diag] == [(Verdict.SETTLED, 4112)] * 2
+    if far == 4.3:  # the grid's three points, read once more
+        assert len(reads) == 2 * 4112 + 3
+    else:
+        assert len(reads) <= OFF_GRID_READS[tol]
+    assert integral(f, b, a, h, IntegralMode.STRICT, cfg).value == -r.value
+
+
+def test_strict_side_whose_endpoint_series_converge_is_their_difference():
+    cfg = SeriesConfig(tol=1e-12)
+    r = forward_integral(HALVING, 0.0, 1.5, 1.0, IntegralMode.STRICT, cfg)
+    s_a, s_b = r.forward_diag
+    assert s_a.verdict is s_b.verdict is Verdict.CONVERGED
+    assert r.value == s_a.value - s_b.value
+    assert abs(r.value - 2.0 * (1.0 - 2.0**-1.5)) <= 2e-12
+
+
+def test_strict_constant_is_divergent_at_a_before_b_is_read():
+    f, reads = _recorded(lambda t: 1.0)
+    with pytest.raises(NotIntegrableError, match="at endpoint 0.5 did not converge: verdict "
+                                                 "divergent after 1072 terms"):
+        forward_integral(f, 0.5, 3.25, 1.0, IntegralMode.STRICT)
+    assert reads == [0.5 + k for k in range(1072)]
+
+
+def test_strict_reciprocal_is_divergent_after_the_condensation_check():
+    with pytest.raises(NotIntegrableError, match="verdict divergent after 4112 terms"):
+        forward_integral(lambda t: 1.0 / t, 1.0, 2.5, 1.0, IntegralMode.STRICT,
+                         SeriesConfig(tol=1e-6))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda t: 1.0 / (t * math.log(t)), lambda t: math.exp(-t / 1000.0) + 1.0 / t],
+    ids=["t_ln_t", "exp_then_reciprocal"],
+)
+def test_strict_side_of_a_slowly_divergent_integrand_is_not_integrable(f):
+    # neither endpoint series settles, though the difference series of each converges
+    with pytest.raises(NotIntegrableError, match="at endpoint 2.0 did not converge"):
+        forward_integral(f, 2.0, 3.5, 1.0, IntegralMode.STRICT,
+                         SeriesConfig(tol=1e-6, max_terms=2**17))
+
+
+def test_aligned_strict_side_with_a_grid_beyond_max_terms_sums_the_difference_series():
+    # f falls like t^-2 up to t = 5000 and geometrically after, so the series
+    # at a settles, the one at b converges, and the difference series
+    # converges just past t = 5000, before the 7,000-point grid ends.
+    f = lambda t: math.exp(-max(0.0, t - 5000.0)) / t**2  # noqa: E731
+    cfg = SeriesConfig(tol=1e-4, max_terms=6000)
+    r = forward_integral(f, 1.0, 7001.0, 1.0, IntegralMode.STRICT, cfg)
+    assert [s.verdict for s in r.forward_diag] == [Verdict.SETTLED, Verdict.CONVERGED]
+    assert abs(r.value - math.fsum(f(1.0 + k) for k in range(7000))) <= cfg.tol
+
+
+def test_strict_difference_series_that_does_not_converge_names_the_side():
+    # Both endpoint series settle at 4,112 terms; the difference series,
+    # whose tail falls like 1/k^2, cannot reach tol within the cap.
+    cfg = SeriesConfig(tol=1e-9, max_terms=5000)
+    f = lambda t: 1.0 / (t * (t + 1.0))  # noqa: E731
+    message = r"^forward difference series from 1.3 to 4.75 did not converge: verdict " \
+              r"truncation_limit after 5000 terms"
+    with pytest.raises(NotIntegrableError, match=message):
+        forward_integral(f, 1.3, 4.75, 1.0, IntegralMode.STRICT, cfg)
+
+
+@pytest.mark.parametrize("far_point, term", [(6001.3, "inf"), (6004.75, "-inf")],
+                         ids=["a-grid", "b-grid"])
+def test_strict_difference_series_names_the_point_of_a_non_finite_term(far_point, term):
+    # Past both endpoint series' 4,112 terms, f is infinite at one point
+    # that only the difference series reads, as f(a + k) or as -f(b + k).
+    def f(t):
+        return math.inf if t == far_point else 1.0 / (t * (t + 1.0))
+
+    with pytest.raises(NonFiniteValueError) as err:
+        forward_integral(f, 1.3, 4.75, 1.0, IntegralMode.STRICT, SeriesConfig(tol=1e-9))
+    assert err.value.point == far_point
+    assert str(err.value) == f"the forward series term at t={far_point!r} is non-finite ({term})"
 
 
 # ----------------------------------------------------------------------

@@ -132,10 +132,13 @@ def test_converged_tail_respects_tolerance():
 
 # ----------------------------------------------------------------------
 # Pinned results: the engine's value, terms_used, tail_estimate and
-# verdict for a battery of series, recorded before the condensation rule
-# existed.  The rule may only end series that diverge; every row here
+# verdict for a battery of series, first recorded before the condensation
+# rule existed.  The rule may only end series that diverge; every row here
 # must stay bit-identical.  The cap keeps the table cheap while still
-# passing the rule's dyadic checks up to 65,552 terms.
+# passing the rule's dyadic checks up to 65,552 terms.  The rows were
+# re-pinned when the tail became the larger of the geometric and the
+# algebraic estimates; every converged row is checked against an
+# independent value of its sum below.
 # ----------------------------------------------------------------------
 
 PINNED_SERIES = {
@@ -165,83 +168,83 @@ PINNED = {
     ("constant", 1e-12):
         ("0x1.0c00000000000p+10", 1072, "inf", "divergent"),
     ("geometric_0.9", 1e-4):
-        ("0x1.3fff513279ce3p+3", 111, "8.335248417898114e-05", "converged"),
+        ("0x1.3fff809198cbdp+3", 114, "8.336217401912347e-05", "converged"),
     ("geometric_0.9", 1e-6):
-        ("0x1.3ffffe1dcfe47p+3", 154, "8.98144994103402e-07", "converged"),
+        ("0x1.3ffffea07c296p+3", 157, "8.281493461835031e-07", "converged"),
     ("geometric_0.9", 1e-12):
-        ("0x1.3fffffffffe34p+3", 286, "8.191391811479378e-13", "converged"),
+        ("0x1.3fffffffffe62p+3", 287, "8.542779055969392e-13", "converged"),
     ("exp_1e-3", 1e-4):
-        ("0x1.f43fff755dfb5p+9", 16120, "9.985965949868272e-05", "converged"),
+        ("0x1.f43fffaa15acbp+9", 16185, "9.989275900894298e-05", "converged"),
     ("exp_1e-3", 1e-6):
-        ("0x1.f44002b2ac220p+9", 20725, "9.987665565971812e-07", "converged"),
+        ("0x1.f44002b316c6ep+9", 20776, "9.98406098619007e-07", "converged"),
     ("exp_1e-3", 1e-12):
-        ("0x1.f44002bb0cf73p+9", 34541, "9.982778378701181e-13", "converged"),
+        ("0x1.f44002bb0cf73p+9", 34571, "9.986067367200501e-13", "converged"),
     ("exp_1e-4", 1e-4):
-        ("0x1.3883d66ddd996p+13", 131072, "0.02030659378988257", "truncation_limit"),
+        ("0x1.3883d66ddd996p+13", 131072, "0.021987831757812867", "truncation_limit"),
     ("exp_1e-4", 1e-6):
-        ("0x1.3883d66ddd996p+13", 131072, "0.02030659378988257", "truncation_limit"),
+        ("0x1.3883d66ddd996p+13", 131072, "0.021987831757812867", "truncation_limit"),
     ("exp_1e-4", 1e-12):
-        ("0x1.3883d66ddd996p+13", 131072, "0.02030659378988257", "truncation_limit"),
+        ("0x1.3883d66ddd996p+13", 131072, "0.021987831757812867", "truncation_limit"),
     ("exp_3e-5", 1e-4):
-        ("0x1.fea1ca00a406ep+14", 131072, "653.3860677643773", "truncation_limit"),
+        ("0x1.fea1ca00a406ep+14", 131072, "876.3770657107816", "truncation_limit"),
     ("exp_3e-5", 1e-6):
-        ("0x1.fea1ca00a406ep+14", 131072, "653.3860677643773", "truncation_limit"),
+        ("0x1.fea1ca00a406ep+14", 131072, "876.3770657107816", "truncation_limit"),
     ("exp_3e-5", 1e-12):
-        ("0x1.fea1ca00a406ep+14", 131072, "653.3860677643773", "truncation_limit"),
+        ("0x1.fea1ca00a406ep+14", 131072, "876.3770657107816", "truncation_limit"),
     ("exp_offset", 1e-4):
-        ("0x1.feec56d306142p+0", 131072, "0.0001861276960988846", "truncation_limit"),
+        ("0x1.feec56d306142p+0", 131072, "0.00021463118866663327", "truncation_limit"),
     ("exp_offset", 1e-6):
-        ("0x1.feec56d306142p+0", 131072, "0.0001861276960988846", "truncation_limit"),
+        ("0x1.feec56d306142p+0", 131072, "0.00021463118866663327", "truncation_limit"),
     ("exp_offset", 1e-12):
-        ("0x1.feec56d306142p+0", 131072, "0.0001861276960988846", "truncation_limit"),
+        ("0x1.feec56d306142p+0", 131072, "0.00021463118866663327", "truncation_limit"),
     ("inv_sq_shift", 1e-4):
-        ("0x1.de8419cac1329p-1", 4984, "9.996850185768195e-05", "converged"),
+        ("0x1.de914a6f4c798p-1", 10002, "9.998002028220055e-05", "converged"),
     ("inv_sq_shift", 1e-6):
-        ("0x1.de9d64dfa2eefp-1", 131072, "3.814187933557947e-06", "truncation_limit"),
+        ("0x1.de9d64dfa2eefp-1", 131072, "7.62939453846824e-06", "truncation_limit"),
     ("inv_sq_shift", 1e-12):
-        ("0x1.de9d64dfa2eefp-1", 131072, "3.814187933557947e-06", "truncation_limit"),
+        ("0x1.de9d64dfa2eefp-1", 131072, "7.62939453846824e-06", "truncation_limit"),
     ("p_1.05", 1e-4):
-        ("0x1.2f865cda65e3bp+3", 131072, "0.5282997984628927", "truncation_limit"),
+        ("0x1.2f865cda65e3bp+3", 131072, "11.095694720823351", "truncation_limit"),
     ("p_1.05", 1e-6):
-        ("0x1.2f865cda65e3bp+3", 131072, "0.5282997984628927", "truncation_limit"),
+        ("0x1.2f865cda65e3bp+3", 131072, "11.095694720823351", "truncation_limit"),
     ("p_1.05", 1e-12):
-        ("0x1.2f865cda65e3bp+3", 131072, "0.5282997984628927", "truncation_limit"),
+        ("0x1.2f865cda65e3bp+3", 131072, "11.095694720823351", "truncation_limit"),
     ("p_1.2", 1e-4):
-        ("0x1.478c0618d642ap+2", 131072, "0.07893357273951732", "truncation_limit"),
+        ("0x1.478c0618d642ap+2", 131072, "0.47366142703334496", "truncation_limit"),
     ("p_1.2", 1e-6):
-        ("0x1.478c0618d642ap+2", 131072, "0.07893357273951732", "truncation_limit"),
+        ("0x1.478c0618d642ap+2", 131072, "0.47366142703334496", "truncation_limit"),
     ("p_1.2", 1e-12):
-        ("0x1.478c0618d642ap+2", 131072, "0.07893357273951732", "truncation_limit"),
+        ("0x1.478c0618d642ap+2", 131072, "0.47366142703334496", "truncation_limit"),
     ("log_sq", 1e-4):
-        ("0x1.032f37ba68ca8p+1", 131072, "0.006156160156301355", "truncation_limit"),
+        ("0x1.032f37ba68ca8p+1", 131072, "0.04243364765456012", "truncation_limit"),
     ("log_sq", 1e-6):
-        ("0x1.032f37ba68ca8p+1", 131072, "0.006156160156301355", "truncation_limit"),
+        ("0x1.032f37ba68ca8p+1", 131072, "0.04243364765456012", "truncation_limit"),
     ("log_sq", 1e-12):
-        ("0x1.032f37ba68ca8p+1", 131072, "0.006156160156301355", "truncation_limit"),
+        ("0x1.032f37ba68ca8p+1", 131072, "0.04243364765456012", "truncation_limit"),
     ("alt_harmonic", 1e-4):
-        ("0x1.62e3afefc39efp-1", 131072, "0.9998741100308584", "truncation_limit"),
+        ("0x1.62e3afefc39efp-1", 131072, "inf", "truncation_limit"),
     ("alt_harmonic", 1e-6):
-        ("0x1.62e3afefc39efp-1", 131072, "0.9998741100308584", "truncation_limit"),
+        ("0x1.62e3afefc39efp-1", 131072, "inf", "truncation_limit"),
     ("alt_harmonic", 1e-12):
-        ("0x1.62e3afefc39efp-1", 131072, "0.9998741100308584", "truncation_limit"),
+        ("0x1.62e3afefc39efp-1", 131072, "inf", "truncation_limit"),
     ("sin_over_k", 1e-4):
         ("0x1.121f7064b809dp+0", 131072, "inf", "truncation_limit"),
     ("sin_over_k", 1e-6):
-        ("0x1.121e0558ed9e3p+0", 37981, "0.0023139594460652316", "divergent"),
+        ("0x1.121e581e5e3c2p+0", 39779, "0.00012311860970741902", "divergent"),
     ("sin_over_k", 1e-12):
         ("0x1.121fc275dc645p+0", 105392, "inf", "divergent"),
     ("two_plus_sin", 1e-4):
-        ("0x1.c8188453c343bp+1", 1168, "9.238179664360068e-05", "converged"),
+        ("0x1.c81c720ca40a9p+1", 1256, "9.835800420007061e-05", "converged"),
     ("two_plus_sin", 1e-6):
-        ("0x1.c84b7b40bf4ebp+1", 12773, "8.934924720841822e-07", "converged"),
+        ("0x1.c84b7fc2cd8a5p+1", 12817, "9.293317836773227e-07", "converged"),
     ("two_plus_sin", 1e-12):
-        ("0x1.c8501cb6248b3p+1", 131072, "8.121252755563575e-09", "truncation_limit"),
+        ("0x1.c8501cb6248b3p+1", 131072, "8.169780731949793e-09", "truncation_limit"),
     ("odd_sq", 1e-4):
-        ("0x1.3bc688695c863p+0", 1235, "9.985548126836769e-05", "converged"),
+        ("0x1.3bcd3f8ee5eefp+0", 2501, "9.995976153788956e-05", "converged"),
     ("odd_sq", 1e-6):
-        ("0x1.3bd3ab0ced326p+0", 124985, "9.999879762040286e-07", "converged"),
+        ("0x1.3bd3ac9be45dep+0", 131072, "1.907348631063628e-06", "truncation_limit"),
     ("odd_sq", 1e-12):
-        ("0x1.3bd3ac9be45dep+0", 131072, "9.535542574600079e-07", "truncation_limit"),
+        ("0x1.3bd3ac9be45dep+0", 131072, "1.907348631063628e-06", "truncation_limit"),
 }
 
 
@@ -250,6 +253,46 @@ def test_pinned_series_results(name, tol):
     r = sum_series(PINNED_SERIES[name], SeriesConfig(tol=tol, max_terms=PINNED_MAX_TERMS))
     got = (r.value.hex(), r.terms_used, repr(r.tail_estimate), r.verdict.value)
     assert got == PINNED[name, tol]
+
+
+def _clausen2_at_1():
+    """Cl2(1) = sum sin(n)/n^2, from 1 + sum |B_2k| / (2k (2k+1)!)."""
+    bernoulli = (Fraction(1, 6), Fraction(1, 30), Fraction(1, 42), Fraction(1, 30),
+                 Fraction(5, 66), Fraction(691, 2730), Fraction(7, 6), Fraction(3617, 510))
+    return float(1 + sum(b / (2 * k * math.factorial(2 * k + 1))
+                         for k, b in enumerate(bernoulli, 1)))
+
+
+# The sums of the series with a converged row, in closed form.  two_plus_sin
+# is 2 zeta(2) + cos(1) Cl2(1) - sin(1) (pi^2/6 - pi/2 + 1/4).
+PINNED_SUMS = {
+    "geometric_0.9": 10.0,
+    "exp_1e-3": 1.0 / -math.expm1(-1e-3),
+    "inv_sq_shift": math.pi**2 / 2.0 - 4.0,
+    "two_plus_sin": math.pi**2 / 3.0 + math.cos(1.0) * _clausen2_at_1()
+    - math.sin(1.0) * (math.pi**2 / 6.0 - math.pi / 2.0 + 0.25),
+    "odd_sq": math.pi**2 / 8.0,
+}
+
+# A 32-term window cannot fit a power law under terms whose size
+# oscillates: both tail models read a trough after a peak as a steep decay.
+_OSCILLATING = pytest.mark.xfail(strict=True, reason="the tail models misread oscillating terms")
+
+
+@pytest.mark.parametrize("name, tol", [
+    pytest.param(name, tol, marks=_OSCILLATING if name == "two_plus_sin" else ())
+    for (name, tol), row in PINNED.items() if row[3] == "converged"
+])
+def test_pinned_converged_rows_are_within_tol_of_their_sums(name, tol):
+    value = float.fromhex(PINNED[name, tol][0])
+    assert abs(value - PINNED_SUMS[name]) <= tol
+
+
+def test_two_plus_sin_closed_form_against_a_long_sum():
+    # the remainder after N terms of (2 + sin k)/(k + 1)^2 is within 3/N
+    n = 10**5
+    partial = math.fsum((2.0 + math.sin(k)) / (k + 1.0) ** 2 for k in range(n))
+    assert 0.0 < PINNED_SUMS["two_plus_sin"] - partial <= 3.0 / n
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +329,49 @@ def test_p_105_is_never_divergent(c, tol, sign):
     assert 0.0 < sign * r.value < c**-1.05 + 20.0 * c**-0.05
 
 
+def test_offset_power_law_just_above_one_is_not_divergent():
+    # sum (k + 20)^-1.015 converges.  At 4,112 terms its block exponents
+    # extrapolate to between 1.01 and 1.02, so a condensation slack of 0.02
+    # would call it divergent there.
+    r = sum_series(lambda k: (k + 20) ** -1.015, SeriesConfig(tol=1e-6, max_terms=8192))
+    assert r.verdict is not Verdict.DIVERGENT
+
+
+@pytest.mark.parametrize("c", [0.05, 1.3, 4.0])
+def test_an_offset_square_law_settles_at_the_first_condensation_check(c):
+    # 1/((k + c)(k + c + 1)) telescopes to 1/c; at tol 1e-6 it needs about
+    # 10^6 terms, but its block exponents rise towards 2 and settle it
+    cfg = SeriesConfig(tol=1e-6)
+    term = lambda k: 1.0 / ((k + c) * (k + c + 1.0))  # noqa: E731
+    r = sum_series(term, cfg, _settle=True)
+    assert (r.verdict, r.terms_used) == (Verdict.SETTLED, 4112)
+    assert r.tail_estimate > cfg.tol  # a settled series claims no tail within tol
+    assert 0.0 < 1.0 / c - r.value <= r.tail_estimate
+    assert sum_series(term, cfg).verdict is not Verdict.SETTLED  # only on request
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        lambda k: 1.0 / ((k + 2) * math.log(k + 2)),  # exponents fall towards 1
+        lambda k: math.exp(-(k + 1) / 1000) + 1.0 / (k + 1),  # they jump as the 1/k tail shows
+        lambda k: 1.0 / (k + 1),
+        lambda k: 1.0,
+    ],
+    ids=["k_ln_k", "exp_then_harmonic", "harmonic", "constant"],
+)
+def test_a_divergent_series_never_settles(term):
+    r = sum_series(term, SeriesConfig(tol=1e-6, max_terms=2**17), _settle=True)
+    assert r.verdict in (Verdict.DIVERGENT, Verdict.TRUNCATION_LIMIT)
+
+
+def test_a_geometric_decay_does_not_settle_before_it_converges():
+    # its block exponents grow by about half of p - 1 at each doubling
+    r = sum_series(lambda k: math.exp(-k / 600), SeriesConfig(tol=1e-9), _settle=True)
+    assert r.verdict is Verdict.CONVERGED
+    assert abs(r.value - 1.0 / -math.expm1(-1 / 600)) <= 1e-9
+
+
 def test_alternating_harmonic_is_never_divergent():
     for tol in (1e-4, 1e-6, 1e-12):
         r = sum_series(lambda k: (-1.0) ** k / (k + 1), SeriesConfig(tol=tol, max_terms=2**17))
@@ -305,13 +391,15 @@ def test_slow_exponentials_converge(eps):
 
 # ----------------------------------------------------------------------
 # Differential test: the engine against its earlier loop, which took the
-# geometric tail's power on every term.  Every result and every exception
-# must be bit-identical, and term must be called in the same order.
+# geometric tail's power on every term, here with the algebraic tail also
+# taken on every term.  Every result and every exception must be
+# bit-identical, and term must be called in the same order.
 # ----------------------------------------------------------------------
 
 
 def _reference_sum_series(term, cfg=None):
-    """sum_series as it was before the tail's power was skipped by a bound."""
+    """sum_series as it was before the tail's power was skipped by a bound,
+    with both tail models taken on every term."""
     if cfg is None:
         cfg = SeriesConfig()
     tol = cfg.tol
@@ -357,17 +445,27 @@ def _reference_sum_series(term, cfg=None):
         # The geometric mean of the last `span` ratios telescopes to a
         # single endpoint ratio, so no per-step ratio history is needed.
         span = win if k >= win else k
+        oldest = window[(k - span) % slots]
         if abs_a == 0.0:
             tail = 0.0
         elif span == 0:
             tail = math.inf
         else:
-            oldest = window[(k - span) % slots]
             if oldest > 0.0:
                 rho = (abs_a / oldest) ** (1.0 / span)
                 tail = abs_a * rho / (1.0 - rho) if rho < 1.0 else math.inf
             else:
                 tail = math.inf  # restarted after an exact zero: no usable ratio
+
+        # The algebraic model: |a| ~ C n^-p at the positions n = k + 1 and
+        # n - span; the remainder is about |a_k| n / (p - 1).  The larger
+        # of the two estimates is the tail.
+        if abs_a > 0.0 and span > 0 and oldest > abs_a:
+            n = k + 1.0
+            p = math.log(oldest / abs_a) / math.log(n / (n - span))
+            tail = max(tail, abs_a * n / (p - 1.0) if p > 1.0 else math.inf)
+        elif abs_a > 0.0:
+            tail = math.inf  # no fall to fit
 
         if tail <= tol:
             confirmations += 1
@@ -396,7 +494,8 @@ def _reference_sum_series(term, cfg=None):
                     if k >= next_mark - 1:
                         next_mark *= 2
                         marks.append(total + comp)
-                        if series._power_law_divergent(marks[-5:]):
+                        p = series._exponents(marks[-5:])
+                        if p is not None and series._power_law_divergent(p):
                             verdict = Verdict.DIVERGENT
                             terms_used = k + 1
                             break
@@ -534,6 +633,15 @@ def test_a_raising_or_non_finite_term_stops_both_engines_at_the_same_index(stop)
         assert got[0] is error
         assert calls == list(range(stop + 1))
         _assert_same_as_reference(term, SeriesConfig(tol=1e-12))
+
+
+@pytest.mark.parametrize("max_terms", [16, 33, 100])
+def test_terms_that_rise_out_of_the_subnormals_fit_no_fall(max_terms):
+    # |a_{k-32}| / |a_k| underflows to 0.0: the algebraic fit reads no fall
+    # (an infinite tail), where taking its log would be a math domain error
+    term = lambda k: 5e-324 if k == 0 else 1e300  # noqa: E731
+    got = _assert_same_as_reference(term, SeriesConfig(max_terms=max_terms))
+    assert got[2:] == ("inf", "truncation_limit")
 
 
 @pytest.mark.parametrize("cfg", [{"tol": 1e-6}, "x", 0, 1e-6, SeriesConfig])

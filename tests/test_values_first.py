@@ -382,6 +382,21 @@ def test_a_power_that_overflows_on_one_side_faults_there_after_the_other_side(ki
     assert want[:2] == ("raise", "NonFiniteValueError") and want[3] == (5.5).hex()
 
 
+def test_a_row_that_faults_alone_leaves_the_other_rows_their_totals():
+    # On [0, 600] with steps (1, 0.5), 3**700 overflows in the backward
+    # side's abs(x)**p row only.  That row's fault pass calls f up to
+    # t=599.5; the product and g rows keep the totals the columns gave, so
+    # f and g are read once per distinct point, and f once more at 599.5
+    # (2,403 and 2,401 calls when every row of the side ran a fault pass).
+    f, f_calls = counted(lambda t: 3.0 if t % 1.0 else 0.5)
+    g, g_calls = counted(lambda t: 1.25)
+    with pytest.raises(NonFiniteValueError) as err:
+        holder_check(f, g, 0.0, 600.0, StepPair(1.0, 0.5), 700.0)
+    assert err.value.point == 599.5
+    assert str(err.value) == "function value at t=599.5 is non-finite (inf)"
+    assert f_calls[0] <= 1203 and g_calls[0] <= 1201
+
+
 DECAYING = (
     lambda t: math.exp(-t * t),
     lambda t: 0.5 * math.exp(-(t - 1.0) ** 2) + 1e-3 * math.exp(-t * t),
