@@ -239,13 +239,6 @@ def _compiled(lines: list[str]):
     return namespace.popitem()[1]
 
 
-def _columns(rows: tuple[str, ...]) -> tuple[str, ...]:
-    """The columns rows read: unshifted before shifted, f before g; a
-    quotient reads both of its function's columns."""
-    named = {n for row in rows for n in _reads(row)}
-    return tuple(c for c in ("x", "y", "x1", "y1") if c in named or f"d{c[0]}" in named)
-
-
 @cache
 def _loop(rows: tuple[str, ...], constants: tuple[str, ...]):
     """The columns a check's fused loop reads, and the loop, which adds
@@ -253,7 +246,8 @@ def _loop(rows: tuple[str, ...], constants: tuple[str, ...]):
     column slices; its quotients are unchecked, so a fault shows in a total."""
     named = {n for row in rows for n in _reads(row)}
     quotients = [q for q in ("dx", "dy") if q in named]
-    columns = _columns(rows)
+    # The columns the loop reads: unshifted before shifted, f before g.
+    columns = tuple(c for c in ("x", "y", "x1", "y1") if c in named or f"d{c[0]}" in quotients)
     sums = [f"s{i}" for i in range(len(rows))]
     return columns, _compiled([
         f"def loop(blocks, {', '.join(constants)}):",
@@ -315,34 +309,30 @@ class _Integrals:
 
     def side(self, direction: GridDirection, walk: GridWalk) -> tuple[float, ...]:
         """Each row's total on direction's side; on first use, the fused
-        loop over the columns read at its sampled points, or at its walk.
-        Where a read or the loop raises, a row whose columns were read is
-        summed by its own loop, and a row that cannot be is NaN."""
+        loop over the columns read at its sampled points, or at its walk;
+        where that raises, each row's own loop over the columns read."""
         if direction not in self.totals:
             points = self.walks.pop(direction) if direction in self.walks else walk()
             columns = {}
             try:
                 # The walk's own points when unshifted: t + 0.0 would turn -0.0 into 0.0.
                 moved = [t + self.constants["h"] for t in points] if "h" in self.constants else None
-                for c in _columns(self.rows):
+                for c in _loop(self.rows, tuple(self.constants))[0]:
                     samples = self.f if c[0] == "x" else self.g
                     columns[c] = samples.column(moved if c[1:] else points)
-                self.totals[direction] = self._totals(self.rows, columns)
             except Exception:
-                self.totals[direction] = tuple(self._total(row, columns) for row in self.rows)
+                pass  # a row whose columns were all read is still summed
+            self.totals[direction] = self._totals(self.rows, columns) or tuple(
+                (self._totals((row,), columns) or (math.nan,))[0] for row in self.rows)
         return self.totals[direction]
 
-    def _totals(self, rows: tuple[str, ...], columns: dict) -> tuple[float, ...]:
+    def _totals(self, rows: tuple[str, ...], columns: dict) -> tuple[float, ...] | None:
+        """rows' totals by their fused loop; None where it raises, as on a column not read."""
         names, loop = _loop(rows, tuple(self.constants))
-        return loop(zip(*(_blocks(columns[c]) for c in names)), **self.constants)
-
-    def _total(self, row: str, columns: dict) -> float:
-        if not columns.keys() >= set(_columns((row,))):
-            return math.nan  # a read raised before the row's columns: its fault pass raises it
         try:
-            return self._totals((row,), columns)[0]
+            return loop(zip(*(_blocks(columns[c]) for c in names)), **self.constants)
         except Exception:
-            return math.nan
+            return None
 
     def at(self, i: int, t: float):
         """Row i's raw value at t, its pointwise function compiled on first use."""
@@ -362,9 +352,8 @@ class IntegralResult(Record):
     mode_used is always a resolved mode (never Auto).  Strict sides
     carry their pair of endpoint series results, ordered (series at a,
     series at b), each converged or settled; telescoped sides carry the
-    alignment witness.  For a symmetric
-    integral whose two sides resolved differently, mixed_modes is set
-    and mode_used records the stricter of the two.
+    alignment witness.  For a symmetric integral whose two sides resolved
+    differently, mixed_modes is set and mode_used records the stricter.
     """
 
     value: float
@@ -382,21 +371,19 @@ def _improper(
     """step * sum of f(x + k*step) forwards, f(x - k*step) backwards, less
     f at the same steps from minus where given; settle lets it settle.
 
-    A term that is not finite raises NonFiniteValueError at its point, or
-    at minus's where f is finite at x's.
+    A term that is not finite raises NonFiniteValueError at its point, a
+    difference's at a point where f is not finite if there is one.
     """
     # x + k*(-step) is x - k*step bit for bit (IEEE negation is exact).
     signed = step if direction is GridDirection.FORWARD else -step
-    if minus is None:
-        term = lambda k: step * f(x + k * signed)  # noqa: E731
-    else:
-        term = lambda k: step * (f(x + k * signed) - f(minus + k * signed))  # noqa: E731
+    term = lambda k: step * f(x + k * signed)  # noqa: E731
+    if minus is not None:
+        read = lambda t: _finite(t, f(t))  # noqa: E731
+        term = lambda k: step * (read(x + k * signed) - read(minus + k * signed))  # noqa: E731
     try:
         return sum_series(term, cfg, _settle=settle)
     except NonFiniteTermError as exc:
         t = x + exc.index * signed
-        if minus is not None and math.isfinite(f(t)):
-            t = minus + exc.index * signed
         message = f"the {direction.value} series term at t={t!r} is non-finite ({exc.value!r})"
         raise NonFiniteValueError(t, exc.value, message) from None
 
@@ -455,6 +442,28 @@ def _grid_total(values: Iterable[float]) -> float:
     return reduce(add, values, 0.0)
 
 
+def _telescoped(f: RealFunction, walk: GridWalk, step: float, direction: GridDirection,
+                on_grid: GridTotal | None) -> float:
+    """step, signed as the interval runs, times on_grid's total of the
+    values at walk's points; by default f's column form's, else f's."""
+    if on_grid is None:  # a plain integral: f's column form, else f at each point
+        read = _reader(f)
+        on_grid = lambda _, walk: _grid_total(  # noqa: E731
+            map(float, chain.from_iterable(map(read, _blocks(walk())))))
+    # Plain left-to-right accumulation and one trailing multiply keep
+    # the result bit-identical to the direct finite sum.
+    try:
+        total = on_grid(direction, walk)
+    except Exception:
+        total = math.nan  # the pass below, which calls f, raises the fault
+    # A total that is not finite holds a fault or an overflow: calling
+    # f point by point raises the fault as f itself first meets it, and
+    # a walk the budget or the resolution rule refuses raises first.
+    if not math.isfinite(total):
+        total = _grid_total(_finite(t, f(t)) for t in walk())
+    return step * total
+
+
 def _side(
     f: RealFunction,
     a: float,
@@ -485,6 +494,7 @@ def _side(
     lo, hi = (a, b) if a < b else (b, a)
     start, end = (lo, hi) if forward else (hi, lo)
     alignment = grid_align(start, end, step, direction)
+    walk = alignment and partial(grid_points, start, end, step, direction, alignment.k1, cfg)
     if mode is IntegralMode.AUTO:
         mode = IntegralMode.TELESCOPED if alignment else IntegralMode.STRICT
 
@@ -494,25 +504,7 @@ def _side(
                 f"endpoints {a!r} and {b!r} are not aligned on the {side} "
                 f"grid with step {step!r}"
             )
-        walk = partial(grid_points, start, end, step, direction, alignment.k1, cfg)
-        if on_grid is None:  # a plain integral: f's column form, else f at each point
-            read = _reader(f)
-            on_grid = lambda _, walk: _grid_total(  # noqa: E731
-                map(float, chain.from_iterable(map(read, _blocks(walk())))))
-        # Plain left-to-right accumulation and one trailing multiply keep
-        # the result bit-identical to the direct finite sum.
-        try:
-            total = on_grid(direction, walk)
-        except Exception:
-            total = math.nan  # the pass below, which calls f, raises the fault
-        # A total that is not finite holds a fault or an overflow: calling
-        # f point by point raises the fault as f itself first meets it, and
-        # a walk the budget or the resolution rule refuses raises first.
-        if not math.isfinite(total):
-            total = _grid_total(_finite(t, f(t)) for t in walk())
-        value = step * total
-        if a > b:
-            value = -value
+        value = _telescoped(f, walk, math.copysign(step, b - a), direction, on_grid)
         result = IntegralResult(value, IntegralMode.TELESCOPED, alignment=alignment)
     else:
         s_a = _improper(f, a, step, direction, cfg, settle=True)
@@ -524,9 +516,8 @@ def _side(
         # else a series whose terms decay a power faster than theirs.
         if s_a.verdict is s_b.verdict is Verdict.CONVERGED:
             value = s_a.value - s_b.value if forward else s_b.value - s_a.value
-        elif alignment is not None and alignment.k1 <= _config(cfg).max_terms:
-            walk = grid_points(start, end, step, direction, alignment.k1, cfg)
-            value = math.copysign(step, b - a) * _grid_total(_finite(t, f(t)) for t in walk)
+        elif alignment and alignment.k1 <= _config(cfg).max_terms:
+            value = _telescoped(f, walk, math.copysign(step, b - a), direction, None)
         else:
             x, minus = (a, b) if forward else (b, a)
             d = _improper(f, x, step, direction, cfg, minus=minus)

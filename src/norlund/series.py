@@ -115,14 +115,14 @@ def sum_series(
     Terms must evaluate to finite floats; a NaN or infinity raises
     NonFiniteTermError (any exception the callable itself raises simply
     propagates).  The series converges once the remainder after a_k,
-    the larger of _tail's two estimates over the last _STALL_WINDOW (32)
-    terms, is within tol at _CONFIRMATIONS terms in a row.  The
-    geometric estimate's power r^(1/32), r = |a_k/a_{k-32}|, is taken
-    only when the lower bound 32 |a_k| r / (1 - r) on it cannot exceed
-    tol, and the algebraic estimate only when the geometric one is
-    within tol; results are those of taking both on every term, and
-    tail_estimate is the larger for the last term.  A cfg that is
-    neither a SeriesConfig nor None is a ValueError.
+    the larger of _geometric_tail's and _algebraic_tail's estimates over
+    the last _STALL_WINDOW (32) terms, is within tol at _CONFIRMATIONS
+    terms in a row.  The geometric estimate's power r^(1/32), r =
+    |a_k/a_{k-32}|, is taken only when the lower bound 32 |a_k| r / (1 -
+    r) on it cannot exceed tol, and the algebraic estimate only when the
+    geometric one is within tol; results are those of taking both on
+    every term, and tail_estimate is the larger for the last term.  A cfg
+    that is neither a SeriesConfig nor None is a ValueError.
 
     Divergence is declared by either of two heuristics, both checked once
     per _STALL_WINDOW terms that miss tol, so neither adds per-term work:
@@ -145,11 +145,9 @@ def sum_series(
     condensation rule one whose terms decay like k^-p with p within
     _EXPONENT_SLACK of 1.
 
-    _settle is internal to the strict integrals, which need to know only
-    that an endpoint series converges: it lets a condensation mark end
-    the series as settled, claiming no tail within tol, where the four
-    blocks have one sign and the exponents show p > 1 (_settles; a
-    power law with an offset settles after 4,112 terms).
+    _settle is internal to the strict integrals: it lets a condensation
+    mark end a series that _settles shows convergent, with no tail within
+    tol claimed (a power law settles after 4,112 terms).
 
     Identical inputs produce bit-identical results: summation order is
     fixed and there is no shared state.
@@ -164,11 +162,10 @@ def sum_series(
     max_terms = cfg.max_terms
     warmup = _WARMUP
     win = _STALL_WINDOW
-    # The bound of _tail's geometric estimate with margins: 1 + 2^-40
-    # covers the rounding on both sides, near_one - r for 1 - r covers up
-    # to 16 ulps of error in the power (large beside 1 - rho as r nears
-    # 1), and the floor keeps every quantity of a passing test a normal
-    # float.
+    # The bound of _geometric_tail with margins: 1 + 2^-40 covers the
+    # rounding on both sides, near_one - r for 1 - r covers up to 16 ulps
+    # of error in the power (large beside 1 - rho as r nears 1), and the
+    # floor keeps every quantity of a passing test a normal float.
     bound_tol = max(tol * (1.0 + 2.0**-40) / win, 2.0**-900)
     near_one = 1.0 + 2.0**-44
 
@@ -211,13 +208,13 @@ def sum_series(
         if oldest > 0.0:
             r = abs_a / oldest
             if r < 1.0 and abs_a * r <= bound_tol * (near_one - r):
-                tail = _tail(window, k)
+                tail = _geometric_tail(window, k)
             else:
                 tail = inf  # above tol: no need to know by how much
         else:  # the warmup, or a restart after an exact zero
-            tail = _tail(window, k)
+            tail = _geometric_tail(window, k)
 
-        if tail <= tol and _tail(window, k, algebraic=True) <= tol:
+        if tail <= tol and _algebraic_tail(window, k) <= tol:
             confirmations += 1
             if confirmations >= _CONFIRMATIONS:
                 verdict = Verdict.CONVERGED
@@ -254,26 +251,19 @@ def sum_series(
                             terms_used = k + 1
                             break
 
-    return SeriesResult(total + comp, terms_used, _tail(window, terms_used - 1, True), verdict)
+    k = terms_used - 1
+    tail = max(_geometric_tail(window, k), _algebraic_tail(window, k))
+    return SeriesResult(total + comp, terms_used, tail, verdict)
 
 
-def _tail(window: list, k: int, algebraic: bool = False) -> float:
-    """The remainder after a_k from sum_series's ring buffer of |a|, by the
-    geometric model, or the larger of both models if algebraic.  Both read
-    |a_k| and the |a| span terms back (span = 32, or k while k < 32), and
-    are infinite where there is no usable ratio (k = 0, or a restart
-    after an exact zero).
-
-    Geometric: |a_k| rho / (1 - rho), infinite when rho >= 1; the
-    geometric mean rho of the last span ratios telescopes to r^(1/span),
-    r = |a_k/a_{k-span}|.  For span = 32 and r < 1, rho (1 - r) = (1 -
-    rho)(rho + rho^2 + ... + rho^32) >= 32 r (1 - rho), so the remainder
-    is at least 32 |a_k| r / (1 - r).
-
-    Algebraic: terms C n^-p at positions n = k + 1 leave about |a_k| n /
-    (p - 1), infinite when p <= 1.  A geometric decay fits a p that grows
-    with n, which keeps this near |a_k| / ln(1/rho), above the geometric
-    estimate.
+def _geometric_tail(window: list, k: int) -> float:
+    """The remainder after a_k, |a_k| rho / (1 - rho), from sum_series's
+    ring buffer of |a|: the geometric mean rho of the last span ratios
+    telescopes to r^(1/span), r = |a_k/a_{k-span}|.  It is infinite when
+    rho >= 1 or there is no usable ratio (k = 0, or a restart after an
+    exact zero).  For span = 32 and r < 1, rho (1 - r) = (1 - rho)(rho
+    + rho^2 + ... + rho^32) >= 32 r (1 - rho), so the remainder is at
+    least 32 |a_k| r / (1 - r).
     """
     slots = len(window)
     span = min(k, slots - 1)
@@ -284,12 +274,32 @@ def _tail(window: list, k: int, algebraic: bool = False) -> float:
     if span == 0 or not oldest > 0.0:
         return math.inf
     rho = (abs_a / oldest) ** (1.0 / span)
-    tail = abs_a * rho / (1.0 - rho) if rho < 1.0 else math.inf
-    if algebraic:  # terms that do not fall fit p <= 0, as does a fall that underflows
-        n, fall = k + 1.0, oldest / abs_a
-        p = math.log(fall) / math.log(n / (n - span)) if fall > 1.0 else 0.0
-        tail = max(tail, abs_a * n / (p - 1.0) if p > 1.0 else math.inf)
-    return tail
+    return abs_a * rho / (1.0 - rho) if rho < 1.0 else math.inf
+
+
+def _algebraic_tail(window: list, k: int) -> float:
+    """The remainder after a_k, |a_k| m / (p - 1), if sum_series's ring
+    buffer of |a| holds C m^-p at positions m = k + c, infinite for p <= 1.
+    p and m fit the falls L1 = ln|a_{k-h}/a_k| and L2 = ln|a_{k-2h}/a_{k-h}|
+    (h = 16, or k // 2 while k < 32), each about h p / m' at its half's
+    midpoint m': p = L1 L2 / (L2 - L1), m = h/2 + h L2 / (L2 - L1).  A
+    fall that does not slow gives the limit |a_k| h / L1; a last half
+    that does not fall, infinity.
+    """
+    slots = len(window)
+    half = min(k, slots - 1) // 2
+    abs_a = window[k % slots]
+    if abs_a == 0.0:
+        return 0.0
+    mid = window[(k - half) % slots]
+    if half == 0 or not mid > abs_a:
+        return math.inf
+    fall, earlier = mid / abs_a, window[(k - 2 * half) % slots] / mid
+    if not earlier > fall:  # also an exact zero, or a fall too steep for a float
+        return abs_a * half / math.log(fall)
+    l1, l2, slowing = math.log(fall), math.log(earlier), math.log(earlier / fall)
+    p = l1 * l2 / slowing
+    return abs_a * ((half / 2 + half * l2 / slowing) / (p - 1.0)) if p > 1.0 else math.inf
 
 
 def _exponents(sums: list) -> list | None:

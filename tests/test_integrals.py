@@ -453,6 +453,24 @@ def test_strict_side_of_a_telescoping_integrand_is_within_tol(direction, far, to
     assert integral(f, b, a, h, IntegralMode.STRICT, cfg).value == -r.value
 
 
+@pytest.mark.parametrize("x", [1e5, 1e6, -1e6 - 1.0])
+def test_series_at_a_point_far_from_zero_stops_after_a_few_terms(x):
+    # 1/t^2 from x on is a power law whose offset x is large beside k: the
+    # tail fits the offset with the exponent, so it reads about 1/|x|,
+    # within tol at once, and the sum is within tol of 1/(x - 1/2).
+    cfg = SeriesConfig(tol=1e-4)
+    f, reads = _recorded(lambda t: t**-2)
+    integral = forward_integral_to_infinity if x > 0 else backward_integral_from_minus_infinity
+    s = integral(f, x, 1.0, cfg)
+    assert s.verdict is Verdict.CONVERGED and len(reads) == s.terms_used <= 300
+    assert abs(s.value - 1.0 / (abs(x) - 0.5)) <= cfg.tol
+    assert 0.5 / abs(x) <= s.tail_estimate <= cfg.tol
+    r = forward_integral(f, 1e5, 1e5 + 2.5, 1.0, IntegralMode.STRICT, cfg)
+    assert [s.verdict for s in r.forward_diag] == [Verdict.CONVERGED] * 2
+    assert abs(r.value - (1.0 / (1e5 - 0.5) - 1.0 / (1e5 + 2.0))) <= cfg.tol
+    assert sum(s.terms_used for s in r.forward_diag) <= 600
+
+
 def test_strict_side_whose_endpoint_series_converge_is_their_difference():
     cfg = SeriesConfig(tol=1e-12)
     r = forward_integral(HALVING, 0.0, 1.5, 1.0, IntegralMode.STRICT, cfg)
@@ -510,18 +528,31 @@ def test_strict_difference_series_that_does_not_converge_names_the_side():
         forward_integral(f, 1.3, 4.75, 1.0, IntegralMode.STRICT, cfg)
 
 
-@pytest.mark.parametrize("far_point, term", [(6001.3, "inf"), (6004.75, "-inf")],
-                         ids=["a-grid", "b-grid"])
-def test_strict_difference_series_names_the_point_of_a_non_finite_term(far_point, term):
+@pytest.mark.parametrize("far_point", [6001.3, 6004.75], ids=["a-grid", "b-grid"])
+def test_strict_difference_series_names_the_point_of_a_non_finite_term(far_point):
     # Past both endpoint series' 4,112 terms, f is infinite at one point
-    # that only the difference series reads, as f(a + k) or as -f(b + k).
+    # that only the difference series reads, as f(a + k) or as f(b + k).
     def f(t):
         return math.inf if t == far_point else 1.0 / (t * (t + 1.0))
 
     with pytest.raises(NonFiniteValueError) as err:
         forward_integral(f, 1.3, 4.75, 1.0, IntegralMode.STRICT, SeriesConfig(tol=1e-9))
     assert err.value.point == far_point
-    assert str(err.value) == f"the forward series term at t={far_point!r} is non-finite ({term})"
+    assert str(err.value) == f"function value at t={far_point!r} is non-finite (inf)"
+
+
+def test_strict_difference_series_that_overflows_names_the_point_at_a():
+    # f is finite at both points of term 5,000, but their difference is
+    # not; the error names a's point, and f is read there once.
+    def f(t):
+        return 1e308 if t == 5001.3 else -1e308 if t == 5004.75 else 1.0 / (t * (t + 1.0))
+
+    f, reads = _recorded(f)
+    with pytest.raises(NonFiniteValueError) as err:
+        forward_integral(f, 1.3, 4.75, 1.0, IntegralMode.STRICT, SeriesConfig(tol=1e-9))
+    assert err.value.point == 5001.3
+    assert str(err.value) == "the forward series term at t=5001.3 is non-finite (inf)"
+    assert reads.count(5001.3) == 1 and reads[-2:] == [5001.3, 5004.75]
 
 
 # ----------------------------------------------------------------------
