@@ -10,8 +10,8 @@ heuristics declare divergence: terms that plateau above the tolerance
 (the stall rule), and dyadic block sums that shrink like a power law
 k^-p with p <= 1 (the condensation rule).  Exhausting the term cap
 yields a truncation verdict; a series that may settle ends once its
-block sums show p > 1.  The partial sum is reported under every verdict
-so callers can attach diagnostics.
+block sums show p > 1 (_mark_verdict gives both mark verdicts).  Every
+verdict reports the partial sum, so callers can attach diagnostics.
 """
 
 from __future__ import annotations
@@ -132,13 +132,10 @@ def sum_series(
       constant series stops after 1,072 terms);
     - the condensation rule (after Cauchy's condensation test): the
       partial sum is recorded at the first window boundary at or after
-      each of 256, 512, 1024, ... terms, and the last four block sums
-      between those marks are read as a power law k^-p.  The series is
-      declared divergent when the four blocks have one sign, the local
-      exponents p of the last two block pairs are at most 1, and p's
-      increments shrink, as they do for a power law with an offset (a
-      geometric decay's exponent grows with each doubling instead).  A
-      harmonic series stops after 4,112 terms.
+      each of 256, 512, 1024, ... terms, and _mark_verdict reads the last
+      four block sums between those marks as a power law k^-p, divergent
+      where p tends to at most 1 (a harmonic series stops after 4,112
+      terms).
 
     Both are heuristics and can misjudge a convergent series: the stall
     rule one whose terms oscillate (sin(k + 1)/(k + 1) at tol=1e-6), the
@@ -146,8 +143,8 @@ def sum_series(
     _EXPONENT_SLACK of 1.
 
     _settle is internal to the strict integrals: it lets a condensation
-    mark end a series that _settles shows convergent, with no tail within
-    tol claimed (a power law settles after 4,112 terms).
+    mark end a series that _mark_verdict shows convergent, as SETTLED,
+    with no tail within tol claimed (a power law settles after 4,112 terms).
 
     Identical inputs produce bit-identical results: summation order is
     fixed and there is no shared state.
@@ -183,8 +180,7 @@ def sum_series(
     marks = []  # partial sums at the condensation rule's dyadic marks
     next_mark = _FIRST_MARK
 
-    verdict = Verdict.TRUNCATION_LIMIT
-    terms_used = max_terms
+    verdict = Verdict.TRUNCATION_LIMIT  # unless a rule breaks the loop first
     isfinite = math.isfinite
     inf = math.inf
 
@@ -218,7 +214,6 @@ def sum_series(
             confirmations += 1
             if confirmations >= _CONFIRMATIONS:
                 verdict = Verdict.CONVERGED
-                terms_used = k + 1
                 break
         else:
             confirmations = 0
@@ -234,26 +229,20 @@ def sum_series(
                         stalled += 1
                         if stalled >= win and block_min > tol:
                             verdict = Verdict.DIVERGENT
-                            terms_used = k + 1
                             break
                     block_min = math.inf
                     block_fill = 0
                     if k >= next_mark - 1:
                         next_mark *= 2
                         marks.append(total + comp)
-                        p = _exponents(marks[-5:])
-                        if p is not None and _power_law_divergent(p):
-                            verdict = Verdict.DIVERGENT
-                            terms_used = k + 1
-                            break
-                        if p is not None and _settle and _settles(p):
-                            verdict = Verdict.SETTLED
-                            terms_used = k + 1
+                        mark = _mark_verdict(marks[-5:], _settle)
+                        if mark is not None:
+                            verdict = mark
                             break
 
-    k = terms_used - 1
+    # k is the last term summed: max_terms - 1 at truncation (max_terms >= _WARMUP).
     tail = max(_geometric_tail(window, k), _algebraic_tail(window, k))
-    return SeriesResult(total + comp, terms_used, tail, verdict)
+    return SeriesResult(total + comp, k + 1, tail, verdict)
 
 
 def _geometric_tail(window: list, k: int) -> float:
@@ -302,41 +291,31 @@ def _algebraic_tail(window: list, k: int) -> float:
     return abs_a * ((half / 2 + half * l2 / slowing) / (p - 1.0)) if p > 1.0 else math.inf
 
 
-def _exponents(sums: list) -> list | None:
-    """The local exponents p of the three pairs of neighbouring blocks
-    between five dyadic marks' partial sums, or None before five marks or
-    when the blocks differ in sign.  A block spanning [n, 2n) of terms
-    C k^-p sums to about C' n^(1 - p), so p = 1 - log2(B_next / B)."""
+def _mark_verdict(sums: list, settle: bool) -> Verdict | None:
+    """The condensation rule's verdict from the last five dyadic marks'
+    partial sums: DIVERGENT, SETTLED (only if settle) or None (before five
+    marks, or where the four blocks differ in sign).  A block over [n, 2n)
+    of terms C k^-p sums to about C' n^(1 - p), so each neighbouring pair
+    reads p = 1 - log2(B_next / B).  It diverges where the last two p are
+    at most 1 and their increments shrink, as a geometric decay's never
+    do, and extrapolate p (an offset power law's shrink about
+    geometrically) to at most 1 + _EXPONENT_SLACK, keeping
+    (k + 100)^-1.05 out.  It settles where the last two p exceed 1 and
+    rise, both increments within _SETTLE_DRIFT of p - 1, which 1/(k ln k)
+    (falling to 1) and a geometric decay (jumping) never show."""
     if len(sums) < 5:
         return None
     blocks = [hi - lo for lo, hi in zip(sums, sums[1:])]
     if not (all(b > 0.0 for b in blocks) or all(b < 0.0 for b in blocks)):
         return None
     logs = [math.log2(abs(b)) for b in blocks]
-    return [1.0 - (hi - lo) for lo, hi in zip(logs, logs[1:])]
-
-
-def _power_law_divergent(p: list) -> bool:
-    """Whether three block exponents read a power law k^-p with p <= 1.
-
-    The exponents of the last two pairs must be at most 1 and their
-    increments must shrink, which a geometric decay never shows.  The
-    increments of an offset power law (k + c)^-p shrink about
-    geometrically, so their sum extrapolates the exponent the blocks
-    tend to; it must be at most 1 + _EXPONENT_SLACK, which keeps
-    convergent series such as (k + 100)^-1.05 out.
-    """
+    p = [1.0 - (hi - lo) for lo, hi in zip(logs, logs[1:])]
     step, last_step = p[1] - p[0], p[2] - p[1]
-    if not (p[1] <= 1.0 and p[2] <= 1.0 and abs(last_step) < abs(step)):
-        return False
-    ratio = last_step / step
-    return p[2] + last_step * ratio / (1.0 - ratio) <= 1.0 + _EXPONENT_SLACK
-
-
-def _settles(p: list) -> bool:
-    """Whether three block exponents show a convergent power law: the last
-    two above 1 and rising, both increments within _SETTLE_DRIFT of p - 1.
-    One that falls towards 1 (1/(k ln k)) or jumps (a geometric decay, or
-    one giving way to a slower tail) does not settle."""
+    if p[1] <= 1.0 and p[2] <= 1.0 and abs(last_step) < abs(step):
+        ratio = last_step / step
+        if p[2] + last_step * ratio / (1.0 - ratio) <= 1.0 + _EXPONENT_SLACK:
+            return Verdict.DIVERGENT
     drift = _SETTLE_DRIFT * (p[2] - 1.0)
-    return p[1] > 1.0 and p[1] < p[2] and p[2] - p[1] <= drift and abs(p[1] - p[0]) <= drift
+    if settle and 1.0 < p[1] < p[2] and p[2] - p[1] <= drift and abs(p[1] - p[0]) <= drift:
+        return Verdict.SETTLED
+    return None

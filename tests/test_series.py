@@ -503,13 +503,34 @@ def _reference_sum_series(term, cfg=None):
                     if k >= next_mark - 1:
                         next_mark *= 2
                         marks.append(total + comp)
-                        p = series._exponents(marks[-5:])
-                        if p is not None and series._power_law_divergent(p):
+                        if _reference_power_law_divergent(marks[-5:]):
                             verdict = Verdict.DIVERGENT
                             terms_used = k + 1
                             break
 
     return series.SeriesResult(total + comp, terms_used, tail, verdict)
+
+
+def _reference_power_law_divergent(sums):
+    """The condensation rule as the README states it, apart from the
+    engine's code: the four block sums between the last five marks (at
+    about 256, 512, 1024, ... terms) read as a power law k^-p are divergent
+    where they have one sign, the exponents of the last two block pairs
+    are at most 1, and their increments shrink and, summed as a geometric
+    series, extrapolate the exponent to at most 1.01."""
+    if len(sums) < 5:
+        return False
+    blocks = [sums[i + 1] - sums[i] for i in range(4)]
+    if not (min(blocks) > 0.0 or max(blocks) < 0.0):
+        return False
+    # A block over [n, 2n) of terms k^-p sums to about n^(1 - p), and the
+    # next one to (2n)^(1 - p): their ratio is 2^(1 - p).
+    p = [1.0 - math.log2(abs(blocks[i + 1])) + math.log2(abs(blocks[i])) for i in range(3)]
+    d1, d2 = p[1] - p[0], p[2] - p[1]
+    if p[1] > 1.0 or p[2] > 1.0 or abs(d2) >= abs(d1):
+        return False
+    # p[2] + d2 r + d2 r^2 + ... with r = d2 / d1
+    return p[2] + d2 * d2 / (d1 - d2) <= 1.01
 
 
 def _outcome(engine, term, cfg):
@@ -593,6 +614,19 @@ def test_engine_matches_reference_loop_on_a_seeded_sweep(tol):
             cfg = SeriesConfig(tol=tol, max_terms=max_terms)
             _assert_same_as_reference(shape, cfg)
             _assert_same_as_reference(lambda k: scale * shape(k), cfg)
+
+
+@pytest.mark.parametrize("tol", (1e-12, 1e-6))
+def test_engine_matches_reference_loop_past_the_condensation_marks(tol):
+    # The sweep above stops before the fifth mark (4,112 terms), where the
+    # condensation rule first reads; these offset power laws run past it.
+    rng = random.Random(f"series marks {tol!r}")
+    verdicts = []
+    for _ in range(12):
+        p, c, sign = rng.uniform(0.5, 1.3), rng.uniform(1.0, 1000.0), rng.choice((-1.0, 1.0))
+        term = lambda k: sign * (k + c) ** -p  # noqa: E731
+        verdicts.append(_assert_same_as_reference(term, SeriesConfig(tol=tol, max_terms=2**13))[3])
+    assert "divergent" in verdicts and "truncation_limit" in verdicts
 
 
 @pytest.mark.parametrize("digits", range(16, 53))
