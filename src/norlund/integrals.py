@@ -722,8 +722,11 @@ def zero_extension(
     """The function equal to f on the closed interval [lo, hi], zero outside.
 
     Either bound may be None, or an infinity, for a half-line; a NaN
-    bound is a ValueError.  The extension makes any function of bounded
-    support strictly integrable.
+    bound is a ValueError.  A strict series sums past exact zeros before
+    the support, so the extension makes a function of bounded support
+    strictly integrable unless a strict series meets 34 or more grid
+    points before the support: its first 34 terms are then exactly zero
+    (a 33-term window and one confirmation), and it is read as all zero.
     """
     for name, bound in (("lo", lo), ("hi", hi)):
         if bound is not None and math.isnan(bound):

@@ -116,6 +116,17 @@ def test_diff_rejects_a_step_below_the_resolution_of_t(capsys, step_flags, diagn
     assert report["diagnostics"] == [diagnostic]
 
 
+def test_a_strict_series_with_leading_zeros_is_summed_past_them(capsys):
+    # The backward series at 1.3 reads f(1.3) = f(0.3) = 0 before its support.
+    f = lambda t: (abs(t) - t) * math.exp(t)  # noqa: E731
+    oracle = math.fsum(f(1.3 - k) for k in range(2000)) - math.fsum(f(-0.5 - k) for k in range(2000))
+    code = main(["eval", "--expr", "(abs(t)-t)*exp(t)", "--a", "-0.5", "--b", "1.3",
+                 "--beta", "1", "--mode", "strict", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert abs(report["result"]["value"] - oracle) <= 1e-12
+
+
 def test_check_cauchy_schwarz(capsys):
     code = main(
         ["check", "--kind", "cs", "--f", "1", "--g", "t", "--a", "0", "--b", "3",

@@ -168,6 +168,21 @@ def test_overflowing_power_on_a_strict_term_raises_at_its_point():
     assert str(err.value) == "function value at t=0.0 is non-finite (inf)"
 
 
+@pytest.mark.parametrize(
+    "check, p",
+    [(holder_check, (3.0,)), (cauchy_schwarz_check, ()), (minkowski_check, (3.0,))],
+)
+def test_a_negative_off_grid_power_integral_still_gives_a_real_rhs(check, p):
+    # Off the grid a strict side is a difference of two series, and here the
+    # integral of a power of |f| comes out negative (about -0.004 for |f|^3):
+    # its fractional power would be complex (holder, minkowski) or a math
+    # domain error (cs).
+    f = lambda t: t * math.exp(-t) if t > 0 else 0.0  # noqa: E731
+    g = lambda t: math.exp(-t)  # noqa: E731
+    report = check(f, g, 0.3, 0.35, StepPair(1.0, 0.0), *p, IntegralMode.STRICT, SeriesConfig(tol=1e-12))
+    assert type(report.rhs) is float and math.isfinite(report.rhs)
+
+
 def test_checks_require_increasing_interval():
     with pytest.raises(ValueError):
         holder_check(ONE, ONE, 2.0, 0.0, StepPair(1.0, 1.0), p=2.0)

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from norlund import NonFiniteTermError, SeriesConfig, Verdict, series, sum_series
 
 
-def test_zero_series_converges_within_warmup():
+def test_zero_series_converges_after_one_window():
+    # a zero remainder needs a whole window of zeros, then its confirmations
     r = sum_series(lambda k: 0.0)
     assert r.value == 0.0
     assert r.verdict is Verdict.CONVERGED
-    assert r.terms_used <= series._WARMUP
+    assert r.terms_used <= series._STALL_WINDOW + series._CONFIRMATIONS
 
 
 def test_geometric_half_matches_closed_form():
@@ -37,6 +38,14 @@ def test_odd_reciprocal_squares_against_closed_form():
     r = sum_series(lambda k: 1.0 / (1.0 + 2.0 * k) ** 2, SeriesConfig(tol=1e-6))
     assert r.verdict is Verdict.CONVERGED
     assert abs(r.value - math.pi**2 / 8.0) <= 1e-5
+
+
+def test_leading_zeros_are_not_read_as_the_end_of_the_series():
+    # 0 + 0 + 1/4 + 1/8 + ... = 1/2; two leading zeros once read as converged at 0.0
+    cfg = SeriesConfig(tol=1e-9)
+    r = sum_series(lambda k: 0.0 if k < 2 else 0.5**k, cfg)
+    assert r.verdict is Verdict.CONVERGED
+    assert abs(r.value - 0.5) <= cfg.tol
 
 
 def test_plateau_then_zero_is_summed_not_misdeclared():
@@ -447,7 +456,10 @@ def _reference_sum_series(term, cfg=None):
         span = win if k >= win else k
         oldest = window[(k - span) % slots]
         if abs_a == 0.0:
-            tail = 0.0
+            # Zero only after a nonzero term 32 back, or after 33 zeros in a
+            # row: leading zeros are no end of the series.
+            back = window[(k - win) % slots] if k >= win else 0.0
+            tail = 0.0 if back > 0.0 or (k >= win and max(window) == 0.0) else math.inf
         elif span == 0:
             tail = math.inf
         else:
