@@ -726,7 +726,7 @@ def zero_extension(
     the support, so the extension makes a function of bounded support
     strictly integrable unless a strict series meets 34 or more grid
     points before the support: its first 34 terms are then exactly zero
-    (a 33-term window and one confirmation), and it is read as all zero.
+    (a 33-term window of zeros, then one more), and it is read as all zero.
     """
     for name, bound in (("lo", lo), ("hi", hi)):
         if bound is not None and math.isnan(bound):

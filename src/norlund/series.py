@@ -252,16 +252,15 @@ def _geometric_tail(window: list, k: int) -> float:
     rho >= 1 or there is no usable ratio (k = 0, or a restart after an
     exact zero).  For span = 32 and r < 1, rho (1 - r) = (1 - rho)(rho
     + rho^2 + ... + rho^32) >= 32 r (1 - rho), so the remainder is at
-    least 32 |a_k| r / (1 - r).  An exact zero reads a zero remainder only
-    where a_{k-32} is nonzero or all 33 slots are zero (k >= 32): leading
+    least 32 |a_k| r / (1 - r).  An exact zero reads a zero remainder
+    once a nonzero term or a whole window (k >= 32) has been read: leading
     zeros are no end of the series, so they read an infinite one.
     """
     slots = len(window)
     span = min(k, slots - 1)
     abs_a = window[k % slots]
-    if abs_a == 0.0:  # slot (k + 1) % slots holds a_{k-32}, or 0.0 while k < 32
-        all_zero = span == slots - 1 and not any(window)
-        return 0.0 if window[(k + 1) % slots] > 0.0 or all_zero else math.inf
+    if abs_a == 0.0:  # while k < 32 the slots past k still hold 0.0
+        return 0.0 if k >= slots - 1 or any(window) else math.inf
     oldest = window[(k - span) % slots]
     if span == 0 or not oldest > 0.0:
         return math.inf

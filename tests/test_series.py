@@ -48,6 +48,14 @@ def test_leading_zeros_are_not_read_as_the_end_of_the_series():
     assert abs(r.value - 0.5) <= cfg.tol
 
 
+def test_zeros_at_every_other_term_are_summed_past():
+    # the odd terms are zero: 1 + 3^-3 + 5^-3 + ... = 7/8 zeta(3)
+    cfg = SeriesConfig(tol=1e-6)
+    r = sum_series(lambda k: 0.0 if k % 2 else (k + 1.0) ** -3, cfg)
+    assert r.verdict is Verdict.CONVERGED
+    assert abs(r.value - 7.0 / 8.0 * 1.2020569031595942) <= cfg.tol
+
+
 def test_plateau_then_zero_is_summed_not_misdeclared():
     r = sum_series(lambda k: 1.0 if k < 200 else 0.0)
     assert r.verdict is Verdict.CONVERGED
@@ -456,10 +464,9 @@ def _reference_sum_series(term, cfg=None):
         span = win if k >= win else k
         oldest = window[(k - span) % slots]
         if abs_a == 0.0:
-            # Zero only after a nonzero term 32 back, or after 33 zeros in a
-            # row: leading zeros are no end of the series.
-            back = window[(k - win) % slots] if k >= win else 0.0
-            tail = 0.0 if back > 0.0 or (k >= win and max(window) == 0.0) else math.inf
+            # Zero once a nonzero term, or a whole window of 33 terms, has
+            # been read: leading zeros are no end of the series.
+            tail = 0.0 if k >= win or max(window) > 0.0 else math.inf
         elif span == 0:
             tail = math.inf
         else:
