@@ -12,7 +12,8 @@ points outside [a, b], which the samples miss (ROADMAP item 5).  Each
 check writes its integrands once, as rows over f's and g's values at a
 point, such as abs(x*y) and abs(x)**p; integrals._Integrals compiles
 them into one fused loop per telescoped side, which reads f and g at
-most once per distinct grid point, and a pointwise function per row.
+most once per point of a run (integrals.Samples), a grid that is no
+slice of it afresh, and a pointwise function per row.
 """
 
 from __future__ import annotations

@@ -28,11 +28,11 @@ at each point, so a read that raises yields nothing.  A plain integral's
 on_grid walks the grid once and reads f through it.  The seven verifiers
 (five checks, ftc and ibp) write each integrand once, as a row that
 _Integrals compiles, and read f and g through Samples at most once per
-distinct grid point, walking each side once.  Only when on_grid raises
-or its total is not finite does the side walk its grid again and call
-the integrand point by point, up to the first fault, so the fault is
-raised as f itself raises it; a plain integral whose f faults thus calls
-f again up to the fault.
+point of a run, walking each side once; a block that is no slice of the
+run is read afresh.  Only when on_grid raises or its total is not finite
+does the side walk its grid again and call the integrand point by point,
+up to the first fault, so the fault is raised as f itself raises it; a
+plain integral whose f faults thus calls f again up to the fault.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from functools import cache, partial, reduce
-from itertools import chain, filterfalse
+from itertools import chain
 from operator import add, gt, lt, neg
 
 from ._record import Record
@@ -106,52 +106,38 @@ def _reader(f: RealFunction) -> Callable[[Sequence[float]], list]:
     return getattr(f, "column", None) or (lambda points: list(map(f, points)))
 
 
-def _keys(points: Sequence[float]) -> Sequence:
-    """points as dict keys: -0.0 == 0.0 as dict keys, so a zero is keyed
-    by its sign and itself."""
-    return [t or (math.copysign(1.0, t), t) for t in points] if 0.0 in points else points
-
-
 class Samples:
-    """A function's raw values by point, each point evaluated at most once.
+    """A function's raw values at a run of points, each read at most once.
 
-    -0.0 and 0.0 are distinct points; an int point and an equal float are
-    one, as dict keys are.  A read goes a block of _BLOCK points at a time.
-    The values live in one store at a time, and every f reads through
-    _reader(f): its column form, or else f at each point.  Samples first
-    keeps what it reads as one run: the distinct points read so far, in
-    the order of the first read (ascending or descending), with their
-    values.  A block that is a slice of the run, in either order and at
-    any stride, is served by slicing the run, checked by one list
-    comparison; new points past the run's end extend it, and only they
-    are read, in one call, in the block's order.  The first block that is
-    no such slice moves the run into a dict keyed by point, for good.
-    That block and every later one then read the dict: the block's unread
-    distinct points are read in one call.  A read that raises lets the
-    exception out and stores nothing for its block.  A point not stored
-    is evaluated again when read again.
+    Samples keeps one store, the run: the points read so far in the order
+    of the first read (ascending or descending), each once, with their
+    values.  -0.0 and 0.0 are distinct points; an int point and an equal
+    float are one, as == compares them.  A read goes a block of _BLOCK
+    points at a time, and every f reads through _reader(f): its column
+    form, or else f at each point.  A block that is a slice of the run,
+    in either order and at any stride, is served by slicing the run,
+    checked by one list comparison; new points past the run's end extend
+    it, and only they are read, in one call, in the block's order.  Any
+    other block is read afresh in one call of exactly its points, in its
+    order, and stored nowhere, so a point off the run is read again when
+    read again.  A read that raises lets the exception out and stores
+    nothing for its block.
     """
 
     def __init__(self, f: RealFunction):
         self.f, self.read = f, _reader(f)
-        # The run's points, monotone, and their values; None while the dict holds the values.
-        self.points, self.run = [], []
+        self.points, self.run = [], []  # the run's points, monotone, and their values
         self.down = False  # whether the run descends
-        self.values = {}  # the values by point, once the run is keyed
 
     def column(self, points: Sequence[float]) -> list:
-        """f's raw values at points, in order, evaluating the unread ones."""
+        """f's raw values at points, in order, reading those not in the run."""
         blocks = [self._block(block) for block in _blocks(points)]
         return blocks[0] if len(blocks) == 1 else list(chain.from_iterable(blocks))
 
     def _block(self, block: Sequence[float]) -> list:
-        if self.points is not None:
-            values = self._slice(block if type(block) is list else list(block))
-            if values is not None:
-                return values
-            self.values.update(zip(_keys(self.points), self.run))
-            self.points = self.run = None
-        return self._keyed(block)
+        block = block if type(block) is list else list(block)
+        values = self._slice(block)
+        return self.read(block) if values is None else values  # off the run: read, not stored
 
     def _slice(self, block: list) -> list | None:
         """The block's values as a slice of the run, its points past the
@@ -189,14 +175,6 @@ class Samples:
             run += read[::-1] if flip else read
             values = (read + values if flip else values + read) if values else read
         return values
-
-    def _keyed(self, block: Sequence[float]) -> list:
-        values, keys = self.values, _keys(block)
-        unread = list(dict.fromkeys(filterfalse(values.__contains__, keys) if values else keys))
-        if unread:
-            ts = unread if keys is block else [k[1] if type(k) is tuple else k for k in unread]
-            values.update(zip(unread, self.read(ts)))  # a read that raises stores nothing
-        return list(map(values.__getitem__, keys))
 
     def column_or_calls(self, points: Sequence[float]) -> Iterable:
         """f's raw values at points, read lazily block by block: a block's
@@ -649,9 +627,9 @@ def ftc_residuals(
     r1 is the largest deviation of the forward difference of the
     accumulated integral from f itself over the grid points a + k*alpha
     up to b; r2 is the deviation of the integral of the forward
-    difference of f from f(b) - f(a).  f is read at most once per
-    distinct point, unless r2 takes the strict route or f raises, when
-    f is called again up to the fault.
+    difference of f from f(b) - f(a).  f is read at most once per point
+    of a run (Samples), unless r2 takes the strict route or f raises,
+    when f is called again up to the fault.
     """
     _require_positive(alpha, "alpha")
     _require_finite(a, "a")
@@ -698,10 +676,11 @@ def integration_by_parts_residual(
     LHS integrates f(t) times the forward difference of g; RHS is the
     boundary term f*g evaluated at b minus at a, less the integral of
     the forward difference of f times g shifted one step ahead.  On the
-    telescoped route f and g are read at most once per distinct point;
-    t + alpha shares a read with the next grid point when the two floats
-    are equal.  A value of f or g at a or b that is not finite, or a
-    boundary term that overflows, raises NonFiniteValueError.
+    telescoped route f and g are read at most once per point of a run:
+    t + alpha shares the next grid point's read where a whole block of
+    them equals the grid bitwise.  A value of f or g at a or b that is
+    not finite, or a boundary term that overflows, raises
+    NonFiniteValueError.
     """
     _require_positive(alpha, "alpha")
     integral = _Integrals(forward_integral, f, g, a, b, alpha, IntegralMode.AUTO, cfg,

@@ -52,6 +52,18 @@ def test_eval_divergent_strict_errors(capsys):
     assert "status = error" in out
 
 
+@pytest.mark.xfail(strict=True, reason="a log-divergent endpoint series settles (ROADMAP item 13)")
+def test_a_strict_log_divergent_integrand_is_not_integrable(capsys):
+    # sum 1/(n ln n) diverges, so neither endpoint series of 1/(t ln t) has a
+    # sum.  Both end settled after 32,784 terms, tails 1.096, and the eval
+    # prints value = 0.001088037080067368 with status = ok.
+    code = main(["eval", "--expr", "1/(t*ln(t))", "--a", "100", "--b", "100.5", "--alpha", "1",
+                 "--mode", "strict", "--tol", "1e-6"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "NotIntegrableError" in out
+
+
 def test_eval_rejects_two_zero_steps(capsys):
     code = main(["eval", "--expr", "t", "--a", "0", "--b", "1", "--alpha", "0", "--beta", "0"])
     assert code == 2

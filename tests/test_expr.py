@@ -514,7 +514,7 @@ def _assert_column_agrees(tree, points):
         got = evaluate_column(tree, points)
         assert [type(v) for v in got] == [type(v) for v in want], (format(tree), points)
         assert [v.hex() for v in map(float, got)] == [v.hex() for v in map(float, want)]
-    # Samples keys points by value: an int point shares the value of an equal float.
+    # Samples' run matches points by value: an int point shares the value of an equal float.
     points = [float(t) for t in points]
     want = _walk_column(tree, points)
     if not isinstance(want, Exception):

@@ -56,6 +56,16 @@ def test_zeros_at_every_other_term_are_summed_past():
     assert abs(r.value - 7.0 / 8.0 * 1.2020569031595942) <= cfg.tol
 
 
+@pytest.mark.xfail(strict=True, reason="two exact zeros inside a series read as its end")
+def test_two_zeros_inside_a_series_are_not_read_as_its_end():
+    # Two zeros every 40 terms: the pair at k = 40, 41 reads as a zero
+    # remainder, converged after 42 terms at 0.3702439630069354.
+    cfg = SeriesConfig(tol=1e-6)
+    r = sum_series(lambda k: 0.0 if k % 40 in (0, 1) else (k + 1.0) ** -2, cfg)
+    total = 0.3929836449487343  # math.fsum of the first 10^6 terms
+    assert r.verdict is not Verdict.CONVERGED or abs(r.value - total) <= cfg.tol
+
+
 def test_plateau_then_zero_is_summed_not_misdeclared():
     r = sum_series(lambda k: 1.0 if k < 200 else 0.0)
     assert r.verdict is Verdict.CONVERGED
