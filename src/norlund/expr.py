@@ -21,7 +21,8 @@ exponent part.  Unary functions: abs, exp, ln, sqrt, sin, cos;
 pow(x, y) is the binary power function.
 
 evaluate(e, t) evaluates e at one point; evaluate_column(e, points) at
-many, a node at a time, as the column form integrals.Samples reads.
+many, a node at a time, as the column form a check's sides read a
+block at a time.
 evaluate raises a domain fault as a DomainFaultError naming the node,
 the point and the reason of the first fault in the grammar's order: left
 to right, except that a denominator comes before its numerator.

@@ -11,19 +11,21 @@ sides then read, each walked once.  A strict side also reads series
 points outside [a, b], which the samples miss (ROADMAP item 5).  Each
 check writes its integrands once, as rows over f's and g's values at a
 point, such as abs(x*y) and abs(x)**p; integrals._Integrals compiles
-them into one fused loop per telescoped side, which reads f and g at
-most once per point of a run (integrals.Samples), a grid that is no
-slice of it afresh, and a pointwise function per row.
+them into one fused loop per telescoped side, which reads f and g a
+block at a time and sums each block as it reads it, and a pointwise
+function per row.  The samples and each side are separate reads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import chain
 
 from ._record import Record
 from .errors import BadExponentError, HypothesisFailedError, NegativeWeightError
-from .integrals import IntegralMode, IntegralResult, _blocks, _Integrals, symmetric_integral
+from .integrals import (IntegralMode, IntegralResult, _blocks, _column_or_calls, _Integrals,
+                        symmetric_integral)
 from .operators import RealFunction, StepPair, _require_finite
 from .series import SeriesConfig
 
@@ -191,7 +193,7 @@ def comparison_check(
     _require_interval(a, b)
     integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg, ("x", "y"))
     for points in integral.sampled(steps):
-        xs, ys = integral.f.column_or_calls(points), integral.g.column_or_calls(points)
+        xs, ys = (chain.from_iterable(_column_or_calls(h, points)) for h in (f, g))
         for t, x, y in zip(points, xs, ys):
             f_value, g_value = float(x), float(y)
             if abs(f_value) > g_value:
@@ -220,7 +222,7 @@ def mvt_constant(
     integral = _Integrals(symmetric_integral, f, g, a, b, steps, mode, cfg, ("x*y", "y"))
     grids = integral.sampled(steps)
     for points in grids:
-        for block, values in zip(_blocks(points), integral.g.blocks(points)):
+        for block, values in zip(_blocks(points), _column_or_calls(g, points)):
             if not _weights_pass(values):
                 for t, y in zip(block, values):
                     g_value = float(y)
@@ -228,7 +230,8 @@ def mvt_constant(
                         raise NegativeWeightError(t, g_value)
 
     weighted, weight = map(integral, range(2))
-    f_values = [float(x) for points in grids for x in integral.f.column_or_calls(points)]
+    f_values = [float(x) for points in grids
+                for x in chain.from_iterable(_column_or_calls(f, points))]
     m, M = min(f_values), max(f_values)
     if abs(weight.value) <= _viol_tol(weighted.value, weight.value):
         return MvtReport(0.0, m, M, True)

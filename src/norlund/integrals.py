@@ -27,23 +27,25 @@ One rule, _reader, reads f a block at a time: its column form, or else f
 at each point, so a read that raises yields nothing.  A plain integral's
 on_grid walks the grid once and reads f through it.  The seven verifiers
 (five checks, ftc and ibp) write each integrand once, as a row that
-_Integrals compiles, and read f and g through Samples at most once per
-point of a run, walking each side once; a block that is no slice of the
-run is read afresh.  Only when on_grid raises or its total is not finite
-does the side walk its grid again and call the integrand point by point,
-up to the first fault, so the fault is raised as f itself raises it; a
-plain integral whose f faults thus calls f again up to the fault.
+_Integrals compiles, and walk each side once.  Each telescoped side reads
+its own grid once, one column call per block, and sums the block as it
+reads it, keeping no value past it; its shifted points (t + h) are a
+column of their own, and a check's sampled grids and boundary values are
+separate reads, through _column_or_calls.  Only when on_grid raises or
+its total is not finite does the side walk its grid again and call the
+integrand point by point, up to the first fault, so the fault is raised
+as f itself raises it; a plain integral whose f faults thus calls f
+again up to the fault.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from functools import cache, partial, reduce
 from itertools import chain
-from operator import add, gt, lt, neg
+from operator import add
 
 from ._record import Record
 from .errors import NonFiniteTermError, NonFiniteValueError, NotAlignedError, NotIntegrableError
@@ -106,93 +108,18 @@ def _reader(f: RealFunction) -> Callable[[Sequence[float]], list]:
     return getattr(f, "column", None) or (lambda points: list(map(f, points)))
 
 
-class Samples:
-    """A function's raw values at a run of points, each read at most once.
-
-    Samples keeps one store, the run: the points read so far in the order
-    of the first read (ascending or descending), each once, with their
-    values.  -0.0 and 0.0 are distinct points; an int point and an equal
-    float are one, as == compares them.  A read goes a block of _BLOCK
-    points at a time, and every f reads through _reader(f): its column
-    form, or else f at each point.  A block that is a slice of the run,
-    in either order and at any stride, is served by slicing the run,
-    checked by one list comparison; new points past the run's end extend
-    it, and only they are read, in one call, in the block's order.  Any
-    other block is read afresh in one call of exactly its points, in its
-    order, and stored nowhere, so a point off the run is read again when
-    read again.  A read that raises lets the exception out and stores
-    nothing for its block.
-    """
-
-    def __init__(self, f: RealFunction):
-        self.f, self.read = f, _reader(f)
-        self.points, self.run = [], []  # the run's points, monotone, and their values
-        self.down = False  # whether the run descends
-
-    def column(self, points: Sequence[float]) -> list:
-        """f's raw values at points, in order, reading those not in the run."""
-        blocks = [self._block(block) for block in _blocks(points)]
-        return blocks[0] if len(blocks) == 1 else list(chain.from_iterable(blocks))
-
-    def _block(self, block: Sequence[float]) -> list:
-        block = block if type(block) is list else list(block)
-        values = self._slice(block)
-        return self.read(block) if values is None else values  # off the run: read, not stored
-
-    def _slice(self, block: list) -> list | None:
-        """The block's values as a slice of the run, its points past the
-        run's end read and appended; None if the block is no such slice."""
-        points, run = self.points, self.run
-        if not points:  # the run takes its first read's order, so that its later blocks append
-            self.down = len(block) > 1 and block[0] > block[-1]
-        down, flip = self.down, len(block) > 1 and (block[0] > block[-1]) != self.down
-        seq = block[::-1] if flip else block  # in the run's order, if a slice at all
-
-        def find(items, x, start=0, past=False):  # bisection in the run's order
-            return (bisect_right if past else bisect_left)(
-                items, -x if down else x, start, key=neg if down else None)
-
-        # However seq is ordered, bisection leaves after[0] behind points[-1].
-        hi = find(seq, points[-1], past=True) if points else 0
-        middle, after = seq[:hi], seq[hi:]
-        if not all(map(gt if down else lt, after, after[1:])):  # new points keep the run's order
-            return None
-        values = []
-        if middle:  # run[i], run[i + step], ...: one list comparison checks the points
-            i = find(points, middle[0])
-            step = find(points, middle[1], i + 1) - i if len(middle) > 1 else 1
-            stop = i + step * (len(middle) - 1) + 1
-            z = find(points, 0.0)  # the run's zero, if any, must match by sign too
-            if points[i:stop:step] != middle or i <= z < stop and not (z - i) % step and \
-                    math.copysign(1.0, points[z]) != math.copysign(1.0, middle[(z - i) // step]):
-                return None
-            values = run[i:stop:step]
-            if flip:
-                values.reverse()
-        if after:
-            read = self.read(after[::-1] if flip else after)  # a read that raises stores nothing
-            points += after
-            run += read[::-1] if flip else read
-            values = (read + values if flip else values + read) if values else read
-        return values
-
-    def column_or_calls(self, points: Sequence[float]) -> Iterable:
-        """f's raw values at points, read lazily block by block: a block's
-        column, or, if that raises, f at each of its points.  A caller that
-        checks each value as it iterates then meets the first fault in
-        point order, as a loop calling f would."""
-        return chain.from_iterable(self.blocks(points))
-
-    def blocks(self, points: Sequence[float]) -> Iterable:
-        """column_or_calls a block at a time: per block of _blocks(points),
-        its values as a list, or f at each point as a lazy map."""
-        return map(self._column_or_calls, _blocks(points))
-
-    def _column_or_calls(self, block: Sequence[float]) -> Iterable:
+def _column_or_calls(f: RealFunction, points: Sequence[float]) -> Iterable[Iterable]:
+    """f's raw values at points, read lazily a block of _BLOCK at a time:
+    per block, _reader(f)'s list, or where that raises, a lazy map of f
+    over the block.  A caller that checks each value as it iterates then
+    meets the first fault in point order, as a loop calling f would."""
+    read = _reader(f)
+    for block in _blocks(points):
         try:
-            return self._block(block)
-        except Exception:
-            return map(self.f, block)
+            values = read(block)
+        except Exception:  # the caller meets the fault as it calls f up to it
+            values = map(f, block)
+        yield values
 
 
 # A row's reads of f and g at its point t, by name, in the order the row
@@ -220,8 +147,9 @@ def _compiled(lines: list[str]):
 @cache
 def _loop(rows: tuple[str, ...], constants: tuple[str, ...]):
     """The columns a check's fused loop reads, and the loop, which adds
-    float(row) into row i's total from 0.0, left to right, over blocks of
-    column slices; its quotients are unchecked, so a fault shows in a total."""
+    float(row) into row i's total from 0.0, left to right, over blocks, each
+    a tuple of those columns' values at one block of points; its quotients
+    are unchecked, so a fault shows in a total."""
     named = {n for row in rows for n in _reads(row)}
     quotients = [q for q in ("dx", "dy") if q in named]
     # The columns the loop reads: unshifted before shifted, f before g.
@@ -257,15 +185,14 @@ class _Integrals:
     the step of a shift), which reach the compiled code only as arguments.
     Calling it with i integrates row i by integrate(integrand, a, b, steps,
     mode, cfg).  A telescoped side's fused loop, run on its first integral,
-    gives every row's total, each NaN where the row cannot be summed from
-    the columns read, so the row's fault pass runs; strict terms and fault
-    passes call the pointwise code.
+    gives every row's total, all NaN where the loop raises, so each row's
+    fault pass runs; strict terms and fault passes call the pointwise code.
     """
 
     def __init__(self, integrate, f, g, a, b, steps, mode, cfg, rows, **constants):
         _require_mode(mode)  # before a hypothesis check reads f or g
         self.integrate = integrate
-        self.f, self.g = Samples(f), Samples(g)
+        self.f, self.g = f, g
         self.args = (a, b, steps, mode, cfg)
         self.rows, self.constants = rows, constants
         self.points = {}  # by row: its pointwise function, once compiled
@@ -286,37 +213,30 @@ class _Integrals:
         return list(grids.values())
 
     def side(self, direction: GridDirection, walk: GridWalk) -> tuple[float, ...]:
-        """Each row's total on direction's side; on first use, the fused
-        loop over the columns read at its sampled points, or at its walk;
-        where that raises, each row's own loop over the columns read."""
+        """Each row's total on direction's side, by the fused loop run on
+        first use over its sampled points, or else its walk: each column is
+        read a block at a time, at the block or, shifted, at its points
+        plus h, and none outlives its block.  Where the loop raises, every
+        total is NaN, so each row's fault pass runs."""
         if direction not in self.totals:
             points = self.walks.pop(direction) if direction in self.walks else walk()
-            columns = {}
+            names, loop = _loop(self.rows, tuple(self.constants))
+            h = self.constants.get("h")
+            # Unshifted, the walk's own blocks: t + 0.0 would turn -0.0 into 0.0.
+            columns = [map(_reader(self.f if c[0] == "x" else self.g),
+                           ([t + h for t in block] for block in _blocks(points)) if c[1:]
+                           else _blocks(points)) for c in names]
             try:
-                # The walk's own points when unshifted: t + 0.0 would turn -0.0 into 0.0.
-                moved = [t + self.constants["h"] for t in points] if "h" in self.constants else None
-                for c in _loop(self.rows, tuple(self.constants))[0]:
-                    samples = self.f if c[0] == "x" else self.g
-                    columns[c] = samples.column(moved if c[1:] else points)
+                self.totals[direction] = loop(zip(*columns), **self.constants)
             except Exception:
-                pass  # a row whose columns were all read is still summed
-            self.totals[direction] = self._totals(self.rows, columns) or tuple(
-                (self._totals((row,), columns) or (math.nan,))[0] for row in self.rows)
+                self.totals[direction] = (math.nan,) * len(self.rows)
         return self.totals[direction]
-
-    def _totals(self, rows: tuple[str, ...], columns: dict) -> tuple[float, ...] | None:
-        """rows' totals by their fused loop; None where it raises, as on a column not read."""
-        names, loop = _loop(rows, tuple(self.constants))
-        try:
-            return loop(zip(*(_blocks(columns[c]) for c in names)), **self.constants)
-        except Exception:
-            return None
 
     def at(self, i: int, t: float):
         """Row i's raw value at t, its pointwise function compiled on first use."""
         if i not in self.points:
             pointwise = _pointwise(self.rows[i], tuple(self.constants))
-            self.points[i] = pointwise(self.f.f, self.g.f, **self.constants)
+            self.points[i] = pointwise(self.f, self.g, **self.constants)
         return self.points[i](t)
 
     def __call__(self, i: int) -> IntegralResult:
@@ -627,9 +547,10 @@ def ftc_residuals(
     r1 is the largest deviation of the forward difference of the
     accumulated integral from f itself over the grid points a + k*alpha
     up to b; r2 is the deviation of the integral of the forward
-    difference of f from f(b) - f(a).  f is read at most once per point
-    of a run (Samples), unless r2 takes the strict route or f raises,
-    when f is called again up to the fault.
+    difference of f from f(b) - f(a).  f is read on the sampled grid for
+    r1, at that grid less b and, shifted, at its points plus alpha for a
+    telescoped r2, and at b and a; where f raises, it is called again up
+    to the fault.
     """
     _require_positive(alpha, "alpha")
     _require_finite(a, "a")
@@ -643,10 +564,10 @@ def ftc_residuals(
     # The accumulated integral at a + k*alpha is alpha times the running
     # sum of f over the k grid points before it, added left to right as
     # the telescoped route adds them, so each value is bit-identical to
-    # antiderivative(f, a, alpha)(a + k*alpha).  f is read as one column,
-    # and the loop raises the first fault in point order.
+    # antiderivative(f, a, alpha)(a + k*alpha).  f is read a block at a
+    # time, and the loop raises the first fault in point order.
     r1 = total = lower = 0.0
-    for x, value in zip(points, integral.f.column_or_calls(points)):
+    for x, value in zip(points, chain.from_iterable(_column_or_calls(f, points))):
         value = _finite(x, value)
         total += value
         upper = alpha * total
@@ -659,7 +580,7 @@ def ftc_residuals(
         lower = upper
 
     r2 = integral(0).value
-    fb, fa = integral.f.column_or_calls((b, a))
+    fb, fa = chain.from_iterable(_column_or_calls(f, (b, a)))
     return r1, abs(r2 - (fb - fa))
 
 
@@ -676,18 +597,17 @@ def integration_by_parts_residual(
     LHS integrates f(t) times the forward difference of g; RHS is the
     boundary term f*g evaluated at b minus at a, less the integral of
     the forward difference of f times g shifted one step ahead.  On the
-    telescoped route f and g are read at most once per point of a run:
-    t + alpha shares the next grid point's read where a whole block of
-    them equals the grid bitwise.  A value of f or g at a or b that is
-    not finite, or a boundary term that overflows, raises
-    NonFiniteValueError.
+    telescoped route the two integrals share one read of the side: f and
+    g at the grid's points and, shifted, at the points plus alpha; then f
+    and g are read at b and a.  A value of f or g at a or b that is not
+    finite, or a boundary term that overflows, raises NonFiniteValueError.
     """
     _require_positive(alpha, "alpha")
     integral = _Integrals(forward_integral, f, g, a, b, alpha, IntegralMode.AUTO, cfg,
                           ("x*dy", "dx*y1"), h=alpha)
     lhs = integral(0).value
-    fb, fa = map(_finite, (b, a), integral.f.column_or_calls((b, a)))
-    gb, ga = map(_finite, (b, a), integral.g.column_or_calls((b, a)))
+    fb, fa = map(_finite, (b, a), chain.from_iterable(_column_or_calls(f, (b, a))))
+    gb, ga = map(_finite, (b, a), chain.from_iterable(_column_or_calls(g, (b, a))))
     boundary = fb * gb - fa * ga
     if not math.isfinite(boundary):
         term = f"the boundary term f(b)*g(b) - f(a)*g(a) from {a!r} to {b!r}"

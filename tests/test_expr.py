@@ -1,5 +1,6 @@
 import gc
 import importlib
+import itertools
 import math
 import random
 import sys
@@ -13,7 +14,7 @@ from norlund import DomainFaultError, ExprSyntaxError, UnknownIdentifierError
 from norlund import expr as expr_module
 from norlund.cli import _function
 from norlund.expr import Bin, Call, Const, Neg, Num, Var, evaluate, evaluate_column, format, parse
-from norlund.integrals import Samples
+from norlund.integrals import _column_or_calls
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +487,7 @@ def test_evaluate_agrees_with_tree_walk(rng, depth, t, u):
 
 # ----------------------------------------------------------------------
 # Column differential: evaluate_column and the CLI's function, read as
-# integrals.Samples reads it, against the tree walk, point by point
+# integrals._column_or_calls reads it, against the tree walk, point by point
 # ----------------------------------------------------------------------
 
 
@@ -501,7 +502,7 @@ def _walk_column(tree, points):
 def _assert_column_agrees(tree, points):
     """evaluate_column gives each point the tree walk's float, bit for bit,
     or raises if the walk faults at any point; and the CLI's function of
-    the tree, read by Samples.column_or_calls, gives the same floats or
+    the tree, read by integrals._column_or_calls, gives the same floats or
     raises the walk's first fault in point order: the same type, and for
     a domain fault the same reason, point and node."""
     f = _function(format(tree))
@@ -514,15 +515,15 @@ def _assert_column_agrees(tree, points):
         got = evaluate_column(tree, points)
         assert [type(v) for v in got] == [type(v) for v in want], (format(tree), points)
         assert [v.hex() for v in map(float, got)] == [v.hex() for v in map(float, want)]
-    # Samples' run matches points by value: an int point shares the value of an equal float.
+    # Float points, so that each value read has a float.hex to compare.
     points = [float(t) for t in points]
     want = _walk_column(tree, points)
     if not isinstance(want, Exception):
-        got = Samples(f).column_or_calls(points)
+        got = itertools.chain.from_iterable(_column_or_calls(f, points))
         assert [v.hex() for v in got] == [v.hex() for v in want], (format(tree), points)
         return
     with pytest.raises(type(want)) as err:
-        list(Samples(f).column_or_calls(points))
+        list(itertools.chain.from_iterable(_column_or_calls(f, points)))
     assert type(err.value) is type(want), (format(tree), points)
     if isinstance(want, DomainFaultError):
         assert (err.value.reason, err.value.t) == (want.reason, want.t), (format(tree), points)

@@ -4,20 +4,18 @@ and memory of functions that offer a column form.
 
 The reference below is written from scratch: every integral of a check
 calls f and g at each grid point it needs, in the order the checks have
-always read them.  The library reads f and g at most once per point of a
-run on the telescoped route, and reads any other block afresh, so it must
-give the same bits and the same first fault: exception type, point and
-message.
+always read them.  The library's telescoped sides read f and g once per
+side, a block at a time, and sum each block as they read it, so they
+must give the same bits and the same first fault: exception type, point
+and message.
 """
 
 from __future__ import annotations
 
-import collections
 import gc
 import itertools
 import json
 import math
-import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -384,21 +382,73 @@ def test_a_power_that_overflows_on_one_side_faults_there_after_the_other_side(ki
     assert want[:2] == ("raise", "NonFiniteValueError") and want[3] == (5.5).hex()
 
 
-def test_a_row_that_faults_alone_leaves_the_other_rows_their_totals():
+def test_a_row_that_faults_alone_faults_at_the_reference_point_in_its_fault_pass():
     # On [0, 600] with steps (1, 0.5), 3**700 overflows in the backward
-    # side's abs(x)**p row only.  That row's fault pass calls f up to
-    # t=599.5; the product and g rows keep the totals the columns gave.
-    # The forward grid is the run (600 points) and the backward walk is no
-    # slice of it, so its 1,200 points are read afresh: 1,800 reads of each
-    # of f and g, and f twice more in the fault pass (3,002 and 3,000 calls
-    # when every row of the side ran a fault pass).
+    # side's abs(x)**p row only, at its second point, t=599.5.  The fused
+    # loop raises there, having read the first block of f and of g (1,024
+    # points), so every row of the side is summed by its fault pass: the
+    # product row calls f and g at all 1,200 points, finite, and the power
+    # row calls f up to t=599.5.  With the forward side's 600 reads of each,
+    # f is called 2,826 times and g 2,824.
     f, f_calls = counted(lambda t: 3.0 if t % 1.0 else 0.5)
     g, g_calls = counted(lambda t: 1.25)
     with pytest.raises(NonFiniteValueError) as err:
         holder_check(f, g, 0.0, 600.0, StepPair(1.0, 0.5), 700.0)
     assert err.value.point == 599.5
     assert str(err.value) == "function value at t=599.5 is non-finite (inf)"
-    assert (f_calls[0], g_calls[0]) == (1802, 1800)
+    assert (f_calls[0], g_calls[0]) == (2826, 2824)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, 0.0], ids=["beta-2alpha", "beta-alpha", "beta-0"])
+@pytest.mark.parametrize(
+    "functions",
+    [
+        lambda: (cli._function("1/(1+t^2)"), cli._function("2+cos(t)")),
+        lambda: (lambda t: 1 / (1 + t**2), lambda t: 2 + math.cos(t)),
+    ],
+    ids=["column", "calls"],
+)
+def test_checks_on_aligned_grids_give_the_reference_bits_whichever_kind_f_is(functions, beta):
+    # The backward grid with beta = alpha or 2 alpha holds the forward
+    # grid's points, and beta = 0 makes the check one-sided.  Expression
+    # columns are read a block at a time, plain callables point by point;
+    # either way every entry point gives the reference's bits.
+    f, g = functions()
+    for name, (library, reference) in library_cases(f, g, -2.0, 3.0, 0.5, beta, 3.0).items():
+        got = outcome(library)
+        assert got[0] == "ok" and got == outcome(reference), name
+
+
+FAULT_SITES = [  # f's and g's faults by point on [0, 1500] with steps (1, 0.5)
+    ({700.5: "raise"}, {}),  # the backward grid's second block only
+    ({1100.0: math.nan}, {}),  # the forward grid's second block, the backward's first
+    ({}, {700.5: math.inf}),
+    ({}, {1300.0: "zerodiv"}),  # past the forward grid's first block, and shifted to by ibp
+    # In one block, f's column meets its fault after g's point: the first
+    # fault in point order is g's.
+    ({1100.0: "raise"}, {1050.0: "raise"}),
+]
+
+
+@pytest.mark.parametrize("column", [False, True], ids=["calls", "column"])
+@pytest.mark.parametrize("kind", ["holder", "cs", "minkowski", "comparison", "mvt", "ibp", "ftc"])
+def test_a_fault_past_a_sides_first_block_raises_the_reference_fault(kind, column):
+    # The fused loop has summed a whole block when the fault meets it, and
+    # a column read raises at a block's first fault, not the first in point
+    # order, so the side's totals are dropped for its fault pass, which
+    # raises the fault the reference meets first: type, point and message.
+    compared = 0
+    for f_faults, g_faults in FAULT_SITES:
+        f = faulty(BASE_F, {t.hex(): value for t, value in f_faults.items()})
+        g = faulty(BASE_G, {t.hex(): value for t, value in g_faults.items()})
+        if column:
+            f, g = Columned(f), Columned(g)
+        library, reference = library_cases(f, g, 0.0, 1500.0, 1.0, 0.5, 3.0)[kind]
+        want = outcome(reference)
+        assert outcome(library) == want, (f_faults, g_faults)
+        compared += want[0] == "raise"
+    # ftc reads f alone, and neither it nor ibp reads the backward grid.
+    assert compared == {"ftc": 2, "ibp": 3}.get(kind, 5)
 
 
 DECAYING = (
@@ -466,24 +516,41 @@ def calls_of(run, f=lambda t: 2.0 + math.sin(t), g=lambda t: 3.0 + math.cos(t)):
 
 
 ONE = StepPair(1.0, 1.0)
+BASE_F, BASE_G = (lambda t: 0.5 + 0.25 * math.sin(t)), (lambda t: 3.0 + math.cos(t))
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run, reads, columns",
     [
-        lambda f, g: cauchy_schwarz_check(f, g, 0.0, 100.0, ONE),
-        lambda f, g: holder_check(f, g, 0.0, 100.0, ONE, 3.0),
-        lambda f, g: minkowski_check(f, g, 0.0, 100.0, ONE, 3.0),
-        lambda f, g: comparison_check(lambda t: 0.1 * f(t), g, 0.0, 100.0, ONE),
+        (lambda f, g: cauchy_schwarz_check(f, g, 0.0, 100.0, ONE), (200, 200), (2, 2)),
+        (lambda f, g: holder_check(f, g, 0.0, 100.0, ONE, 3.0), (200, 200), (2, 2)),
+        (lambda f, g: minkowski_check(f, g, 0.0, 100.0, ONE, 3.0), (200, 200), (2, 2)),
+        (lambda f, g: comparison_check(f, g, 0.0, 100.0, ONE), (402, 402), (4, 4)),
+        (lambda f, g: mvt_constant(f, g, 0.0, 100.0, ONE), (402, 402), (4, 4)),
+        (lambda f, g: integration_by_parts_residual(f, g, 0.0, 100.0, 1.0), (202, 202), (3, 3)),
+        (lambda f, g: ftc_residuals(f, 0.0, 100.0, 1.0), (303, 0), (4, 0)),
+        (lambda f, g: holder_check(f, g, 0.0, 100.0, StepPair(1.0, 2.0), 3.0), (150, 150),
+         (2, 2)),
     ],
-    ids=["cs", "holder", "minkowski", "comparison"],
+    ids=["cs", "holder", "minkowski", "comparison", "mvt", "ibp", "ftc", "holder-1-2"],
 )
-def test_inequality_checks_read_each_grid_point_once(run):
-    assert calls_of(run) <= 202
-
-
-def test_mvt_reads_each_grid_point_once():
-    assert calls_of(lambda f, g: mvt_constant(f, g, 1.0, 101.0, ONE)) <= 204
+def test_each_read_of_a_grid_reads_each_of_its_points_once(run, reads, columns):
+    # Each telescoped side reads its own grid, 100 points forward and 100
+    # (or 50) backward, and its shifted points (ibp, ftc) as a column of
+    # their own.  comparison and mvt read their two sampled grids of 101
+    # points once more (mvt reads g there for its weights and f for its
+    # extrema), ftc its grid of 101 for the running sum, and ftc and ibp
+    # the values at b and a.  A column form is handed the same points, one
+    # call per block: here each grid is one block.
+    f, f_calls = counted(BASE_F)
+    g, g_calls = counted(BASE_G)
+    run(f, g)
+    assert (f_calls[0], g_calls[0]) == reads
+    f, g = Columned(BASE_F), Columned(BASE_G)
+    run(f, g)
+    assert (len(f.evaluated), len(g.evaluated)) == reads
+    assert (f.columns, g.columns) == columns
+    assert f.calls == g.calls == 0
 
 
 @pytest.mark.parametrize("column", [False, True], ids=["calls", "column"])
@@ -499,15 +566,6 @@ def test_mvt_weight_that_does_not_compare_raises_the_reference_type_error(column
     with pytest.raises(TypeError) as err:
         mvt_constant(f, g, 1.0, 3.0, StepPair(0.5, 0.5))
     assert err.value.args == want.value.args
-
-
-def test_ibp_reads_each_grid_point_once():
-    run = lambda f, g: integration_by_parts_residual(f, g, 0.0, 100.0, 1.0)  # noqa: E731
-    assert calls_of(run) <= 204
-
-
-def test_ftc_reads_each_grid_point_once():
-    assert calls_of(lambda f, g: ftc_residuals(f, 0.0, 100.0, 1.0)) <= 102
 
 
 @pytest.mark.parametrize(
@@ -618,12 +676,13 @@ def test_sampled_grids_less_the_far_endpoint_are_the_side_walks_bit_for_bit():
 
 
 def test_checks_on_grids_that_do_not_coincide():
-    # The backward grid misses the forward one, so it is no slice of the
-    # run and each of its reads is read afresh: once by cs's backward
-    # side, twice by mvt, which samples the grid before its sides walk it.
+    # Each side reads its own grid, the backward one (101 points) missing
+    # the forward one (100): cs reads f and g at each of its sides' 201
+    # points, and mvt reads them there too and on its two sampled grids,
+    # 203 points more for each of f and g.
     steps = StepPair(1.0, 100.0 / 101.0)
     assert calls_of(lambda f, g: cauchy_schwarz_check(f, g, 0.0, 100.0, steps)) == 402
-    assert calls_of(lambda f, g: mvt_constant(f, g, 0.0, 100.0, steps)) == 608
+    assert calls_of(lambda f, g: mvt_constant(f, g, 0.0, 100.0, steps)) == 808
 
 
 def test_strict_sides_call_f_and_g_for_every_term():
@@ -693,10 +752,11 @@ def test_running_sum_overflow_says_the_accumulated_integral_overflowed():
 
 class Columned:
     """f with a column form: every point it evaluates is recorded, through
-    a column read or a call, and the two are counted apart."""
+    a column read or a call, and the two are counted apart; reads holds
+    the points of each column call."""
 
     def __init__(self, f):
-        self.f, self.evaluated, self.calls, self.columns = f, [], 0, 0
+        self.f, self.evaluated, self.reads, self.calls, self.columns = f, [], [], 0, 0
 
     def __call__(self, t):
         self.calls += 1
@@ -706,6 +766,7 @@ class Columned:
     def column(self, points):
         self.columns += 1
         self.evaluated.extend(points)
+        self.reads.append(list(points))
         return [self.f(t) for t in points]
 
 
@@ -714,66 +775,144 @@ def signed(t):
     return t, math.copysign(1.0, t)
 
 
+def read_lazily(f, points):
+    """f's values at points through integrals._column_or_calls, one by one."""
+    return itertools.chain.from_iterable(integrals._column_or_calls(f, points))
+
+
 @pytest.mark.parametrize(
-    "run, again",
+    "run",
     [
-        (lambda f, g: cauchy_schwarz_check(f, g, -50.0, 50.0, ONE), 0),
-        (lambda f, g: holder_check(f, g, -50.0, 50.0, StepPair(1.0, 2.0), 3.0), 0),
-        (lambda f, g: minkowski_check(f, g, -50.0, 50.0, ONE, 3.0), 0),
-        (lambda f, g: comparison_check(f, g, -50.0, 50.0, ONE), 0),
-        (lambda f, g: mvt_constant(f, g, -50.0, 50.0, StepPair(1.0, 100.0 / 101.0)), 103),
-        (lambda f, g: integration_by_parts_residual(f, g, -50.0, 50.0, 1.0), 0),
-        (lambda f, g: ftc_residuals(f, -50.0, 50.0, 0.5), 0),
+        lambda f, g: cauchy_schwarz_check(f, g, -50.0, 50.0, ONE),
+        lambda f, g: holder_check(f, g, -50.0, 50.0, StepPair(1.0, 2.0), 3.0),
+        lambda f, g: minkowski_check(f, g, -50.0, 50.0, ONE, 3.0),
+        lambda f, g: comparison_check(f, g, -50.0, 50.0, ONE),
+        lambda f, g: mvt_constant(f, g, -50.0, 50.0, StepPair(1.0, 100.0 / 101.0)),
+        lambda f, g: mvt_constant(f, g, 1.0, 2049.0, StepPair(1.0, 0.0)),
+        lambda f, g: integration_by_parts_residual(f, g, -50.0, 50.0, 1.0),
+        lambda f, g: ftc_residuals(f, -50.0, 50.0, 0.5),
+        lambda f, g: ftc_residuals(f, 1.0, 51.0, 0.5),
     ],
-    ids=["cs", "holder", "minkowski", "comparison", "mvt", "ibp", "ftc"],
+    ids=["cs", "holder", "minkowski", "comparison", "mvt", "mvt-blocks", "ibp", "ftc",
+         "ftc-no-zero"],
 )
-def test_column_forms_evaluate_each_distinct_point_once(run, again):
-    # The forward, backward and shifted columns of a check share their
-    # points: a column form is handed each distinct point once, in the
-    # order a callable without one is called at them.  mvt's backward grid
-    # (step 100/101) is no slice of the forward run, so both its reads, the
-    # 102 points sampled and the side's walk of 101, are read afresh: 103
-    # points more than the 201 distinct ones.
-    base_f, base_g = (lambda t: 0.5 + 0.25 * math.sin(t)), (lambda t: 3.0 + math.cos(t))
-    f, g = Columned(base_f), Columned(base_g)
+def test_column_forms_are_handed_the_points_a_callable_is_called_at_in_order(run):
+    # A column form is handed every point a callable without one is called
+    # at, -0.0 and 0.0 apart, in the same order, and is never called.
+    f, g = Columned(BASE_F), Columned(BASE_G)
     run(f, g)
-    plain_f, plain_g = Columned(base_f), Columned(base_g)
+    plain_f, plain_g = Columned(BASE_F), Columned(BASE_G)
     run(plain_f.__call__, plain_g.__call__)
     for columned, plain in ((f, plain_f), (g, plain_g)):
-        keys = [signed(t) for t in columned.evaluated]
-        assert len(keys) == len(set(keys)) + again
-        assert keys == [signed(t) for t in plain.evaluated]
+        assert [signed(t) for t in columned.evaluated] == [signed(t) for t in plain.evaluated]
         assert columned.calls == 0
     assert f.columns > 0
 
 
+def test_a_check_side_reads_each_column_in_one_call_per_block(monkeypatch, capsys):
+    # holder on [0, 250] with steps 0.1: each side walks 2,500 points, three
+    # blocks, and reads them a block at a time, f's column then g's, each
+    # call exactly the block's points in the walk's order.
+    events, function = [], cli._function
+
+    def counting(text):
+        f = function(text)
+        column = f.column
+
+        def counted(points):
+            events.append((text, list(map(signed, points))))
+            return column(points)
+
+        f.column = counted
+        return f
+
+    monkeypatch.setattr(cli, "_function", counting)
+    f_text, g_text = "sin(t)+2", "exp(-0.1*t)"
+    assert cli.main(["check", "--kind", "holder", "--f", f_text, "--g", g_text, "--a", "0",
+                     "--b", "250", "--alpha", "0.1", "--beta", "0.1", "--p", "3", "--json"]) == 0
+    lhs = json.loads(capsys.readouterr().out)["result"]["lhs"]
+    walks = [[0.0 + k * 0.1 for k in range(2500)], [250.0 - k * 0.1 for k in range(2500)]]
+    blocks = [walk[i:i + integrals._BLOCK] for walk in walks
+              for i in range(0, 2500, integrals._BLOCK)]
+    assert events == [(text, list(map(signed, block))) for block in blocks
+                      for text in (f_text, g_text)]
+    # lhs is the two sides' direct left-to-right sums of |f*g|.
+    f, g = function(f_text), function(g_text)
+    forward = backward = 0.0
+    for t, u in zip(*walks):
+        forward += float(abs(f(t) * g(t)))
+        backward += float(abs(f(u) * g(u)))
+    assert lhs.hex() == ((0.1 / 0.2) * (0.1 * forward) + (0.1 / 0.2) * (0.1 * backward)).hex()
+
+
+def test_a_shifted_column_is_read_at_each_block_plus_the_step():
+    # ibp's side reads f at each block of its walk and then at the block's
+    # points plus alpha, one call each, and then f at b and a; g likewise.
+    f, g = Columned(BASE_F), Columned(BASE_G)
+    integration_by_parts_residual(f, g, 0.0, 2500.0, 1.0)
+    walk = [0.0 + k * 1.0 for k in range(2500)]
+    blocks = [walk[i:i + integrals._BLOCK] for i in range(0, 2500, integrals._BLOCK)]
+    want = [read for block in blocks for read in (block, [t + 1.0 for t in block])]
+    assert f.reads == g.reads == want + [[2500.0, 0.0]]
+
+
 def test_column_forms_read_minus_zero_and_zero_separately():
-    # Neither block is strictly monotone, -0.0 == 0.0, so neither starts a
-    # run: each is read afresh, whole and in its order.
+    # Nothing is matched by value: each block goes to the column form
+    # whole and in its order, and an unshifted side reads its walk's own
+    # points, so the backward walk from b = -0.0 reads f at -0.0.
     f = Columned(lambda t: math.copysign(1.0, t))
-    samples = integrals.Samples(f)
-    assert samples.column([0.0, -0.0, 1.0, -0.0, 0.0]) == [1.0, -1.0, 1.0, -1.0, 1.0]
-    assert samples.column([-0.0, 0.0, 1.0]) == [-1.0, 1.0, 1.0]
+    assert list(read_lazily(f, [0.0, -0.0, 1.0, -0.0, 0.0])) == [1.0, -1.0, 1.0, -1.0, 1.0]
+    assert list(read_lazily(f, [-0.0, 0.0, 1.0])) == [-1.0, 1.0, 1.0]
     assert [signed(t) for t in f.evaluated] == [
         signed(t) for t in (0.0, -0.0, 1.0, -0.0, 0.0, -0.0, 0.0, 1.0)]
     assert (f.columns, f.calls) == (2, 0)
+    f = Columned(lambda t: math.copysign(1.0, t))
+    report = cauchy_schwarz_check(f, lambda t: 1.0, -3.0, -0.0, ONE)
+    assert [list(map(signed, read)) for read in f.reads] == [
+        list(map(signed, points)) for points in ([-3.0, -2.0, -1.0], [-0.0, -1.0, -2.0])]
+    assert report.lhs == 3.0
+
+
+@pytest.mark.parametrize(
+    "reads",
+    [
+        [[-2.0, -1.0, -0.0], [0.0, 1.0], [-0.0, 0.0, -1.0, 1.0]],
+        [[-1.0, -0.0, 0.0, 1.0], [1.0, 0.0, -0.0, -1.0]],
+        [[1.0, 0.0, -0.0, -1.0], [-0.0, 0.0]],
+    ],
+    ids=["zero-ending-walk", "rising-through-zeros", "falling-through-zeros"],
+)
+def test_a_monotone_walk_through_minus_zero_and_zero_keeps_them_distinct(reads):
+    # Each read is one column call of exactly its points, signs kept, and
+    # no read is matched against an earlier one, so a walk that ends at
+    # -0.0 does not serve a later read that starts at 0.0.
+    def h(t):
+        return math.copysign(1.0, t) + t
+
+    f = Columned(h)
+    for points in reads:
+        want = [h(t).hex() for t in points]
+        assert [v.hex() for v in read_lazily(f, points)] == want
+        assert [v.hex() for v in read_lazily(h, points)] == want
+    assert [list(map(signed, read)) for read in f.reads] == [
+        list(map(signed, points)) for points in reads]
+    assert (f.columns, f.calls) == (len(reads), 0)
 
 
 def test_a_column_that_holds_a_fault_raises_the_first_through_column_or_calls():
     points = [0.5 + 0.5 * k for k in range(2 * integrals._BLOCK + 10)]  # three blocks
     first, later = points[integrals._BLOCK + 7], points[integrals._BLOCK + 20]
     f = Columned(faulty(lambda t: t, {first.hex(): "raise", later.hex(): "raise"}))
-    samples = integrals.Samples(f)
     for _ in range(2):  # a second read meets the same first fault
         with pytest.raises(DomainFaultError) as err:
-            list(samples.column_or_calls(points))
+            list(read_lazily(f, points))
         assert (err.value.t, err.value.reason, err.value.node) == (first, "injected fault", None)
-    # The first block is stored and evaluated once; the block whose column
-    # raised stores nothing, so each read hands it to the column form again
-    # and then calls f from its start up to the fault, never the third block.
+    # Each read hands the first block, then the second, to the column form;
+    # the second raises, so f is called from its start up to the fault, and
+    # the third block is never read.  Nothing is kept from one read to the next.
     second = points[integrals._BLOCK:2 * integrals._BLOCK]
-    assert f.evaluated == points[:integrals._BLOCK] + (second + second[:8]) * 2
-    assert (f.columns, f.calls) == (3, 2 * 8)
+    assert f.evaluated == (points[:integrals._BLOCK] + second + second[:8]) * 2
+    assert (f.columns, f.calls) == (4, 2 * 8)
 
 
 def test_an_expression_column_raises_the_fault_evaluate_meets_first():
@@ -784,22 +923,19 @@ def test_an_expression_column_raises_the_fault_evaluate_meets_first():
         return expression(t)
 
     f.column = lambda points: evaluated.extend(points) or expression.column(points)
-    samples = integrals.Samples(f)
     points = [9.0, 7.0, 5.0, 3.0, 1.0]
     with pytest.raises(DomainFaultError) as err:
-        list(samples.column_or_calls(points))
+        list(read_lazily(f, points))
     with pytest.raises(DomainFaultError) as want:
         [expression(t) for t in points]
     assert err.value.t == 7.0
     assert (err.value.reason, err.value.node) == (want.value.reason, want.value.node)
     assert evaluated == points + [9.0, 7.0]  # the column, then f up to the fault
-    samples.column([9.0])
-    assert evaluated[-1] == 9.0  # the column that raised stored nothing
 
 
 def test_a_faulting_check_calls_f_only_in_its_fault_pass():
-    # The column read raises and stores nothing; the telescoped side's
-    # fault pass then calls f up to the fault, once per point.
+    # The side's column read raises, so its loop sums nothing; the
+    # telescoped side's fault pass then calls f up to the fault, once per point.
     expression, calls = cli._function("1/(t-3)"), []
 
     def f(t):
@@ -810,10 +946,10 @@ def test_a_faulting_check_calls_f_only_in_its_fault_pass():
     with pytest.raises(DomainFaultError) as err:
         cauchy_schwarz_check(f, cli._function("1"), 0.0, 6.0, StepPair(1.0, 1.0))
     assert (err.value.t, err.value.reason) == (3.0, "division by zero")
-    assert calls == [0.0, 1.0, 2.0, 3.0]  # 8 calls when Samples re-read a faulting column
+    assert calls == [0.0, 1.0, 2.0, 3.0]
 
 
-def test_a_callable_without_a_column_form_is_called_at_each_unread_point_in_order():
+def test_a_callable_without_a_column_form_is_called_at_each_point_in_order():
     calls = []
 
     def f(t):
@@ -822,322 +958,49 @@ def test_a_callable_without_a_column_form_is_called_at_each_unread_point_in_orde
             raise DomainFaultError(None, t, "injected fault")
         return t
 
-    samples = integrals.Samples(f)
-    # A block that is no monotone run is read afresh at each of its points.
     points = [1.0, 2.0, 1.0, -0.0, 0.0, 2.0]
-    assert samples.column(points) == points
+    assert list(read_lazily(f, points)) == points
     assert [signed(t) for t in calls] == [signed(t) for t in points]
     calls.clear()
+    values = read_lazily(f, [3.0, 2.0, 4.0, 5.0])
+    assert calls == []  # nothing is called before a value is asked for
+    # The block's read meets the fault, so f is called again from the
+    # block's start, lazily, and the caller meets the fault at its point.
+    assert next(values) == 3.0 and calls == [3.0, 2.0, 4.0, 3.0]
     with pytest.raises(DomainFaultError):
-        samples.column([3.0, 2.0, 4.0, 5.0])
-    assert calls == [3.0, 2.0, 4.0]
-    calls.clear()
-    with pytest.raises(DomainFaultError):
-        samples.column([3.0, 4.0])
-    assert calls == [3.0, 4.0]  # the read that met the fault stored nothing
-
-
-# ----------------------------------------------------------------------
-# Reads that slice or extend a run of points
-# ----------------------------------------------------------------------
-
-
-def test_a_monotone_read_extending_the_run_hands_only_its_new_points_to_the_column_form():
-    f = Columned(lambda t: 2.0 * t)
-    samples = integrals.Samples(f)
-    assert samples.column([3.0, 2.0, 1.0]) == [6.0, 4.0, 2.0]
-    # A slice of the run at stride 2, with new points past its end.
-    assert samples.column([3.0, 1.0, 0.5, 0.25]) == [6.0, 2.0, 1.0, 0.5]
-    # Reversed, a slice of the run and a new point past its end, in the block's order.
-    assert samples.column([0.125, 0.5, 2.0]) == [0.25, 1.0, 4.0]
-    assert samples.column([0.125, 0.25, 0.5, 1.0, 2.0, 3.0]) == [0.25, 0.5, 1.0, 2.0, 4.0, 6.0]
-    assert f.evaluated == [3.0, 2.0, 1.0, 0.5, 0.25, 0.125]
-    assert (f.columns, f.calls) == (3, 0)
-    assert samples.points == [3.0, 2.0, 1.0, 0.5, 0.25, 0.125]
-
-
-def test_a_read_ahead_of_the_run_is_read_afresh_and_leaves_the_run_unchanged():
-    f = Columned(lambda t: 2.0 * t)
-    samples = integrals.Samples(f)
-    assert samples.column([3.0, 2.0, 1.0]) == [6.0, 4.0, 2.0]
-    # 4.0 lies ahead of the run's start, so the block is no slice of the
-    # run: all its points go to the column form in one call, in its order,
-    # and are stored nowhere, 0.5 past the run's end too.
-    assert samples.column([4.0, 3.0, 1.0, 0.5]) == [8.0, 6.0, 2.0, 1.0]
-    assert (samples.points, samples.run) == ([3.0, 2.0, 1.0], [6.0, 4.0, 2.0])
-    assert samples.column([0.5, 1.0, 2.0, 3.0, 4.0]) == [1.0, 2.0, 4.0, 6.0, 8.0]
-    assert samples.column([1.0, 3.0]) == [2.0, 6.0]  # still a slice of the run
-    assert f.evaluated == [3.0, 2.0, 1.0] + [4.0, 3.0, 1.0, 0.5] + [0.5, 1.0, 2.0, 3.0, 4.0]
-    assert (f.columns, f.calls) == (3, 0)
-
-
-def test_a_check_reads_each_block_off_the_run_afresh_in_one_column_call(monkeypatch, capsys):
-    # The backward grid 50 - k*0.1 misses the forward run 0 + k*0.1, so
-    # its blocks are off the run: each is one column call of exactly its
-    # points, in its order, and stored nowhere.
-    events, off, slice_, function = [], [], integrals.Samples._slice, cli._function
-
-    def counting(text):
-        f = function(text)
-        column, f.text = f.column, text
-
-        def counted(points):
-            events.append(("column", text, list(map(signed, points))))
-            return column(points)
-
-        f.column = counted
-        return f
-
-    def sliced(self, block):
-        values = slice_(self, block)
-        if values is None:
-            off.append((self, list(block)))
-            events.append(("off", self.f.text, list(map(signed, block))))
-        return values
-
-    monkeypatch.setattr(cli, "_function", counting)
-    monkeypatch.setattr(integrals.Samples, "_slice", sliced)
-    f_text, g_text = "sin(t)+2", "exp(-0.1*t)"
-    assert cli.main(["check", "--kind", "holder", "--f", f_text, "--g", g_text, "--a", "0",
-                     "--b", "50", "--alpha", "0.1", "--beta", "0.1", "--p", "3", "--json"]) == 0
-    lhs = json.loads(capsys.readouterr().out)["result"]["lhs"]
-    marks = [i for i, event in enumerate(events) if event[0] == "off"]
-    assert len(marks) == 2  # the backward walk of f and of g, one block each
-    for i in marks:
-        assert events[i + 1] == ("column", *events[i][1:])
-    # A second identical read calls the column form again.
-    samples, block = off[0]
-    read = len(events)
-    assert [bits(v) for v in samples.column(block)] == [bits(samples.f(t)) for t in block]
-    assert events[read:] == [("off", samples.f.text, list(map(signed, block))),
-                             ("column", samples.f.text, list(map(signed, block)))]
-    # lhs is the two sides' direct left-to-right sums of |f*g|, no Samples involved.
-    f, g = function(f_text), function(g_text)
-    forward = backward = 0.0
-    for k in range(500):
-        t, u = 0.0 + k * 0.1, 50.0 - k * 0.1
-        forward += float(abs(f(t) * g(t)))
-        backward += float(abs(f(u) * g(u)))
-    assert lhs.hex() == ((0.1 / 0.2) * (0.1 * forward) + (0.1 / 0.2) * (0.1 * backward)).hex()
-
-
-@pytest.mark.parametrize("beta", [1.0, 0.5, 0.0], ids=["beta-2alpha", "beta-alpha", "beta-0"])
-@pytest.mark.parametrize(
-    "functions",
-    [
-        lambda: (cli._function("1/(1+t^2)"), cli._function("2+cos(t)")),
-        lambda: (lambda t: 1 / (1 + t**2), lambda t: 2 + math.cos(t)),
-    ],
-    ids=["column", "calls"],
-)
-def test_no_check_on_aligned_grids_reads_a_block_off_the_run(monkeypatch, functions, beta):
-    # Every block of every kind slices each function's run or extends it
-    # past its end, whether f offers a column form or not: the unshifted
-    # column of a difference quotient is read before the shifted one, so
-    # ibp's g never puts a point ahead of its run.
-    calls, slice_ = [], integrals.Samples._slice
-
-    def counted(self, block):
-        values = slice_(self, block)
-        if values is None:  # a block off the run
-            calls.append(list(block))
-        return values
-
-    monkeypatch.setattr(integrals.Samples, "_slice", counted)
-    f, g = functions()
-    steps = StepPair(0.5, beta)
-    holder_check(f, g, -2.0, 3.0, steps, 3.0)
-    cauchy_schwarz_check(f, g, -2.0, 3.0, steps)
-    minkowski_check(f, g, -2.0, 3.0, steps, 3.0)
-    mvt_constant(f, g, -2.0, 3.0, steps)
-    comparison_check(f, g, -2.0, 3.0, steps)
-    if beta == 0.0:
-        integration_by_parts_residual(f, g, -2.0, 3.0, 0.5)
-        ftc_residuals(f, -2.0, 3.0, 0.5)
-    assert calls == []
-
-
-@pytest.mark.parametrize(
-    "reads, evaluated",
-    [
-        # 0.0 matches the run's last point -0.0 by value but not by sign,
-        # so [0.0, 1.0] is no slice of the run and is read afresh.
-        ([[-2.0, -1.0, -0.0], [0.0, 1.0], [-0.0, 0.0, -1.0, 1.0]],
-         [-2.0, -1.0, -0.0, 0.0, 1.0, -0.0, 0.0, -1.0, 1.0]),
-        # -0.0 == 0.0, so a walk through both is not strictly monotone and
-        # starts no run: each read is read afresh.
-        ([[-1.0, -0.0, 0.0, 1.0], [1.0, 0.0, -0.0, -1.0]],
-         [-1.0, -0.0, 0.0, 1.0, 1.0, 0.0, -0.0, -1.0]),
-        ([[1.0, 0.0, -0.0, -1.0], [-0.0, 0.0]], [1.0, 0.0, -0.0, -1.0, -0.0, 0.0]),
-    ],
-    ids=["zero-ending-walk", "rising-through-zeros", "falling-through-zeros"],
-)
-def test_a_monotone_walk_through_minus_zero_and_zero_keeps_them_distinct(reads, evaluated):
-    f = Columned(lambda t: math.copysign(1.0, t) + t)
-    samples = integrals.Samples(f)
-    for points in reads:
-        assert samples.column(points) == [math.copysign(1.0, t) + t for t in points]
-    assert [signed(t) for t in f.evaluated] == [signed(t) for t in evaluated]
-    assert (f.columns, f.calls) == (len(reads), 0)
-
-
-def test_a_column_form_that_raises_on_a_first_read_stores_nothing():
-    points = [1.0, 2.0, 3.0, 4.0]
-    f = Columned(faulty(lambda t: t, {(3.0).hex(): "raise"}))
-    samples = integrals.Samples(f)
-    for columns in (1, 2):  # a re-read reads f again, at every point
-        with pytest.raises(DomainFaultError):
-            samples.column(points)
-        assert f.evaluated == points * columns
-        assert (f.columns, f.calls) == (columns, 0)
-
-
-def test_a_callable_without_a_column_form_that_raises_on_a_first_read_stores_nothing():
-    calls = []
-
-    def f(t):
-        calls.append(t)
-        if t == 3.0:
-            raise DomainFaultError(None, t, "injected fault")
-        return 10.0 * t
-
-    samples = integrals.Samples(f)
-    for _ in range(2):  # a re-read calls f again from the block's start
-        with pytest.raises(DomainFaultError):
-            samples.column([1.0, 2.0, 3.0, 4.0])
-        assert (samples.points, samples.run) == ([], [])
-    assert calls == [1.0, 2.0, 3.0] * 2
-    assert samples.column([2.0, 1.0]) == [20.0, 10.0]
-    assert calls == [1.0, 2.0, 3.0] * 2 + [2.0, 1.0]
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda f, g: cauchy_schwarz_check(f, g, 1.0, 101.0, StepPair(1.0, 0.0)),
-        lambda f, g: holder_check(f, g, 1.0, 101.0, StepPair(1.0, 2.0), 3.0),
-        lambda f, g: integration_by_parts_residual(f, g, 1.0, 101.0, 1.0),
-        lambda f, g: mvt_constant(f, g, 1.0, 101.0, StepPair(1.0, 0.0)),
-        lambda f, g: mvt_constant(f, g, 1.0, 2049.0, StepPair(1.0, 0.0)),
-        lambda f, g: ftc_residuals(f, 1.0, 51.0, 0.5),
-    ],
-    ids=["forward-cs", "holder", "ibp-shifted", "mvt-sampled", "mvt-sampled-blocks", "ftc"],
-)
-def test_first_reads_kept_unkeyed_still_evaluate_each_distinct_point_once(run):
-    # Grids without a zero, where each function's reads extend or slice one run.
-    base_f, base_g = (lambda t: 0.5 + 0.25 * math.sin(t)), (lambda t: 3.0 + math.cos(t))
-    f, g = Columned(base_f), Columned(base_g)
-    run(f, g)
-    plain_f, plain_g = Columned(base_f), Columned(base_g)
-    run(plain_f.__call__, plain_g.__call__)
-    for columned, plain in ((f, plain_f), (g, plain_g)):
-        assert len(columned.evaluated) == len(set(columned.evaluated))
-        assert columned.evaluated == plain.evaluated
-        assert columned.calls == 0
+        list(values)
+    assert calls == [3.0, 2.0, 4.0, 3.0, 2.0, 4.0]
 
 
 def test_column_reads_hold_no_more_memory_than_calls():
-    # A forward holder check of 10^5 grid points, its f and g read as
-    # expression columns against plain Python callables.
-    def peak(f, g):
+    # A holder check of 10^5 forward grid points, and as many backward
+    # with beta = alpha, its f and g read as expression columns against
+    # plain Python callables.
+    def peak(f, g, beta):
         f(0.5), g(0.5)  # compiled before the trace
         gc.collect()
         tracemalloc.start()
         try:
-            holder_check(f, g, 0.0, 25_000.0, StepPair(0.25, 0.0), 3.0)
+            holder_check(f, g, 0.0, 25_000.0, StepPair(0.25, beta), 3.0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    columns = peak(cli._function("1+sin(t)"), cli._function("2+cos(0.5*t)"))
-    calls = peak(lambda t: 1 + math.sin(t), lambda t: 2 + math.cos(0.5 * t))
-    # Both kinds of f keep their values in one run, so neither peaks higher.
-    assert columns <= 1.05 * calls
-    assert calls <= 1.05 * columns
+    for beta in (0.0, 0.25):
+        columns = peak(cli._function("1+sin(t)"), cli._function("2+cos(0.5*t)"), beta)
+        calls = peak(lambda t: 1 + math.sin(t), lambda t: 2 + math.cos(0.5 * t), beta)
+        # No value outlives its block, whichever kind f is, so neither
+        # peaks higher, and the peak is about the side's list of points
+        # (32 bytes a point) and one block's columns.
+        assert columns <= 1.05 * calls, beta
+        assert calls <= 1.05 * columns, beta
+        assert max(columns, calls) < 40 * 100_000, beta
 
 
 # ----------------------------------------------------------------------
-# Samples differential: Samples, which keeps one run, against a Samples
-# that keys every value by point, kept here as the value oracle; like
-# Samples, it reads a plain callable a whole block at a time, so a read
-# that raises stores nothing
+# _column_or_calls differential: against a loop calling f, on the reads
+# the verifiers make, with and without a column form and with faults
 # ----------------------------------------------------------------------
-
-
-def _ref_blocks(points):
-    return (points[i:i + integrals._BLOCK] for i in range(0, len(points), integrals._BLOCK))
-
-
-def _ref_distinct_nonzero(points):
-    """Whether points are strictly monotone, so distinct, and hold no zero,
-    which only points whose ends differ in sign can hold."""
-    rest = points[1:]
-    monotone = all(map(operator.lt, points, rest)) or all(map(operator.gt, points, rest))
-    return monotone and (not points or points[0] * points[-1] > 0.0 or 0.0 not in points)
-
-
-def _ref_reader(f):
-    """f's column form, or else f called at each point, as a list."""
-    return getattr(f, "column", None) or (lambda points: list(map(f, points)))
-
-
-class ReferenceSamples:
-    """A function's raw values by point, each point evaluated at most once.
-
-    Points are keyed by value, except that -0.0 and 0.0 are distinct.  The
-    unread points of each block of _BLOCK go to f's column form in one
-    call, if f offers one, else to f at each point.  A read that raises
-    lets the exception out and stores nothing for its block.  A point not
-    stored is evaluated again when read again.
-
-    Points are keyed only once a later read could hit them: a first read
-    whose points are strictly monotone, so distinct, and none of them zero
-    goes to f's column form, if f offers one, and is kept as its (points,
-    values), keyed by the next read.  If that column form raises, nothing
-    is stored.
-    """
-
-    def __init__(self, f):
-        self.f = f
-        self.values = {}
-        self.first = None  # the first read's (points, values), not yet keyed
-
-    def column(self, points):
-        """f's raw values at points, in order, evaluating the unread ones."""
-        values = self.values
-        if self.first is not None:
-            values.update(zip(*self.first))
-            self.first = None
-        elif not values and getattr(self.f, "column", None) and _ref_distinct_nonzero(points):
-            read = list(itertools.chain.from_iterable(map(self.f.column, _ref_blocks(points))))
-            self.first = points, read
-            return read
-        column = []
-        for block in _ref_blocks(points):
-            # -0.0 == 0.0 as dict keys, so a zero is keyed by its sign and itself.
-            keys = [t or (math.copysign(1.0, t), t) for t in block] if 0.0 in block else block
-            unread = list(dict.fromkeys(
-                itertools.filterfalse(values.__contains__, keys) if values else keys))
-            if unread:
-                ts = unread if keys is block else [k[1] if type(k) is tuple else k for k in unread]
-                read = _ref_reader(self.f)(ts)  # a read that raises stores nothing
-                values.update(zip(unread, read))
-            fresh = len(unread) == len(keys) and type(read) is list
-            column += read if fresh else map(values.__getitem__, keys)
-        return column
-
-    def column_or_calls(self, points):
-        """f's raw values at points, read lazily block by block: a block's
-        column, or, if that raises, f at each of its points.  A caller that
-        checks each value as it iterates then meets the first fault in
-        point order, as a loop calling f would."""
-        return itertools.chain.from_iterable(map(self._column_or_calls, _ref_blocks(points)))
-
-    def _column_or_calls(self, block):
-        try:
-            return self.column(block)
-        except Exception:
-            return map(self.f, block)
 
 
 def _draw_reads(rng):
@@ -1173,60 +1036,12 @@ def _draw_reads(rng):
     return [rng.choice(shapes)() for _ in range(rng.randrange(1, 6))]
 
 
-def _with_column(f, column):
-    """A callable giving f's values, with a column form if column is true."""
-    g = lambda t: f(t)  # noqa: E731
-    if column:
-        g.column = lambda points: [f(t) for t in points]
-    return g
-
-
-def _read_outcome(samples, points, lazily):
-    try:
-        values = list(samples.column_or_calls(points)) if lazily else samples.column(points)
-    except Exception as exc:  # the fault is part of the outcome
-        return ("raise", type(exc), exc.args)
-    return ("ok", [bits(v) for v in values])
-
-
-def _checked_blocks(samples, outcomes):
-    """samples, each block checked against the read contract: at most one
-    call of its reader, of exactly the block's points past the run's end,
-    in the block's order, or of exactly the whole block.  outcomes counts
-    the blocks served by the run alone, those that read their points past
-    its end (all of them while the run is empty), and those read whole."""
-    reads, read, block_read = [], samples.read, samples._block
-
-    def recorded(points):
-        reads.append([signed(t) for t in points])
-        return read(points)
-
-    def checked(block):
-        run, made = list(samples.points), len(reads)
-        try:
-            return block_read(block)
-        finally:
-            assert len(reads) - made <= 1, (block, run)
-            whole = [signed(t) for t in block]
-            past = [signed(t) for t in block
-                    if not run or (t < run[-1] if samples.down else t > run[-1])]
-            if len(reads) == made:
-                outcomes["run"] += 1
-            elif reads[made] == past:
-                outcomes["past"] += 1
-            else:
-                assert reads[made] == whole, (block, run)
-                outcomes["whole"] += 1
-
-    samples.read, samples._block = recorded, checked
-    return samples
-
-
-def test_samples_agrees_with_the_keyed_reference_on_seeded_reads():
+def test_column_or_calls_agrees_with_a_loop_calling_f_on_seeded_reads():
+    # Each value is f's, and a read that faults raises the fault a loop
+    # calling f meets first, whether f's column form raises or f has none.
     rng = random.Random(21)
     base = lambda t: math.copysign(1.0, t) * (1.0 + abs(t))  # noqa: E731  tells -0.0 from 0.0
     compared = faulted = 0
-    outcomes = collections.Counter()
     for _ in range(700):
         reads = _draw_reads(rng)
         faults = {}
@@ -1234,14 +1049,11 @@ def test_samples_agrees_with_the_keyed_reference_on_seeded_reads():
             pool = [t for points in reads for t in points]
             for _ in range(rng.randrange(1, 3)):
                 faults[rng.choice(pool).hex()] = rng.choice(("raise", "zerodiv", math.inf, 10**400))
-        column = rng.random() < 0.8
-        f = _with_column(faulty(base, faults), column)
-        got, want = _checked_blocks(integrals.Samples(f), outcomes), ReferenceSamples(f)
+        h = faulty(base, faults)
+        f = Columned(h) if rng.random() < 0.8 else h
         for points in reads:
-            lazily = rng.random() < 0.5
-            outcome = _read_outcome(got, points, lazily)
-            assert outcome == _read_outcome(want, points, lazily), (reads, faults, column)
+            got = outcome(lambda: tuple(read_lazily(f, points)))
+            assert got == outcome(lambda: tuple(h(t) for t in points)), (reads, faults)
             compared += 1
-            faulted += outcome[0] == "raise"
+            faulted += got[0] == "raise"
     assert compared > 1500 and faulted > 50
-    assert min(outcomes["run"], outcomes["past"], outcomes["whole"]) > 300, outcomes
